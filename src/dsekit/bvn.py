@@ -45,24 +45,43 @@ def regularity(a: Matrix) -> int:
 
 
 def extract_permutation(a: Matrix) -> Matrix:
-    """A permutation matrix p with p <= a entrywise, via augmenting paths."""
+    """A permutation matrix p with p <= a entrywise, via augmenting paths.
+
+    Rows are matched in index order, each by a depth-first search for an
+    augmenting path that scans columns in index order.  The search keeps
+    its path on an explicit stack, so path length is not bounded by the
+    interpreter's recursion limit.
+    """
     m = _check_square(a)
     regularity(a)
-    # match[j] = row matched to column j; rows scan columns in index order
+    cols = [[j for j, x in enumerate(row) if x > 0] for row in a]
+    # match[j] = row matched to column j
     match: list[int | None] = [None] * m
-
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in range(m):
-            if a[i][j] > 0 and not seen[j]:
-                seen[j] = True
-                if match[j] is None or augment(match[j], seen):
-                    match[j] = i
-                    return True
-        return False
-
-    for i in range(m):
-        if not augment(i, [False] * m):
-            raise NotDoublyStochastic(f"no perfect matching covers row {i}")
+    for root in range(m):
+        seen = [False] * m
+        rows = [root]                  # rows on the current path
+        scans = [iter(cols[root])]     # each row's remaining columns
+        picked: list[int] = []         # column leading from rows[k] onward
+        while scans:
+            for j in scans[-1]:
+                if not seen[j]:
+                    break
+            else:
+                rows.pop()
+                scans.pop()
+                if picked:
+                    picked.pop()
+                continue
+            seen[j] = True
+            picked.append(j)
+            if match[j] is None:
+                for i, col in zip(rows, picked):
+                    match[col] = i
+                break
+            rows.append(match[j])
+            scans.append(iter(cols[match[j]]))
+        else:
+            raise NotDoublyStochastic(f"no perfect matching covers row {root}")
     p = [[0] * m for _ in range(m)]
     for j, i in enumerate(match):
         p[i][j] = 1

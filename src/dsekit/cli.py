@@ -211,7 +211,8 @@ def main(argv=None) -> int:
         print(json.dumps({"command": args.command, "error": str(exc),
                           "error_type": type(exc).__name__}))
         return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, ZeroDivisionError,
+            json.JSONDecodeError) as exc:
         print(json.dumps({"command": args.command, "error": str(exc),
                           "error_type": type(exc).__name__}))
         return 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dse import DSE, distance, normalize_cover
+from .dse import DSE, distance, normalize_cover, validate
 from .errors import PreconditionViolated
 from .intervals import EMPTY, FULL, IntervalSet, rat
 from .maps import Atom, PartialMap, glue, monotone_pairing
@@ -182,10 +182,12 @@ def almost_decompose(d: DSE, eps) -> Decomposition:
     eps/8 makes the peel distance at most eps/2) and the recursion halves
     the budget for the residual, so the total stays below eps.  A
     multiplicity-one element normalizes to a single automorphism exactly.
+    The input's coverage is validated first (InvalidDSE on failure).
     """
     eps = rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    validate(d)
     autos = _decompose_rec(d, eps)
     final = DSE(tuple(a.map for a in autos), d.multiplicity)
     dist = distance(d, final)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .dse import DSE, distance, is_symmetric, normalize_cover, symmetrize
 from .errors import (AlreadyPerfect, InvalidPath, NotDoublyStochastic,
-                     NotSymmetric, UnsplittableDiagonal)
+                     NotSymmetric, PreconditionViolated, UnsplittableDiagonal)
 from .intervals import (EMPTY, IntervalSet, Step, rat, step_integral,
                         step_where)
 from .maps import Atom, PartialMap
@@ -113,7 +113,8 @@ def initial_division(g: GraphMultiset) -> Division:
         raise NotDoublyStochastic("row mass is not constant")
     full = masses.pop()
     if full % 2:
-        raise ValueError(f"row mass {full} is odd; need multiplicity 2n")
+        raise PreconditionViolated(
+            f"row mass {full} is odd; need multiplicity 2n")
     return Division(GraphMultiset(entries), g, full // 2)
 
 
@@ -140,7 +141,8 @@ def find_better_path(d: Division, max_length: int,
     from P+ into fresh territory, and the first chain image meeting P- is
     backtracked (smallest usable index first) into a path.  A chain that
     stays clear of P- for max_length steps certifies that the consumed
-    family already carries the measure the improvement bound needs.
+    family already carries the measure the improvement bound needs.  The
+    union of the chain images W_1..W_i is kept as a running union.
     """
     prof = degree_profile(d)
     p_plus = prof.p_plus()
@@ -158,8 +160,8 @@ def find_better_path(d: Division, max_length: int,
     hit = start.image.intersect(p_minus)
     if not hit.is_empty():
         return _backtrack_path(chain, wsets, hit)
+    others = start.image
     for _ in range(max_length - 1):
-        others = IntervalSet.union_all(wsets[1:])
         step = _smain_piece(hmaps, n, wsets[0], others, consumed)
         if step.is_empty():
             return None
@@ -168,6 +170,7 @@ def find_better_path(d: Division, max_length: int,
         hit = step.image.intersect(p_minus)
         if not hit.is_empty():
             return _backtrack_path(chain, wsets, hit)
+        others = others.union(step.image)
     return None
 
 
@@ -354,7 +357,7 @@ def symmetric_split(psi: DSE, eps) -> DSE:
     if not is_symmetric(psi):
         raise NotSymmetric("element is not equivalent to its inverse")
     if psi.multiplicity % 2:
-        raise ValueError("symmetric split needs even multiplicity")
+        raise PreconditionViolated("symmetric split needs even multiplicity")
     n = psi.multiplicity // 2
 
     div = near_perfect_division(psi.matrix, eps / 4)

@@ -6,12 +6,23 @@ stored canonically: sorted by left endpoint, pairwise disjoint, adjacent
 pieces merged.  Equality of canonical forms is equality of sets up to
 measure zero, and Lebesgue measure is an exact finite sum of ``Fraction``
 lengths.  No floating point appears anywhere.
+
+The binary operations ``union``, ``intersect`` and ``subtract`` sweep only
+the window where the two operands can interact.  Both operands are cut to
+that window by bisection on their sorted endpoints, the sweep runs on the
+cut parts, and the intervals of the result that lie wholly before or after
+the window are copied as tuple slices.  The copied parts are separated from
+the window by gaps, so the result is canonical by construction and equal,
+tuple for tuple, to a sweep over the whole of both operands.  An operation
+with a single interval against a set of k intervals therefore costs
+O(log k) comparisons plus the intervals it actually touches.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 Rational = Fraction
@@ -106,22 +117,48 @@ class IntervalSet:
     def measure(self) -> Fraction:
         return sum((hi - lo for lo, hi in self._iv), ZERO)
 
-    def contains_point(self, x) -> bool:
-        x = rat(x)
-        return any(lo <= x < hi for lo, hi in self._iv)
-
     def contains(self, other: "IntervalSet") -> bool:
         """Set inclusion up to measure zero."""
         return other.subtract(self).is_empty()
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return self._raw(_merge_op(self._iv, other._iv, lambda a, b: a or b))
+        a, b = self._iv, other._iv
+        if not a:
+            return other
+        if not b:
+            return self
+        # Intervals that end before, or start after, the other operand's
+        # span without touching it pass through; at most one side has any.
+        a0 = bisect_left(a, b[0][0], key=_HI)
+        a1 = bisect_right(a, b[-1][1], key=_LO)
+        b0 = bisect_left(b, a[0][0], key=_HI)
+        b1 = bisect_right(b, a[-1][1], key=_LO)
+        mid = _merge_op(a[a0:a1], b[b0:b1], _or)
+        return self._raw(a[:a0] + b[:b0] + mid + a[a1:] + b[b1:])
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        return self._raw(_merge_op(self._iv, other._iv, lambda a, b: a and b))
+        a, b = self._iv, other._iv
+        if not a or not b:
+            return EMPTY
+        a0 = bisect_right(a, b[0][0], key=_HI)
+        a1 = bisect_left(a, b[-1][1], key=_LO)
+        b0 = bisect_right(b, a[0][0], key=_HI)
+        b1 = bisect_left(b, a[-1][1], key=_LO)
+        return self._raw(_merge_op(a[a0:a1], b[b0:b1], _and))
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        return self._raw(_merge_op(self._iv, other._iv, lambda a, b: a and not b))
+        a, b = self._iv, other._iv
+        if not a or not b:
+            return self
+        # Intervals of self clear of the other operand's span pass through.
+        a0 = bisect_right(a, b[0][0], key=_HI)
+        a1 = bisect_left(a, b[-1][1], key=_LO)
+        if a0 >= a1:
+            return self
+        b0 = bisect_right(b, a[a0][0], key=_HI)
+        b1 = bisect_left(b, a[a1 - 1][1], key=_LO)
+        mid = _merge_op(a[a0:a1], b[b0:b1], _and_not)
+        return self._raw(a[:a0] + mid + a[a1:])
 
     def complement(self) -> "IntervalSet":
         """Complement relative to [0, 1)."""
@@ -189,8 +226,27 @@ def _merge_cuts(a: tuple, b: tuple) -> list:
     return out
 
 
+_LO = itemgetter(0)
+_HI = itemgetter(1)
+
+
+def _or(a: bool, b: bool) -> bool:
+    return a or b
+
+
+def _and(a: bool, b: bool) -> bool:
+    return a and b
+
+
+def _and_not(a: bool, b: bool) -> bool:
+    return a and not b
+
+
 def _merge_op(a: tuple, b: tuple, keep) -> tuple:
-    """Linear sweep over the merged breakpoints of two canonical sets."""
+    """Linear sweep over the merged breakpoints of two canonical sets.
+
+    The callers pass the windows of their operands that can interact.
+    """
     cuts = _merge_cuts(a, b)
     out: list[list[Fraction]] = []
     ia = ib = 0
@@ -243,26 +299,6 @@ def step_sum(weighted: Iterable[tuple[Fraction, Fraction, int]]) -> Step:
             out[-1][1] = hi
         else:
             out.append([lo, hi, level])
-    return tuple((lo, hi, v) for lo, hi, v in out)
-
-
-def step_combine(a: Step, b: Step, fn) -> Step:
-    """Pointwise fn(a, b) of two step functions over a common refinement."""
-    cuts = sorted({x for lo, hi, _ in a for x in (lo, hi)}
-                  | {x for lo, hi, _ in b for x in (lo, hi)})
-    out: list[list] = []
-    ia = ib = 0
-    for k in range(len(cuts) - 1):
-        lo, hi = cuts[k], cuts[k + 1]
-        while a[ia][1] <= lo:
-            ia += 1
-        while b[ib][1] <= lo:
-            ib += 1
-        v = fn(a[ia][2], b[ib][2])
-        if out and out[-1][2] == v and out[-1][1] == lo:
-            out[-1][1] = hi
-        else:
-            out.append([lo, hi, v])
     return tuple((lo, hi, v) for lo, hi, v in out)
 
 

@@ -105,9 +105,6 @@ class GraphMultiset:
     def families(self) -> Iterator[tuple[Key, Cells]]:
         return iter(self._fam.items())
 
-    def family_cells(self, key: Key) -> Cells:
-        return self._fam.get(key, ())
-
     def support(self, key: Key) -> IntervalSet:
         cached = self._support_cache.get(key)
         if cached is None:

@@ -134,6 +134,13 @@ def find_extension(d: DSE, piece: Piece, max_depth: int,
     inside the image, or stalls on an empty piece, no extension is
     reported; in that state the accumulated family already carries the
     measure guaranteed by the counting argument.
+
+    The search is incremental.  Each chain image T_i that stays inside the
+    piece's image has its preimage theta^-1(T_i) computed once and cached;
+    the sources allowed for the next step, theta^-1(T_1 + ... + T_i), are
+    kept as a running union of those preimages (preimages distribute over
+    unions), and so are the forbidden targets.  The backtracking reads the
+    cached preimages, so theta.preimage_of runs at most twice per step.
     """
     theta = piece.map
     a_set, b_set = theta.domain, theta.image
@@ -141,36 +148,42 @@ def find_extension(d: DSE, piece: Piece, max_depth: int,
     b_comp = b_set.complement()
 
     chain: list[PartialMap] = []
-    images: list[IntervalSet] = []
+    preimages: list[IntervalSet] = []
     first = lemma_piece(d, a_set.complement().subtract(occ_src), occ_tgt)
     if first.map.is_empty():
         return None
     chain.append(first.map)
-    images.append(first.map.image)
     hit = first.map.image.intersect(b_comp)
     if not hit.is_empty():
-        return _backtrack(theta, chain, images, hit)
+        return _backtrack(theta, chain, preimages, hit)
 
-    w_acc = images[0]
+    preimages.append(theta.preimage_of(first.map.image))
+    allowed = preimages[0]
+    # the blocker ``first`` keeps T_1 out; the later images are added here
+    forbidden = occ_tgt
     for _ in range(max_depth):
-        allowed = theta.preimage_of(w_acc)
-        step = lemma_piece(d, allowed, occ_tgt.union(w_acc.subtract(images[0])),
-                           first)
+        step = lemma_piece(d, allowed, forbidden, first)
         if step.map.is_empty():
             return None
         chain.append(step.map)
-        images.append(step.map.image)
-        hit = step.map.image.intersect(b_comp)
+        image = step.map.image
+        hit = image.intersect(b_comp)
         if not hit.is_empty():
-            return _backtrack(theta, chain, images, hit)
-        w_acc = w_acc.union(step.map.image)
+            return _backtrack(theta, chain, preimages, hit)
+        preimages.append(theta.preimage_of(image))
+        allowed = allowed.union(preimages[-1])
+        forbidden = forbidden.union(image)
     return None
 
 
 def _backtrack(theta: PartialMap, chain: list[PartialMap],
-               images: list[IntervalSet], hit: IntervalSet) -> Extension:
+               preimages: list[IntervalSet], hit: IntervalSet) -> Extension:
     """Turn a chain whose last image leaves the piece's image into an
-    extension, descending through strictly decreasing chain indices."""
+    extension, descending through strictly decreasing chain indices.
+
+    ``preimages[t - 1]`` is theta^-1(T_t) for the chain images T_t that
+    stayed inside the piece's image (all but the last).
+    """
     j = len(chain)
     if j == 1:
         pm = chain[0].restrict(chain[0].preimage_of(hit))
@@ -182,7 +195,7 @@ def _backtrack(theta: PartialMap, chain: list[PartialMap],
         back = chain[cur_i - 1].preimage_of(cur_t)
         pick = None
         for t in range(1, cur_i):
-            overlap = back.intersect(theta.preimage_of(images[t - 1]))
+            overlap = back.intersect(preimages[t - 1])
             if not overlap.is_empty():
                 pick = t
                 hop = overlap

@@ -34,10 +34,6 @@ def interval_set_to_json(s: IntervalSet) -> list:
     return [[rat_str(lo), rat_str(hi)] for lo, hi in s]
 
 
-def interval_set_from_json(data) -> IntervalSet:
-    return IntervalSet((rat(lo), rat(hi)) for lo, hi in data)
-
-
 def atom_to_json(a: Atom) -> dict:
     return {"src": [rat_str(a.lo), rat_str(a.hi)],
             "slope": a.slope, "offset": rat_str(a.offset)}

@@ -55,6 +55,22 @@ def test_decompose_small_example():
     assert total == a
 
 
+
+def test_decompose_long_augmenting_path():
+    # row m-1 reaches for column 0 first, so its augmenting path runs
+    # through every other row: longer than the default recursion limit
+    m = 1100
+    a = [[0] * m for _ in range(m)]
+    for i in range(m):
+        a[i][i] = a[i][(i + 1) % m] = 1
+    perms = decompose_bvn(a)
+    assert len(perms) == 2
+    assert all(is_permutation(p) for p in perms)
+    total = [[perms[0][i][j] + perms[1][i][j] for j in range(m)]
+             for i in range(m)]
+    assert total == a
+
+
 def test_decompose_random_matrices(rng):
     for _ in range(40):
         m = rng.randint(2, 16)

@@ -5,7 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from dsekit import DSE, distance, identity_map, symmetrize
+from dsekit import Atom, DSE, PartialMap, distance, identity_map, symmetrize
 from dsekit.cli import main
 from dsekit.gallery import counterexample
 from dsekit import serialize as ser
@@ -104,6 +104,43 @@ def test_split_rejects_asymmetric(tmp_path, capsys):
                        "--out", str(tmp_path / "x.json"))
     assert code == 2
     assert report["error_type"] == "NotSymmetric"
+
+
+
+def test_zero_denominator_is_parse_error(tmp_path, capsys):
+    payload = ser.dse_to_json(DSE([identity_map()], 1))
+    payload["maps"][0][0]["offset"] = "1/0"
+    f = tmp_path / "zero.json"
+    f.write_text(json.dumps(payload))
+    code, report = run(capsys, "validate", "--in", str(f))
+    assert code == 1
+    assert report["error_type"] == "ZeroDivisionError"
+
+
+def test_split_odd_multiplicity_is_domain_error(tmp_path, capsys):
+    f = write_dse(tmp_path / "id.json", DSE([identity_map()], 1))
+    code, report = run(capsys, "split", "--in", f, "--eps", "1/8",
+                       "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert report["error_type"] == "PreconditionViolated"
+
+
+def test_divide_odd_row_mass_is_domain_error(tmp_path, capsys):
+    # x -> 1 - x is its own inverse and misses the diagonal
+    f = write_dse(tmp_path / "flip.json", DSE([PartialMap([Atom(0, 1, -1, 1)])], 1))
+    code, report = run(capsys, "divide", "--in", f, "--eps", "1/8",
+                       "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert report["error_type"] == "PreconditionViolated"
+
+
+def test_decompose_rejects_non_covering_input(tmp_path, capsys):
+    f = write_dse(tmp_path / "bad.json", DSE([identity_map()], 2))
+    code, report = run(capsys, "decompose", "--in", f, "--eps", "1/8",
+                       "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert report["error_type"] == "InvalidDSE"
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_bvn_csv_decompose(tmp_path, capsys):

@@ -6,7 +6,7 @@ from dsekit import (DSE, FULL, Atom, IntervalSet, PartialMap, almost_decompose,
                     complete_to_automorphism, distance, equivalent,
                     identity_map, peel, validate)
 from dsekit.decompose import Automorphism, pair_profiles
-from dsekit.errors import PreconditionViolated
+from dsekit.errors import InvalidDSE, PreconditionViolated
 from dsekit.gallery import amplification, counterexample
 
 from conftest import half_shift
@@ -124,3 +124,8 @@ def test_piece_and_extension_serialize():
     decoded = json.loads(blob)
     assert decoded["extension"]["depth"] == ext.depth
     assert len(decoded["extension"]["sources"]) == ext.depth + 1
+
+
+def test_almost_decompose_validates_input_first():
+    with pytest.raises(InvalidDSE):
+        almost_decompose(DSE([identity_map()], 2), F(1, 8))

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsekit import EMPTY, FULL, IntervalSet, rat, rat_str
@@ -100,6 +100,81 @@ def test_union_measure_against_oracle(a, b):
 @given(interval_sets(), interval_sets())
 def test_subtract_disjoint_from_other(a, b):
     assert a.subtract(b).intersect(b).is_empty()
+
+
+
+# -- windowed set operations against a point-membership oracle --------------
+#
+# Every endpoint below lies on the grid 1/GRID, so membership is constant on
+# each grid cell and the cell midpoints decide set equality up to measure
+# zero; with the canonical-form check this pins the result tuple for tuple.
+
+GRID = 48
+
+
+@st.composite
+def dense_sets(draw):
+    """Up to GRID/2 intervals: runs of a random cell bitmap, merged."""
+    bits = draw(st.lists(st.booleans(), min_size=GRID, max_size=GRID))
+    return IntervalSet((F(k, GRID), F(k + 1, GRID))
+                       for k, on in enumerate(bits) if on)
+
+
+@st.composite
+def sparse_sets(draw):
+    """At most two intervals, possibly touching cell or set boundaries."""
+    points = sorted(set(draw(st.lists(st.integers(0, GRID), max_size=4))))
+    return IntervalSet((F(points[i], GRID), F(points[i + 1], GRID))
+                       for i in range(0, len(points) - 1, 2))
+
+
+grid_sets = st.one_of(dense_sets(), sparse_sets(), st.just(EMPTY),
+                      st.just(FULL))
+
+
+def _member(s: IntervalSet, x) -> bool:
+    return any(lo <= x < hi for lo, hi in s.pairs)
+
+
+def _agrees_with_oracle(a, b, got, keep) -> None:
+    pairs = got.pairs
+    for lo, hi in pairs:
+        assert 0 <= lo < hi <= 1
+    for (_, prev_hi), (lo, _hi) in zip(pairs, pairs[1:]):
+        assert prev_hi < lo
+    for k in range(GRID):
+        x = F(2 * k + 1, 2 * GRID)
+        assert _member(got, x) == keep(_member(a, x), _member(b, x)), x
+
+
+_OPS = [("union", lambda p, q: p or q),
+        ("intersect", lambda p, q: p and q),
+        ("subtract", lambda p, q: p and not q)]
+
+
+def _g(k: int) -> F:
+    return F(k, GRID)
+
+
+# runs [3j, 3j+1) / GRID with gaps of two cells between them
+COMB = IntervalSet((_g(k), _g(k + 1)) for k in range(0, GRID, 3))
+
+
+@pytest.mark.parametrize("name, keep", _OPS, ids=[n for n, _ in _OPS])
+@settings(max_examples=150)
+@given(grid_sets, grid_sets)
+@example(COMB, iv(_g(1), _g(3)))            # fills a gap: joins two runs
+@example(COMB, iv(_g(1), _g(2)))            # touches the run on its left
+@example(COMB, iv(_g(2), _g(3)))            # touches the run on its right
+@example(COMB, iv(_g(5), _g(10)))           # covers runs and gaps
+@example(COMB, iv(0, _g(1)))                # equals the first run
+@example(COMB, iv(_g(GRID - 2), 1))         # touches the last run only
+@example(iv(0, _g(3)), iv(_g(3), _g(7)))    # adjacent operands
+@example(COMB, COMB.complement())
+@example(COMB, EMPTY)
+def test_set_ops_match_membership_oracle(name, keep, a, b):
+    _agrees_with_oracle(a, b, getattr(a, name)(b), keep)
+    _agrees_with_oracle(b, a, getattr(b, name)(a), keep)
 
 
 def test_step_sum_and_integral():

@@ -8,6 +8,7 @@ from dsekit import (DSE, EMPTY, FULL, Atom, EMPTY_MAP, IntervalSet,
                     lemma_piece, maximal_piece, near_full_piece, neighbor_set,
                     symmetrize, validate)
 from dsekit.errors import AlreadyFull, InvalidExtension, PreconditionViolated
+from dsekit import pieces
 from dsekit.gallery import counterexample
 from dsekit.pieces import validate_extension
 
@@ -92,6 +93,40 @@ def test_find_extension_counterexample_needs_depth(ce2):
     assert ext is not None
     assert ext.depth >= 1  # the greedy piece is maximal, no 0-depth move
     validate_extension(theta, ext)
+
+
+
+def test_find_extension_caches_piece_preimages(monkeypatch):
+    """A chain of k steps calls theta.preimage_of at most 2k + 2 times: once
+    per chain image inside the piece's image and once per rebuilt stage."""
+    d = counterexample(6)
+    piece = maximal_piece(d, FULL, EMPTY)
+    for _ in range(3):
+        piece = pieces.enlarge_piece(d, piece)
+    theta = piece.map
+    steps = preimages = 0
+    lemma = pieces.lemma_piece
+    preimage_of = PartialMap.preimage_of
+
+    def counted_lemma(*args, **kwargs):
+        nonlocal steps
+        steps += 1
+        return lemma(*args, **kwargs)
+
+    def counted_preimage(self, s):
+        nonlocal preimages
+        if self is theta:
+            preimages += 1
+        return preimage_of(self, s)
+
+    monkeypatch.setattr(pieces, "lemma_piece", counted_lemma)
+    monkeypatch.setattr(PartialMap, "preimage_of", counted_preimage)
+    gap = 1 - piece.measure()
+    ext = find_extension(d, piece, int(F(7 * d.multiplicity) / gap))
+    assert ext is not None and ext.depth >= 20
+    assert steps >= ext.depth + 1
+    assert preimages <= 2 * steps + 2
+    validate_extension(piece, ext)
 
 
 def test_apply_extension_depth_zero_is_disjoint_union():
