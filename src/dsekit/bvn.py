@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .dse import DSE
-from .errors import Infeasible, NotCellAligned, NotDoublyStochastic, NotPermutation
+from .errors import (Infeasible, NotCellAligned, NotDoublyStochastic,
+                     NotPermutation, check)
 from .maps import Atom, PartialMap
 
 Matrix = list[list[int]]
@@ -99,7 +100,8 @@ def decompose_bvn(a: Matrix) -> list[Matrix]:
         for i in range(len(work)):
             for j in range(len(work)):
                 work[i][j] -= p[i][j]
-    assert all(x == 0 for row in work for x in row)
+    check(all(x == 0 for row in work for x in row),
+          "permutations do not sum to the matrix")
     return perms
 
 
@@ -131,7 +133,8 @@ def pad_to_doubly_stochastic(y: Matrix, n: int) -> Matrix:
         z[i][j] += t
         row_def[i] -= t
         col_def[j] -= t
-    assert not any(row_def) and not any(col_def)
+    check(not any(row_def) and not any(col_def),
+          "greedy padding left a deficit")
     return z
 
 

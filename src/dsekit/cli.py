@@ -20,7 +20,7 @@ from .decompose import almost_decompose
 from .division import error as division_error
 from .division import near_perfect_division, symmetric_split
 from .dse import DSE, distance, symmetrize, validate
-from .errors import DsekitError
+from .errors import DsekitError, check
 from .gallery import amplification, counterexample, forest_example
 from .intervals import rat_str
 from .maps import PartialMap
@@ -131,7 +131,7 @@ def _cmd_bvn(args, started: float) -> tuple[dict, int]:
         perms = bvn_mod.decompose_bvn(a)
         total = [[sum(p[i][j] for p in perms) for j in range(len(a))]
                  for i in range(len(a))]
-        assert total == a
+        check(total == a, "permutations do not sum to the matrix")
         result["permutations"] = perms
     out = _report("bvn", {"in": args.infile, "n": args.n}, {}, {},
                   result, started)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dse import DSE, distance, normalize_cover, validate
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, check
 from .intervals import EMPTY, FULL, IntervalSet, rat
 from .maps import Atom, PartialMap, glue, monotone_pairing
 from .multiset import Cells, overlay_cells
@@ -111,7 +111,7 @@ def _cover_sources(d: DSE, region: IntervalSet) -> list[PartialMap]:
         if not part.is_empty():
             out.append(m.restrict(part))
             covered = covered.union(part)
-    assert covered == region, "element does not cover the region"
+    check(covered == region, "element does not cover the region")
     return out
 
 
@@ -124,7 +124,7 @@ def _cover_targets(d: DSE, region: IntervalSet) -> list[PartialMap]:
         if not part.is_empty():
             out.append(m.restrict_image(part))
             covered = covered.union(part)
-    assert covered == region, "element does not cover the region"
+    check(covered == region, "element does not cover the region")
     return out
 
 
@@ -170,8 +170,9 @@ def peel(d: DSE, eps, diagnostics: dict | None = None,
     rest = normalize_cover(resid, n - 1)
 
     bound = 4 * a_comp.measure()
-    check = distance(d, DSE(rest.maps + (auto.map,), n))
-    assert check <= bound < eps / 2
+    dist = distance(d, DSE(rest.maps + (auto.map,), n))
+    check(dist <= bound < eps / 2,
+          f"peel distance {dist} exceeds {bound} or eps/2 = {eps / 2}")
     return auto, rest, bound
 
 
@@ -191,7 +192,7 @@ def almost_decompose(d: DSE, eps) -> Decomposition:
     autos = _decompose_rec(d, eps)
     final = DSE(tuple(a.map for a in autos), d.multiplicity)
     dist = distance(d, final)
-    assert dist < eps
+    check(dist < eps, f"decomposition distance {dist} is not below {eps}")
     return Decomposition(tuple(autos), dist)
 
 

@@ -18,8 +18,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dse import DSE, distance, is_symmetric, normalize_cover, symmetrize
-from .errors import (AlreadyPerfect, InvalidPath, NotDoublyStochastic,
-                     NotSymmetric, PreconditionViolated, UnsplittableDiagonal)
+from .errors import (AlreadyPerfect, BoundViolated, InvalidPath,
+                     NotDoublyStochastic, NotSymmetric, PreconditionViolated,
+                     UnsplittableDiagonal, check)
 from .intervals import (EMPTY, IntervalSet, Step, rat, step_integral,
                         step_where)
 from .maps import Atom, PartialMap
@@ -124,12 +125,12 @@ def _smain_piece(hmaps: Sequence[PartialMap], n: int, a: IntervalSet,
 
     For a in the over-oriented region and b balanced-or-over, counting both
     fibre masses of the oriented part gives the exact lower bound
-    mu(V) >= mu(a)/(2n) - mu(t)/2, asserted here.
+    mu(V) >= mu(a)/(2n) - mu(t)/2, checked here.
     """
     allowed = a.union(b)
     piece = greedy_maximal_map(hmaps, allowed, allowed.union(t))
     bound = a.measure() / (2 * n) - t.measure() / 2
-    assert piece.domain.measure() >= bound, "oriented piece misses its bound"
+    check(piece.domain.measure() >= bound, "oriented piece misses its bound")
     return piece
 
 
@@ -190,7 +191,7 @@ def _backtrack_path(chain: list[PartialMap], wsets: list[IntervalSet],
             if not overlap.is_empty():
                 pick = t
                 break
-        assert pick is not None, "descent lost the chain invariant"
+        check(pick is not None, "descent lost the chain invariant")
         indices.append(cur_i)
         cur_t = overlap
         cur_i = pick
@@ -230,7 +231,7 @@ def apply_better_path(d: Division, p: BetterPath) -> Division:
         raise InvalidPath(f"path is not inside the oriented part: {exc}")
     out = Division(oriented, d.base, d.n)
     drop = p.sets[0].measure()
-    assert error(out) == error(d) - 2 * drop, "error identity violated"
+    check(error(out) == error(d) - 2 * drop, "error identity violated")
     return out
 
 
@@ -259,7 +260,7 @@ def improve_division(d: Division) -> Division:
         out = apply_better_path(out, p)
     bound = (err / (7 * d.n ** 3 + err)) ** 2
     if error(out) > err - bound:
-        raise RuntimeError(
+        raise BoundViolated(
             f"improvement bound violated: {error(out)} > {err} - {bound}")
     return out
 
@@ -378,7 +379,7 @@ def symmetric_split(psi: DSE, eps) -> DSE:
         h2 = h2.add_maps(theta_maps + delta_maps)
     phi = normalize_cover(h2, n)
     achieved = distance(psi, symmetrize(phi))
-    assert achieved < eps, f"split distance {achieved} is not below {eps}"
+    check(achieved < eps, f"split distance {achieved} is not below {eps}")
     return phi
 
 
@@ -399,5 +400,6 @@ def regular_graph_partial_automorphism(g: GraphMultiset, eps) -> PartialMap:
     phi = symmetric_split(psi, eps)
     piece = near_full_piece(phi, eps / 2)
     inside = g.clip_to_support(piece.map)
-    assert inside.domain.measure() > 1 - eps
+    check(inside.domain.measure() > 1 - eps,
+          "partial automorphism misses measure 1 - eps")
     return inside

@@ -10,11 +10,13 @@ equal here, exactly when those multisets coincide.  The distance integrates
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InvalidDSE, MultiplicityMismatch, NotDoublyStochastic
+from .errors import (InvalidDSE, MultiplicityMismatch, NotDoublyStochastic,
+                     check)
 from .intervals import ONE, ZERO, IntervalSet, Step, step_sum
 from .maps import Atom, PartialMap
 from .multiset import GraphMultiset
@@ -118,11 +120,12 @@ def neighbor_set(d: DSE, c: IntervalSet) -> IntervalSet:
 def normalize_cover(m: GraphMultiset, n: int) -> DSE:
     """Assemble a valid DSE whose associated matrix is exactly m.
 
-    The multiset is first dealt, cell by cell in canonical family order,
-    into n layers of row mass one (total functions, generally not
-    injective).  Each layer is then split into injective maps by ranking
-    the preimage branches over every image cell in the natural order of
-    [0, 1): rank r collects the (r+1)-th smallest preimage.
+    The multiset is dealt, cell by cell in canonical family order, into n
+    layers of row mass one (total functions, generally not injective): one
+    pass bisects each cell's endpoints into the sorted cuts and files its
+    (family, multiplicity) under every cut interval it covers, so each
+    interval's list is in family order.  That costs a sort of the cuts plus
+    the atoms dealt.  _split_into_injective then splits every layer.
     """
     row = m.row_step()
     col = m.col_step()
@@ -136,63 +139,55 @@ def normalize_cover(m: GraphMultiset, n: int) -> DSE:
     families = list(m.families())
     cuts = sorted({x for _, cells in families
                    for lo, hi, _ in cells for x in (lo, hi)} | {ZERO, ONE})
+    dealt: list[list] = [[] for _ in range(len(cuts) - 1)]
+    for key, cells in families:
+        for lo, hi, mult in cells:
+            for k in range(bisect_left(cuts, lo), bisect_left(cuts, hi)):
+                dealt[k].append((key, mult))
     layers: list[list[Atom]] = [[] for _ in range(n)]
-    for k in range(len(cuts) - 1):
-        lo, hi = cuts[k], cuts[k + 1]
+    for k, here in enumerate(dealt):
         idx = 0
-        for (slope, offset), cells in families:
-            mult = _multiplicity_at(cells, lo)
+        for (slope, offset), mult in here:
             for _ in range(mult):
-                layers[idx].append(Atom(lo, hi, slope, offset))
+                layers[idx].append(Atom(cuts[k], cuts[k + 1], slope, offset))
                 idx += 1
     maps: list[PartialMap] = []
     for layer in layers:
         maps.extend(_split_into_injective(layer))
     out = DSE(maps, n)
-    assert out.matrix == m
-    assert len(out.maps) <= n * len(families)
+    check(out.matrix == m, "normalized element changed the matrix")
+    check(len(out.maps) <= n * len(families), "more maps than n per family")
     return out
-
-
-def _multiplicity_at(cells, x) -> int:
-    for lo, hi, mult in cells:
-        if lo <= x < hi:
-            return mult
-    return 0
 
 
 def _split_into_injective(atoms: Sequence[Atom]) -> list[PartialMap]:
     """Split a row-mass-one layer into injective maps by preimage rank.
 
-    Preimage branches over an image cell are affine with slope +-1, so two
-    branches cross in at most one point; cutting at all crossings makes the
-    pointwise order constant on every cell.
+    One sweep over the sorted image endpoints keeps the live branches (at
+    most the column mass of them) and sorts them by their preimage at the
+    midpoint of each elementary cell: rank r collects the (r+1)-th
+    smallest.  Only a slope +1 and a slope -1 branch can cross, and two
+    live ones never cross strictly inside the cell, since the crossing's
+    preimage would lie inside both sources and a layer's sources are
+    disjoint.  So the midpoint order holds on the whole cell and no cell
+    is cut at a crossing.  Cost: one sort, plus one per cell of its live
+    branches.
     """
-    if not atoms:
-        return []
-    cuts = {x for a in atoms for x in (a.image_lo, a.image_hi)}
-    for a in atoms:
-        if a.slope != 1:
-            continue
-        for b in atoms:
-            if b.slope == -1:
-                y = (a.offset + b.offset) / 2
-                if ZERO < y < ONE:
-                    cuts.add(y)
-    ordered = sorted(cuts)
+    branches = sorted((a.image_lo, a.image_hi, a.slope, a.offset)
+                      for a in atoms)
+    points = sorted({x for b in branches for x in b[:2]})
     ranks: dict[int, list[Atom]] = {}
-    for k in range(len(ordered) - 1):
-        lo, hi = ordered[k], ordered[k + 1]
-        branches = [a for a in atoms if a.image_lo <= lo and hi <= a.image_hi]
-        if not branches:
-            continue
+    live: list[tuple] = []
+    nxt = 0
+    for lo, hi in zip(points, points[1:]):
+        live = [b for b in live if b[1] > lo]
+        while nxt < len(branches) and branches[nxt][0] == lo:
+            live.append(branches[nxt])
+            nxt += 1
         mid = (lo + hi) / 2
-        branches.sort(key=lambda a, m=mid: m - a.offset if a.slope == 1
-                      else a.offset - m)
-        for r, a in enumerate(branches):
-            if a.slope == 1:
-                piece = Atom(lo - a.offset, hi - a.offset, 1, a.offset)
-            else:
-                piece = Atom(a.offset - hi, a.offset - lo, -1, a.offset)
-            ranks.setdefault(r, []).append(piece)
+        live.sort(key=lambda c, m=mid: m - c[3] if c[2] == 1 else c[3] - m)
+        for r, (_, _, slope, off) in enumerate(live):
+            ranks.setdefault(r, []).append(
+                Atom(lo - off, hi - off, 1, off) if slope == 1
+                else Atom(off - hi, off - lo, -1, off))
     return [PartialMap(v) for _, v in sorted(ranks.items())]

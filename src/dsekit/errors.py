@@ -5,6 +5,20 @@ class DsekitError(Exception):
     """Base class for all domain errors raised by dsekit."""
 
 
+class BoundViolated(DsekitError):
+    """A proved bound or exact identity failed to hold on computed values.
+
+    Raised by ``check``, which unlike ``assert`` also runs under
+    ``python -O``; it signals a defect, not bad input.
+    """
+
+
+def check(cond, message: str) -> None:
+    """Raise BoundViolated(message) unless cond holds."""
+    if not cond:
+        raise BoundViolated(message)
+
+
 class OverlapError(DsekitError):
     """Gluing or constructing a partial map would violate injectivity."""
 

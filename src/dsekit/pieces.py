@@ -7,7 +7,7 @@ chain of pieces that reroutes part of the piece so its domain gains a set
 S_0 outside it and its image gains a set T_{k+1} outside the old image.
 The search below builds such chains with a bounded depth k, harvests a
 maximal disjoint family of them, and iterates until the piece covers all
-but an arbitrarily small part of the space.  Every inequality asserted
+but an arbitrarily small part of the space.  Every inequality claimed
 here is checked in exact rational arithmetic.
 """
 
@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dse import DSE
-from .errors import AlreadyFull, InvalidExtension, PreconditionViolated
+from .errors import (AlreadyFull, BoundViolated, InvalidExtension,
+                     PreconditionViolated, check)
 from .intervals import EMPTY, FULL, IntervalSet, rat
 from .maps import EMPTY_MAP, PartialMap, glue
 
@@ -118,7 +119,7 @@ def lemma_piece(d: DSE, a: IntervalSet, b: IntervalSet,
     n = d.multiplicity
     bound = (a.measure() - b.measure()) / 2 \
         - Fraction(n - 1, 2 * n) * blocker_map.domain.measure()
-    assert piece.measure() >= bound, "maximal piece misses its counting bound"
+    check(piece.measure() >= bound, "maximal piece misses its counting bound")
     return piece
 
 
@@ -200,7 +201,7 @@ def _backtrack(theta: PartialMap, chain: list[PartialMap],
                 pick = t
                 hop = overlap
                 break
-        assert pick is not None, "descent lost the chain invariant"
+        check(pick is not None, "descent lost the chain invariant")
         stages.append((cur_i, cur_t))
         cur_t = theta.image_of(hop)
         cur_i = pick
@@ -267,7 +268,7 @@ def enlarge_piece(d: DSE, piece: Piece) -> Piece:
     """Grow the piece by a maximal family of depth-bounded extensions.
 
     The growth is at least (gap / (7n + gap))^2 where gap is the measure
-    of the domain complement; the inequality is asserted exactly.
+    of the domain complement; the inequality is checked exactly.
     """
     gap = FULL.measure() - piece.measure()
     if gap == 0:
@@ -291,7 +292,7 @@ def enlarge_piece(d: DSE, piece: Piece) -> Piece:
         grown = apply_extension(grown, ext)
     bound = (gap / (7 * n + gap)) ** 2
     if grown.measure() < piece.measure() + bound:
-        raise RuntimeError(
+        raise BoundViolated(
             f"growth bound violated: {grown.measure()} < "
             f"{piece.measure()} + {bound}")
     return grown

@@ -1,4 +1,6 @@
 import json
+import random
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,7 +12,7 @@ from dsekit.cli import main
 from dsekit.gallery import counterexample
 from dsekit import serialize as ser
 
-from conftest import half_shift
+from conftest import half_shift, random_cell_dse
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "dsekit" / "schemas"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report.schema.json").read_text())
@@ -141,6 +143,29 @@ def test_decompose_rejects_non_covering_input(tmp_path, capsys):
     assert code == 2
     assert report["error_type"] == "InvalidDSE"
     assert not (tmp_path / "x.json").exists()
+
+
+def test_bound_violation_is_domain_error(tmp_path, capsys, monkeypatch):
+    import dsekit.decompose
+    monkeypatch.setattr(dsekit.decompose, "distance", lambda a, b: F(1))
+    f = write_dse(tmp_path / "ce.json", counterexample(3))
+    code, report = run(capsys, "decompose", "--in", f, "--eps", "1/8",
+                       "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert report["error_type"] == "BoundViolated"
+
+
+def test_decompose_large_cell_element_within_budget(tmp_path, capsys):
+    # two random permutations of 2^10 cells, three in ten reflected
+    d = random_cell_dse(random.Random(1024), 10, 2, reflections=True)
+    f = write_dse(tmp_path / "cells.json", d)
+    started = time.perf_counter()
+    code, report = run(capsys, "decompose", "--in", f, "--eps", "1/16",
+                       "--out", str(tmp_path / "autos.json"))
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    assert F(report["bounds"]["achieved_distance"]) < F(1, 16)
+    assert elapsed < 10.0
 
 
 def test_bvn_csv_decompose(tmp_path, capsys):

@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from dsekit import (DSE, FULL, Atom, IntervalSet, PartialMap, almost_decompose,
                     complete_to_automorphism, distance, equivalent,
                     identity_map, peel, validate)
+from dsekit import decompose as decompose_mod
 from dsekit.decompose import Automorphism, pair_profiles
-from dsekit.errors import InvalidDSE, PreconditionViolated
+from dsekit.errors import BoundViolated, InvalidDSE, PreconditionViolated
 from dsekit.gallery import amplification, counterexample
 
 from conftest import half_shift
@@ -129,3 +135,32 @@ def test_piece_and_extension_serialize():
 def test_almost_decompose_validates_input_first():
     with pytest.raises(InvalidDSE):
         almost_decompose(DSE([identity_map()], 2), F(1, 8))
+
+
+def test_forced_bound_violation_raises_bound_violated(monkeypatch):
+    monkeypatch.setattr(decompose_mod, "distance", lambda a, b: F(1))
+    with pytest.raises(BoundViolated, match="peel distance"):
+        almost_decompose(counterexample(3), F(1, 8))
+
+
+def test_bound_checks_survive_optimize_flag():
+    script = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        import dsekit.decompose as dec
+        from dsekit.errors import BoundViolated
+        from dsekit.gallery import counterexample
+        if not sys.flags.optimize:
+            sys.exit(3)
+        dec.distance = lambda a, b: Fraction(1)
+        try:
+            dec.almost_decompose(counterexample(3), Fraction(1, 8))
+        except BoundViolated:
+            sys.exit(0)
+        sys.exit(4)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
