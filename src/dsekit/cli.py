@@ -23,7 +23,6 @@ from .dse import DSE, distance, symmetrize, validate
 from .errors import DsekitError, check
 from .gallery import amplification, counterexample, forest_example
 from .intervals import rat_str
-from .maps import PartialMap
 
 
 def _read_json(path: str):

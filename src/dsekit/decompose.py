@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .dse import DSE, distance, normalize_cover, validate
 from .errors import PreconditionViolated, check
 from .intervals import EMPTY, FULL, IntervalSet, rat
-from .maps import Atom, PartialMap, glue, monotone_pairing
+from .maps import Atom, PartialMap, glue, monotone_pairing, pair_chunks
 from .multiset import Cells, overlay_cells
 from .pieces import Piece, greedy_maximal_map, near_full_piece
 
@@ -61,45 +60,25 @@ def pair_profiles(src: Cells, dst: Cells) -> list[PartialMap]:
 
     Both profiles are sparse integer cell lists of equal total mass.  They
     are peeled into layers (the k-th layer is where the profile is >= k)
-    and the layered interval lists are paired by one monotone sweep; every
-    matched chunk becomes its own single-atom map, so each emitted map is
-    trivially injective while the sums of indicator functions reproduce
-    the profiles exactly.
+    and the layered interval lists are paired by the ``pair_chunks`` sweep
+    of ``monotone_pairing``; every matched chunk becomes its own single-atom
+    map, so each emitted map is trivially injective while the sums of
+    indicator functions reproduce the profiles exactly.
     """
 
     def expand(cells: Cells) -> list[tuple[Fraction, Fraction]]:
         out = []
-        layer = 1
-        while True:
-            level = [(lo, hi) for lo, hi, m in cells if m >= layer]
-            if not level:
-                return out
-            out.extend(level)
-            layer += 1
+        for layer in range(1, max((m for _, _, m in cells), default=0) + 1):
+            out.extend((lo, hi) for lo, hi, m in cells if m >= layer)
+        return out
 
     src_q = expand(src)
     dst_q = expand(dst)
     total = sum((hi - lo for lo, hi in src_q), Fraction(0))
     if total != sum((hi - lo for lo, hi in dst_q), Fraction(0)):
         raise ValueError("profiles carry different total mass")
-    maps = []
-    i = j = 0
-    s_lo = src_q[0][0] if src_q else None
-    d_lo = dst_q[0][0] if dst_q else None
-    while i < len(src_q):
-        step = min(src_q[i][1] - s_lo, dst_q[j][1] - d_lo)
-        maps.append(PartialMap([Atom(s_lo, s_lo + step, 1, d_lo - s_lo)]))
-        s_lo += step
-        d_lo += step
-        if s_lo == src_q[i][1]:
-            i += 1
-            if i < len(src_q):
-                s_lo = src_q[i][0]
-        if d_lo == dst_q[j][1]:
-            j += 1
-            if j < len(dst_q):
-                d_lo = dst_q[j][0]
-    return maps
+    return [PartialMap([Atom(lo, hi, 1, shift)])
+            for lo, hi, shift in pair_chunks(src_q, dst_q)]
 
 
 def _cover_sources(d: DSE, region: IntervalSet) -> list[PartialMap]:

@@ -4,11 +4,15 @@ A symmetric multiset G of even regularity 2n is *divided* by choosing H
 with H + flip(H) = G, an orientation of its edges.  The error integrates
 |n - out-degree|; a *better path* is a chain of pieces inside H leading
 from the over-oriented region P+ to the under-oriented region P-, and
-reversing it lowers the error by exactly twice the source mass.  Iterating
-maximal families of short better paths drives the error below any
-threshold, after which pruning the leftover degree excess and adding exact
-correction maps splits a symmetric element of multiplicity 2n into one of
-multiplicity n whose symmetrization is close to the original.
+reversing it lowers the error by exactly twice the source mass.  Better
+paths are found by the chain-search engine that also finds extensions
+(``pieces._chain_search``), with the identity as its link: a chain image
+opens itself as a source set for the next step, where an extension opens
+the piece's preimage of it.  Iterating maximal families of short better
+paths drives the error below any threshold, after which pruning the
+leftover degree excess and adding exact correction maps splits a
+symmetric element of multiplicity 2n into one of multiplicity n whose
+symmetrization is close to the original.
 """
 
 from __future__ import annotations
@@ -18,15 +22,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dse import DSE, distance, is_symmetric, normalize_cover, symmetrize
-from .errors import (AlreadyPerfect, BoundViolated, InvalidPath,
-                     NotDoublyStochastic, NotSymmetric, PreconditionViolated,
-                     UnsplittableDiagonal, check)
+from .errors import (AlreadyPerfect, InvalidPath, NotDoublyStochastic,
+                     NotSymmetric, PreconditionViolated, UnsplittableDiagonal,
+                     check)
 from .intervals import (EMPTY, IntervalSet, Step, rat, step_integral,
                         step_where)
 from .maps import Atom, PartialMap
-from .multiset import GraphMultiset, overlay_cells
+from .multiset import GraphMultiset
 from .decompose import pair_profiles
-from .pieces import greedy_maximal_map, near_full_piece
+from .pieces import _chain_search, greedy_maximal_map, near_full_piece
 
 _PATH_CAP = 100_000
 
@@ -48,9 +52,6 @@ class Division:
 class DegreeProfile:
     cells: Step
     n: int
-
-    def p_zero(self) -> IntervalSet:
-        return step_where(self.cells, lambda v: v == self.n)
 
     def p_plus(self) -> IntervalSet:
         return step_where(self.cells, lambda v: v > self.n)
@@ -138,73 +139,29 @@ def find_better_path(d: Division, max_length: int,
                      consumed: IntervalSet = EMPTY) -> BetterPath | None:
     """A better path of length <= max_length avoiding consumed sets.
 
-    Mirrors the extension search: a chain of maximal pieces inside H grows
-    from P+ into fresh territory, and the first chain image meeting P- is
-    backtracked (smallest usable index first) into a path.  A chain that
-    stays clear of P- for max_length steps certifies that the consumed
-    family already carries the measure the improvement bound needs.  The
-    union of the chain images W_1..W_i is kept as a running union.
+    Runs the chain-search engine of ``pieces`` with the identity link: the
+    chain starts with a maximal piece of H from P+ and each step is a
+    maximal piece of H from W_0 plus the images W_1..W_i reached so far
+    into fresh territory; the exit is P-.  A chain that stays clear of P-
+    for max_length steps certifies that the consumed family already
+    carries the measure the improvement bound needs.
     """
     prof = degree_profile(d)
     p_plus = prof.p_plus()
-    p_minus = prof.p_minus()
     if p_plus.is_empty():
         return None
     hmaps = [d.oriented.family_map(key) for key, _ in d.oriented.families()]
     n = d.n
-
     start = _smain_piece(hmaps, n, p_plus.subtract(consumed), EMPTY, consumed)
-    if start.is_empty():
+
+    def step(opened: IntervalSet) -> PartialMap:
+        return _smain_piece(hmaps, n, start.domain, opened, consumed)
+
+    found = _chain_search(start, step, None, prof.p_minus(), max_length)
+    if found is None:
         return None
-    chain = [start]
-    wsets = [start.domain, start.image]
-    hit = start.image.intersect(p_minus)
-    if not hit.is_empty():
-        return _backtrack_path(chain, wsets, hit)
-    others = start.image
-    for _ in range(max_length - 1):
-        step = _smain_piece(hmaps, n, wsets[0], others, consumed)
-        if step.is_empty():
-            return None
-        chain.append(step)
-        wsets.append(step.image)
-        hit = step.image.intersect(p_minus)
-        if not hit.is_empty():
-            return _backtrack_path(chain, wsets, hit)
-        others = others.union(step.image)
-    return None
-
-
-def _backtrack_path(chain: list[PartialMap], wsets: list[IntervalSet],
-                    hit: IntervalSet) -> BetterPath:
-    j = len(chain)
-    if j == 1:
-        pm = chain[0].restrict(chain[0].preimage_of(hit))
-        return BetterPath((pm,), (pm.domain, pm.image))
-    indices = []
-    cur_t, cur_i = hit, j
-    while cur_i > 0:
-        back = chain[cur_i - 1].preimage_of(cur_t)
-        pick = None
-        for t in range(cur_i):
-            overlap = back.intersect(wsets[t])
-            if not overlap.is_empty():
-                pick = t
-                break
-        check(pick is not None, "descent lost the chain invariant")
-        indices.append(cur_i)
-        cur_t = overlap
-        cur_i = pick
-    indices.reverse()
-    cur_set = cur_t                     # inside W_0, part of P+
-    pieces = []
-    sets = [cur_set]
-    for idx in indices:
-        pm = chain[idx - 1].restrict(cur_set)
-        pieces.append(pm)
-        cur_set = pm.image
-        sets.append(cur_set)
-    return BetterPath(tuple(pieces), tuple(sets))
+    chain, sets = found
+    return BetterPath(chain, sets + (chain[-1].image,))
 
 
 def apply_better_path(d: Division, p: BetterPath) -> Division:
@@ -253,15 +210,14 @@ def improve_division(d: Division) -> Division:
             break
         paths.append(p)
         consumed = consumed.union(IntervalSet.union_all(p.sets))
-        if len(paths) > _PATH_CAP:
-            raise RuntimeError("better-path family did not exhaust")
+        check(len(paths) <= _PATH_CAP, "better-path family did not exhaust")
     out = d
     for p in paths:
         out = apply_better_path(out, p)
     bound = (err / (7 * d.n ** 3 + err)) ** 2
-    if error(out) > err - bound:
-        raise BoundViolated(
-            f"improvement bound violated: {error(out)} > {err} - {bound}")
+    after = error(out)
+    check(after <= err - bound,
+          f"improvement bound violated: {after} > {err} - {bound}")
     return out
 
 
@@ -326,8 +282,7 @@ def _take_by_rows(h: GraphMultiset, need: Step) -> GraphMultiset:
                 pieces = new_pieces
             next_rem.extend(pieces)
         remaining = [[lo, hi, v] for lo, hi, v in sorted(next_rem)]
-    if remaining:
-        raise RuntimeError("row selection could not satisfy the profile")
+    check(not remaining, "row selection could not satisfy the profile")
     return GraphMultiset(taken)
 
 

@@ -54,7 +54,11 @@ class IntervalSet:
     __slots__ = ("_iv",)
 
     def __init__(self, pairs: Iterable[tuple[Fraction, Fraction]] = ()):
-        self._iv = _canonicalize(pairs)
+        cleaned = [(rat(lo), rat(hi)) for lo, hi in pairs]
+        for lo, hi in cleaned:
+            if lo < hi and (lo < ZERO or hi > ONE):
+                raise ValueError(f"interval [{lo},{hi}) leaves [0,1)")
+        self._iv = self._merge_pairs(cleaned)._iv
 
     @classmethod
     def _raw(cls, canonical: tuple) -> "IntervalSet":
@@ -64,7 +68,7 @@ class IntervalSet:
 
     @classmethod
     def _merge_pairs(cls, pairs: list) -> "IntervalSet":
-        """Canonicalize trusted Fraction pairs (skips parsing and checks)."""
+        """Canonicalize Fraction pairs: drop empty ones, sort and merge."""
         pairs = sorted(p for p in pairs if p[0] < p[1])
         merged: list[list[Fraction]] = []
         for lo, hi in pairs:
@@ -164,18 +168,6 @@ class IntervalSet:
         """Complement relative to [0, 1)."""
         return FULL.subtract(self)
 
-    def translate(self, offset) -> "IntervalSet":
-        """Image under x -> x + offset; result must stay inside [0, 1]."""
-        o = rat(offset)
-        pairs = tuple((lo + o, hi + o) for lo, hi in self._iv)
-        return IntervalSet(pairs)
-
-    def reflect(self, offset) -> "IntervalSet":
-        """Image under x -> offset - x, reoriented half-open."""
-        o = rat(offset)
-        pairs = tuple((o - hi, o - lo) for lo, hi in self._iv)
-        return IntervalSet(pairs)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntervalSet) and self._iv == other._iv
 
@@ -185,26 +177,6 @@ class IntervalSet:
     def __repr__(self) -> str:
         body = " ".join(f"[{lo},{hi})" for lo, hi in self._iv)
         return f"IntervalSet({body or 'empty'})"
-
-
-def _canonicalize(pairs) -> tuple:
-    cleaned = []
-    for lo, hi in pairs:
-        lo, hi = rat(lo), rat(hi)
-        if hi <= lo:
-            continue
-        if lo < ZERO or hi > ONE:
-            raise ValueError(f"interval [{lo},{hi}) leaves [0,1)")
-        cleaned.append((lo, hi))
-    cleaned.sort()
-    merged: list[list[Fraction]] = []
-    for lo, hi in cleaned:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1][1] = hi
-        else:
-            merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
 
 
 def _merge_cuts(a: tuple, b: tuple) -> list:
@@ -276,30 +248,52 @@ FULL = IntervalSet(((ZERO, ONE),))
 #
 # A step function is a full partition of [0, 1) into cells (lo, hi, value)
 # with integer values, adjacent cells of equal value merged.  They carry the
-# coverage counts and degree functions used throughout the package.
+# coverage counts and degree functions used throughout the package.  Step
+# functions and the sparse multiplicity cells of ``multiset`` both come out
+# of ``sweep``.
 
 Step = tuple[tuple[Fraction, Fraction, int], ...]
 
 
-def step_sum(weighted: Iterable[tuple[Fraction, Fraction, int]]) -> Step:
-    """Step function for a finite sum of w * indicator([lo, hi))."""
-    deltas: dict[Fraction, int] = {ZERO: 0, ONE: 0}
+def sweep(weighted: Iterable[tuple[Fraction, Fraction, int]],
+          cuts: Iterable[Fraction] = (), sparse: bool = False,
+          strict: bool = False) -> Step:
+    """Cells (lo, hi, level) of the sum of w * indicator([lo, hi)).
+
+    One pass files each w as +w at lo and -w at hi in a dict of endpoint
+    deltas (``cuts`` adds cut points of delta zero); the sweep over the
+    sorted cuts keeps the running level, and adjacent cells of equal level
+    are merged.  ``sparse`` drops the cells of level zero; ``strict``
+    raises ValueError where the level goes negative.
+    """
+    deltas = dict.fromkeys(cuts, 0)
+    get = deltas.get
     for lo, hi, w in weighted:
-        deltas[lo] = deltas.get(lo, 0) + w
-        deltas[hi] = deltas.get(hi, 0) - w
+        deltas[lo] = get(lo, 0) + w
+        deltas[hi] = get(hi, 0) - w
     cuts = sorted(deltas)
-    if cuts[0] < ZERO or cuts[-1] > ONE:
-        raise ValueError("step support leaves [0,1)")
     out: list[list] = []
     level = 0
     for k in range(len(cuts) - 1):
         level += deltas[cuts[k]]
+        if sparse and not level:
+            continue
+        if strict and level < 0:
+            raise ValueError(f"multiplicity goes negative at {cuts[k]}")
         lo, hi = cuts[k], cuts[k + 1]
         if out and out[-1][2] == level and out[-1][1] == lo:
             out[-1][1] = hi
         else:
             out.append([lo, hi, level])
     return tuple((lo, hi, v) for lo, hi, v in out)
+
+
+def step_sum(weighted: Iterable[tuple[Fraction, Fraction, int]]) -> Step:
+    """Step function for a finite sum of w * indicator([lo, hi))."""
+    s = sweep(weighted, cuts=(ZERO, ONE))
+    if s[0][0] < ZERO or s[-1][1] > ONE:
+        raise ValueError("step support leaves [0,1)")
+    return s
 
 
 def step_where(s: Step, predicate) -> IntervalSet:

@@ -12,10 +12,10 @@ drops has measure zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import OverlapError
-from .intervals import EMPTY, FULL, ONE, ZERO, IntervalSet, rat
+from .intervals import FULL, ONE, ZERO, IntervalSet, rat
 
 
 class Atom:
@@ -41,14 +41,6 @@ class Atom:
     @property
     def image_hi(self) -> Fraction:
         return self.hi + self.offset if self.slope == 1 else self.offset - self.lo
-
-    @property
-    def source_set(self) -> IntervalSet:
-        return IntervalSet.interval(self.lo, self.hi)
-
-    @property
-    def image_set(self) -> IntervalSet:
-        return IntervalSet.interval(self.image_lo, self.image_hi)
 
     def apply(self, x) -> Fraction | None:
         x = rat(x)
@@ -224,33 +216,40 @@ def graph_intersect(f: PartialMap, g: PartialMap) -> PartialMap:
     return PartialMap(out)
 
 
+def pair_chunks(src: Sequence[tuple[Fraction, Fraction]],
+                dst: Sequence[tuple[Fraction, Fraction]],
+                ) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
+    """Pair two interval lists of equal total length in one left-to-right
+    sweep, splitting intervals where lengths differ.
+
+    Yields (lo, hi, shift): the chunk [lo, hi) of src goes to
+    [lo + shift, hi + shift) of dst, chunks in list order.
+    """
+    i = j = 0
+    s_lo = src[0][0] if src else None
+    d_lo = dst[0][0] if dst else None
+    while i < len(src):
+        step = min(src[i][1] - s_lo, dst[j][1] - d_lo)
+        yield s_lo, s_lo + step, d_lo - s_lo
+        s_lo += step
+        d_lo += step
+        if s_lo == src[i][1]:
+            i += 1
+            if i < len(src):
+                s_lo = src[i][0]
+        if d_lo == dst[j][1]:
+            j += 1
+            if j < len(dst):
+                d_lo = dst[j][0]
+
+
 def monotone_pairing(src: IntervalSet, dst: IntervalSet) -> PartialMap:
     """The unique order isomorphism src -> dst made of slope +1 pieces.
 
-    Both sets must have equal measure; the pieces are paired by a single
-    left-to-right sweep, splitting intervals where lengths differ.
+    Both sets must have equal measure; the pieces are paired by one
+    ``pair_chunks`` sweep.
     """
     if src.measure() != dst.measure():
         raise ValueError("monotone pairing needs equal measures")
-    out = []
-    src_q = list(src.pairs)
-    dst_q = list(dst.pairs)
-    i = j = 0
-    s_lo = src_q[0][0] if src_q else None
-    d_lo = dst_q[0][0] if dst_q else None
-    while i < len(src_q):
-        s_hi = src_q[i][1]
-        d_hi = dst_q[j][1]
-        step = min(s_hi - s_lo, d_hi - d_lo)
-        out.append(Atom(s_lo, s_lo + step, 1, d_lo - s_lo))
-        s_lo += step
-        d_lo += step
-        if s_lo == s_hi:
-            i += 1
-            if i < len(src_q):
-                s_lo = src_q[i][0]
-        if d_lo == d_hi:
-            j += 1
-            if j < len(dst_q):
-                d_lo = dst_q[j][0]
-    return PartialMap(out)
+    return PartialMap(Atom(lo, hi, 1, shift)
+                      for lo, hi, shift in pair_chunks(src.pairs, dst.pairs))

@@ -11,9 +11,9 @@ counting measure, row/column masses and L1 distance are exact sums.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .intervals import ZERO, IntervalSet, Step, step_sum
+from .intervals import ZERO, IntervalSet, Step, step_sum, sweep
 from .maps import Atom, PartialMap
 
 Key = tuple[int, Fraction]
@@ -22,50 +22,12 @@ Cells = tuple[tuple[Fraction, Fraction, int], ...]
 
 def overlay_cells(raw: Iterable[tuple[Fraction, Fraction, int]]) -> Cells:
     """Overlay possibly-overlapping weighted intervals into sparse cells."""
-    deltas: dict[Fraction, int] = {}
-    for lo, hi, w in raw:
-        if w == 0 or hi <= lo:
-            continue
-        deltas[lo] = deltas.get(lo, 0) + w
-        deltas[hi] = deltas.get(hi, 0) - w
-    cuts = sorted(deltas)
-    out: list[list] = []
-    level = 0
-    for k in range(len(cuts) - 1):
-        level += deltas[cuts[k]]
-        if level == 0:
-            continue
-        if level < 0:
-            raise ValueError("negative multiplicity")
-        lo, hi = cuts[k], cuts[k + 1]
-        if out and out[-1][2] == level and out[-1][1] == lo:
-            out[-1][1] = hi
-        else:
-            out.append([lo, hi, level])
-    return tuple((lo, hi, v) for lo, hi, v in out)
+    return sweep(raw, sparse=True, strict=True)
 
 
 def _cells_sub(a: Cells, b: Cells, strict: bool) -> Cells:
-    raw = list(a) + [(lo, hi, -w) for lo, hi, w in b]
-    deltas: dict[Fraction, int] = {}
-    for lo, hi, w in raw:
-        deltas[lo] = deltas.get(lo, 0) + w
-        deltas[hi] = deltas.get(hi, 0) - w
-    cuts = sorted(deltas)
-    out: list[list] = []
-    level = 0
-    for k in range(len(cuts) - 1):
-        level += deltas[cuts[k]]
-        if level == 0:
-            continue
-        if level < 0 and strict:
-            raise ValueError(f"multiset subtraction went negative at {cuts[k]}")
-        lo, hi = cuts[k], cuts[k + 1]
-        if out and out[-1][2] == level and out[-1][1] == lo:
-            out[-1][1] = hi
-        else:
-            out.append([lo, hi, level])
-    return tuple((lo, hi, v) for lo, hi, v in out)
+    return sweep((*a, *((lo, hi, -w) for lo, hi, w in b)), sparse=True,
+                 strict=strict)
 
 
 class GraphMultiset:

@@ -1,14 +1,21 @@
-"""Pieces of a doubly stochastic element and the extension search.
+"""Pieces of a doubly stochastic element and the chain-search engine.
 
 A *piece* is a partial isomorphism whose graph sits inside the support of
 the element's associated matrix.  A maximal piece admits no immediate
 enlargement, but it can still be grown by an *extension*: an augmenting
 chain of pieces that reroutes part of the piece so its domain gains a set
 S_0 outside it and its image gains a set T_{k+1} outside the old image.
-The search below builds such chains with a bounded depth k, harvests a
-maximal disjoint family of them, and iterates until the piece covers all
-but an arbitrarily small part of the space.  Every inequality claimed
-here is checked in exact rational arithmetic.
+
+Extensions and the better paths of ``division`` are both found by one
+engine, ``_chain_search``: a chain of greedy maximal pieces grows until
+an image meets an exit set, and is then backtracked through the smallest
+usable index into a genuine chain.  The two searches differ only in their
+step, their exit and their *link*, which turns a chain image into the
+sources it opens for the next step: theta^-1 for an extension of the
+piece theta, the identity for a better path.  The growth loop below
+harvests maximal disjoint families of depth-bounded extensions until the
+piece covers all but an arbitrarily small part of the space.  Every
+inequality claimed here is checked in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -18,12 +25,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dse import DSE
-from .errors import (AlreadyFull, BoundViolated, InvalidExtension,
-                     PreconditionViolated, check)
+from .errors import (AlreadyFull, InvalidExtension, PreconditionViolated,
+                     check)
 from .intervals import EMPTY, FULL, IntervalSet, rat
 from .maps import EMPTY_MAP, PartialMap, glue
 
 _FAMILY_CAP = 100_000
+
+# the pieces of a backtracked chain and their source sets
+Chain = tuple[tuple[PartialMap, ...], tuple[IntervalSet, ...]]
 
 
 class Piece:
@@ -128,98 +138,94 @@ def find_extension(d: DSE, piece: Piece, max_depth: int,
                    ) -> Extension | None:
     """Search for an extension of depth <= max_depth avoiding occupied sets.
 
-    A chain of maximal pieces is grown from the complement of the piece's
-    domain; as soon as some chain image meets the complement of the piece's
-    image, the chain is backtracked (always to the smallest usable index)
-    into a genuine extension.  If the chain runs max_depth+1 steps entirely
-    inside the image, or stalls on an empty piece, no extension is
-    reported; in that state the accumulated family already carries the
-    measure guaranteed by the counting argument.
-
-    The search is incremental.  Each chain image T_i that stays inside the
-    piece's image has its preimage theta^-1(T_i) computed once and cached;
-    the sources allowed for the next step, theta^-1(T_1 + ... + T_i), are
-    kept as a running union of those preimages (preimages distribute over
-    unions), and so are the forbidden targets.  The backtracking reads the
-    cached preimages, so theta.preimage_of runs at most twice per step.
+    The chain starts with a maximal piece from the complement of the
+    piece's domain and is linked through theta: a chain image T_i inside
+    the piece's image opens the sources theta^-1(T_i) for the next step.
+    Each step is a lemma piece with the first piece as its blocker and the
+    occupied targets plus T_2..T_i forbidden, so its counting bound is the
+    one proved for the chain.  The exit is the complement of the piece's
+    image.  If the chain runs max_depth+1 steps entirely inside the image,
+    or stalls on an empty piece, no extension is reported; in that state
+    the accumulated family already carries the measure guaranteed by the
+    counting argument.
     """
     theta = piece.map
-    a_set, b_set = theta.domain, theta.image
     occ_src, occ_tgt = occupied
-    b_comp = b_set.complement()
-
-    chain: list[PartialMap] = []
-    preimages: list[IntervalSet] = []
-    first = lemma_piece(d, a_set.complement().subtract(occ_src), occ_tgt)
-    if first.map.is_empty():
-        return None
-    chain.append(first.map)
-    hit = first.map.image.intersect(b_comp)
-    if not hit.is_empty():
-        return _backtrack(theta, chain, preimages, hit)
-
-    preimages.append(theta.preimage_of(first.map.image))
-    allowed = preimages[0]
-    # the blocker ``first`` keeps T_1 out; the later images are added here
+    first = lemma_piece(d, theta.domain.complement().subtract(occ_src), occ_tgt)
     forbidden = occ_tgt
-    for _ in range(max_depth):
-        step = lemma_piece(d, allowed, forbidden, first)
-        if step.map.is_empty():
-            return None
-        chain.append(step.map)
-        image = step.map.image
-        hit = image.intersect(b_comp)
+
+    def step(opened: IntervalSet) -> PartialMap:
+        nonlocal forbidden
+        pm = lemma_piece(d, opened, forbidden, first).map
+        forbidden = forbidden.union(pm.image)
+        return pm
+
+    found = _chain_search(first.map, step, theta, theta.image.complement(),
+                          max_depth + 1)
+    if found is None:
+        return None
+    chain, sources = found
+    return Extension(chain, sources, tuple(pm.image for pm in chain))
+
+
+def _chain_search(first: PartialMap, step, link: PartialMap | None,
+                  exit_set: IntervalSet, max_len: int) -> Chain | None:
+    """Grow a chain of maximal pieces until an image meets ``exit_set``, then
+    backtrack it; None if the chain stalls or reaches max_len pieces.
+
+    Every chain image W that misses the exit opens the source set
+    link^-1(W) (W itself when ``link`` is None), and ``step(opened)``
+    returns the next piece given the running union of the opened sets;
+    preimages distribute over unions, so each image is linked once.  The
+    first piece's domain plays the opened set of index 0.
+    """
+    chain = [first]
+    opened_at = [first.domain]
+    opened = EMPTY
+    while not chain[-1].is_empty():
+        image = chain[-1].image
+        hit = image.intersect(exit_set)
         if not hit.is_empty():
-            return _backtrack(theta, chain, preimages, hit)
-        preimages.append(theta.preimage_of(image))
-        allowed = allowed.union(preimages[-1])
-        forbidden = forbidden.union(image)
+            return _backtrack(chain, opened_at, link, hit)
+        if len(chain) >= max_len:
+            return None
+        reached = image if link is None else link.preimage_of(image)
+        opened_at.append(reached)
+        opened = opened.union(reached)
+        chain.append(step(opened))
     return None
 
 
-def _backtrack(theta: PartialMap, chain: list[PartialMap],
-               preimages: list[IntervalSet], hit: IntervalSet) -> Extension:
-    """Turn a chain whose last image leaves the piece's image into an
-    extension, descending through strictly decreasing chain indices.
+def _backtrack(chain: list[PartialMap], opened_at: list[IntervalSet],
+               link: PartialMap | None, hit: IntervalSet) -> Chain:
+    """Descend from the exit hit through strictly decreasing chain indices,
+    always to the smallest index whose opened set the current preimage
+    meets, until index 0; then rebuild the chain forward from there.
 
-    ``preimages[t - 1]`` is theta^-1(T_t) for the chain images T_t that
-    stayed inside the piece's image (all but the last).
+    Returns the restricted pieces and their sources; the last piece's
+    image, which lies in the exit, is not linked.
     """
-    j = len(chain)
-    if j == 1:
-        pm = chain[0].restrict(chain[0].preimage_of(hit))
-        return Extension((pm,), (pm.domain,), (pm.image,))
-
-    stages: list[tuple[int, IntervalSet]] = []
-    cur_t, cur_i = hit, j
-    while cur_i > 1:
-        back = chain[cur_i - 1].preimage_of(cur_t)
-        pick = None
-        for t in range(1, cur_i):
-            overlap = back.intersect(preimages[t - 1])
-            if not overlap.is_empty():
-                pick = t
-                hop = overlap
+    indices = []
+    cur, i = hit, len(chain)
+    while True:
+        back = chain[i - 1].preimage_of(cur)
+        for t in range(i):
+            hop = back.intersect(opened_at[t])
+            if not hop.is_empty():
                 break
-        check(pick is not None, "descent lost the chain invariant")
-        stages.append((cur_i, cur_t))
-        cur_t = theta.image_of(hop)
-        cur_i = pick
-    stages.append((1, cur_t))
-
-    stages.reverse()
-    cur_set = chain[0].preimage_of(stages[0][1])
+        check(not hop.is_empty(), "descent lost the chain invariant")
+        indices.append(i)
+        if t == 0:
+            break
+        cur, i = (hop if link is None else link.image_of(hop)), t
     pieces: list[PartialMap] = []
-    sources = [cur_set]
-    targets: list[IntervalSet] = []
-    for pos, (idx, _) in enumerate(stages):
-        pm = chain[idx - 1].restrict(cur_set)
-        pieces.append(pm)
-        targets.append(pm.image)
-        if pos < len(stages) - 1:
-            cur_set = theta.preimage_of(pm.image)
-            sources.append(cur_set)
-    return Extension(tuple(pieces), tuple(sources), tuple(targets))
+    sources = [hop]
+    for i in reversed(indices):
+        pieces.append(chain[i - 1].restrict(sources[-1]))
+        if len(pieces) < len(indices):
+            image = pieces[-1].image
+            sources.append(image if link is None else link.preimage_of(image))
+    return tuple(pieces), tuple(sources)
 
 
 def validate_extension(piece: Piece, ext: Extension) -> None:
@@ -284,17 +290,15 @@ def enlarge_piece(d: DSE, piece: Piece) -> Piece:
         family.append(ext)
         occ_src = occ_src.union(IntervalSet.union_all(ext.sources))
         occ_tgt = occ_tgt.union(IntervalSet.union_all(ext.targets))
-        if len(family) > _FAMILY_CAP:
-            raise RuntimeError("extension family did not exhaust; "
-                               "measure progress is pathologically slow")
+        check(len(family) <= _FAMILY_CAP, "extension family did not exhaust; "
+              "measure progress is pathologically slow")
     grown = piece
     for ext in family:
         grown = apply_extension(grown, ext)
     bound = (gap / (7 * n + gap)) ** 2
-    if grown.measure() < piece.measure() + bound:
-        raise BoundViolated(
-            f"growth bound violated: {grown.measure()} < "
-            f"{piece.measure()} + {bound}")
+    check(grown.measure() >= piece.measure() + bound,
+          f"growth bound violated: {grown.measure()} < "
+          f"{piece.measure()} + {bound}")
     return grown
 
 

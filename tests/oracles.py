@@ -127,3 +127,161 @@ def reference_split_into_injective(atoms):
                 piece = Atom(a.offset - hi, a.offset - lo, -1, a.offset)
             ranks.setdefault(r, []).append(piece)
     return [PartialMap(v) for _, v in sorted(ranks.items())]
+
+
+def reference_find_extension(d, piece, max_depth, occupied=None):
+    """The extension search as it stood before the shared chain engine.
+
+    Grows its own chain with a cached preimage per chain image and running
+    unions of the allowed sources and forbidden targets, then backtracks
+    with ``reference_backtrack``.
+    """
+    from dsekit.intervals import EMPTY
+    from dsekit.pieces import lemma_piece
+
+    theta = piece.map
+    a_set, b_set = theta.domain, theta.image
+    occ_src, occ_tgt = occupied or (EMPTY, EMPTY)
+    b_comp = b_set.complement()
+
+    chain = []
+    preimages = []
+    first = lemma_piece(d, a_set.complement().subtract(occ_src), occ_tgt)
+    if first.map.is_empty():
+        return None
+    chain.append(first.map)
+    hit = first.map.image.intersect(b_comp)
+    if not hit.is_empty():
+        return reference_backtrack(theta, chain, preimages, hit)
+
+    preimages.append(theta.preimage_of(first.map.image))
+    allowed = preimages[0]
+    forbidden = occ_tgt
+    for _ in range(max_depth):
+        step = lemma_piece(d, allowed, forbidden, first)
+        if step.map.is_empty():
+            return None
+        chain.append(step.map)
+        image = step.map.image
+        hit = image.intersect(b_comp)
+        if not hit.is_empty():
+            return reference_backtrack(theta, chain, preimages, hit)
+        preimages.append(theta.preimage_of(image))
+        allowed = allowed.union(preimages[-1])
+        forbidden = forbidden.union(image)
+    return None
+
+
+def reference_backtrack(theta, chain, preimages, hit):
+    """Descend through the smallest usable chain index, then rebuild."""
+    from dsekit.pieces import Extension
+
+    j = len(chain)
+    if j == 1:
+        pm = chain[0].restrict(chain[0].preimage_of(hit))
+        return Extension((pm,), (pm.domain,), (pm.image,))
+
+    stages = []
+    cur_t, cur_i = hit, j
+    while cur_i > 1:
+        back = chain[cur_i - 1].preimage_of(cur_t)
+        pick = None
+        for t in range(1, cur_i):
+            overlap = back.intersect(preimages[t - 1])
+            if not overlap.is_empty():
+                pick = t
+                hop = overlap
+                break
+        assert pick is not None, "descent lost the chain invariant"
+        stages.append((cur_i, cur_t))
+        cur_t = theta.image_of(hop)
+        cur_i = pick
+    stages.append((1, cur_t))
+
+    stages.reverse()
+    cur_set = chain[0].preimage_of(stages[0][1])
+    pieces = []
+    sources = [cur_set]
+    targets = []
+    for pos, (idx, _) in enumerate(stages):
+        pm = chain[idx - 1].restrict(cur_set)
+        pieces.append(pm)
+        targets.append(pm.image)
+        if pos < len(stages) - 1:
+            cur_set = theta.preimage_of(pm.image)
+            sources.append(cur_set)
+    return Extension(tuple(pieces), tuple(sources), tuple(targets))
+
+
+def reference_find_better_path(d, max_length, consumed=None):
+    """The better-path search as it stood before the shared chain engine.
+
+    Grows its own chain of oriented pieces with the chain images kept as a
+    running union, then backtracks with ``reference_backtrack_path``.
+    """
+    from dsekit.division import _smain_piece, degree_profile
+    from dsekit.intervals import EMPTY
+
+    consumed = consumed if consumed is not None else EMPTY
+    prof = degree_profile(d)
+    p_plus = prof.p_plus()
+    p_minus = prof.p_minus()
+    if p_plus.is_empty():
+        return None
+    hmaps = [d.oriented.family_map(key) for key, _ in d.oriented.families()]
+    n = d.n
+
+    start = _smain_piece(hmaps, n, p_plus.subtract(consumed), EMPTY, consumed)
+    if start.is_empty():
+        return None
+    chain = [start]
+    wsets = [start.domain, start.image]
+    hit = start.image.intersect(p_minus)
+    if not hit.is_empty():
+        return reference_backtrack_path(chain, wsets, hit)
+    others = start.image
+    for _ in range(max_length - 1):
+        step = _smain_piece(hmaps, n, wsets[0], others, consumed)
+        if step.is_empty():
+            return None
+        chain.append(step)
+        wsets.append(step.image)
+        hit = step.image.intersect(p_minus)
+        if not hit.is_empty():
+            return reference_backtrack_path(chain, wsets, hit)
+        others = others.union(step.image)
+    return None
+
+
+def reference_backtrack_path(chain, wsets, hit):
+    """Descend through the smallest usable chain index down to W_0."""
+    from dsekit.division import BetterPath
+
+    j = len(chain)
+    if j == 1:
+        pm = chain[0].restrict(chain[0].preimage_of(hit))
+        return BetterPath((pm,), (pm.domain, pm.image))
+    indices = []
+    cur_t, cur_i = hit, j
+    while cur_i > 0:
+        back = chain[cur_i - 1].preimage_of(cur_t)
+        pick = None
+        for t in range(cur_i):
+            overlap = back.intersect(wsets[t])
+            if not overlap.is_empty():
+                pick = t
+                break
+        assert pick is not None, "descent lost the chain invariant"
+        indices.append(cur_i)
+        cur_t = overlap
+        cur_i = pick
+    indices.reverse()
+    cur_set = cur_t
+    pieces = []
+    sets = [cur_set]
+    for idx in indices:
+        pm = chain[idx - 1].restrict(cur_set)
+        pieces.append(pm)
+        cur_set = pm.image
+        sets.append(cur_set)
+    return BetterPath(tuple(pieces), tuple(sets))

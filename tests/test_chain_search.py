@@ -1,0 +1,80 @@
+"""The shared chain-search engine against the two searches it replaced.
+
+``tests/oracles.py`` keeps the extension search and the better-path search
+as they stood when each grew and backtracked its own chain.  Every call the
+growth and descent loops make is answered by both, and the answers must be
+equal atom for atom: the same pieces, sources and targets, or both None.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dsekit import division, near_full_piece, near_perfect_division, pieces
+from dsekit import symmetrize
+from dsekit.gallery import counterexample
+
+from conftest import random_cell_dse
+from oracles import reference_find_better_path, reference_find_extension
+
+
+def compare_extensions(monkeypatch) -> list:
+    """Make every find_extension call also run the reference; returns the
+    list of (found?) outcomes, one per call."""
+    engine = pieces.find_extension
+    outcomes = []
+
+    def both(d, piece, max_depth, occupied=None):
+        args = (d, piece, max_depth) + ((occupied,) if occupied else ())
+        got = engine(*args)
+        assert got == reference_find_extension(d, piece, max_depth, occupied)
+        outcomes.append(got is not None)
+        return got
+
+    monkeypatch.setattr(pieces, "find_extension", both)
+    return outcomes
+
+
+def compare_paths(monkeypatch) -> list:
+    """The same for every find_better_path call."""
+    engine = division.find_better_path
+    outcomes = []
+
+    def both(d, max_length, consumed=None):
+        args = (d, max_length) + ((consumed,) if consumed is not None else ())
+        got = engine(*args)
+        assert got == reference_find_better_path(d, max_length, consumed)
+        outcomes.append(got is not None)
+        return got
+
+    monkeypatch.setattr(division, "find_better_path", both)
+    return outcomes
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+def test_extensions_match_reference_on_counterexamples(monkeypatch, k):
+    outcomes = compare_extensions(monkeypatch)
+    near_full_piece(counterexample(k), F(1, 64))
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 9])
+def test_paths_match_reference_on_symmetrized_counterexamples(monkeypatch, k):
+    outcomes = compare_paths(monkeypatch)
+    near_perfect_division(symmetrize(counterexample(k)).matrix, F(1, 64))
+    assert any(outcomes) and not all(outcomes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 3), st.integers(0, 2 ** 32 - 1))
+def test_searches_match_reference_on_reflected_cells(level, n, seed):
+    d = random_cell_dse(random.Random(seed), level, n, reflections=True)
+    with pytest.MonkeyPatch.context() as mp:
+        compare_extensions(mp)
+        near_full_piece(d, F(1, 64))
+    with pytest.MonkeyPatch.context() as mp:
+        compare_paths(mp)
+        near_perfect_division(symmetrize(d).matrix, F(1, 64))

@@ -155,6 +155,30 @@ def test_bound_violation_is_domain_error(tmp_path, capsys, monkeypatch):
     assert report["error_type"] == "BoundViolated"
 
 
+def test_unexhausted_path_family_is_domain_error(tmp_path, capsys,
+                                                 monkeypatch):
+    import dsekit.division
+    monkeypatch.setattr(dsekit.division, "_PATH_CAP", -1)
+    f = write_dse(tmp_path / "sym.json", symmetrize(counterexample(6)))
+    code, report = run(capsys, "split", "--in", f, "--eps", "1/8",
+                       "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert report["error_type"] == "BoundViolated"
+    assert "better-path family did not exhaust" in report["error"]
+
+
+def test_unexhausted_extension_family_is_domain_error(tmp_path, capsys,
+                                                      monkeypatch):
+    import dsekit.pieces
+    monkeypatch.setattr(dsekit.pieces, "_FAMILY_CAP", -1)
+    f = write_dse(tmp_path / "ce.json", counterexample(3))
+    code, report = run(capsys, "decompose", "--in", f, "--eps", "1/8",
+                       "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert report["error_type"] == "BoundViolated"
+    assert "extension family did not exhaust" in report["error"]
+
+
 def test_decompose_large_cell_element_within_budget(tmp_path, capsys):
     # two random permutations of 2^10 cells, three in ten reflected
     d = random_cell_dse(random.Random(1024), 10, 2, reflections=True)

@@ -8,8 +8,9 @@ from dsekit import (DSE, Atom, BetterPath, GraphMultiset, IntervalSet,
                     improve_division, initial_division, near_perfect_division,
                     regular_graph_partial_automorphism, symmetric_split,
                     symmetrize, validate)
-from dsekit.errors import (AlreadyPerfect, InvalidPath, NotSymmetric,
-                           UnsplittableDiagonal)
+from dsekit.division import _take_by_rows
+from dsekit.errors import (AlreadyPerfect, BoundViolated, InvalidPath,
+                           NotSymmetric, UnsplittableDiagonal)
 from dsekit.gallery import counterexample
 
 from conftest import half_shift, random_cell_dse
@@ -192,3 +193,9 @@ def test_regular_graph_counterexample():
     pm = regular_graph_partial_automorphism(g, F(1, 16))
     assert pm.domain.measure() > F(15, 16)
     assert g.contains_graph(pm)
+
+
+def test_take_by_rows_shortfall_raises_bound_violated():
+    h = GraphMultiset([(Atom(0, F(1, 2), 1, F(1, 2)), 1)])
+    with pytest.raises(BoundViolated, match="row selection"):
+        _take_by_rows(h, ((F(0), F(1), 1),))
