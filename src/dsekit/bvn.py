@@ -15,7 +15,7 @@ from fractions import Fraction
 from .dse import DSE
 from .errors import (Infeasible, NotCellAligned, NotDoublyStochastic,
                      NotPermutation, check)
-from .maps import Atom, PartialMap
+from .maps import Atom, PartialMap, _move
 
 Matrix = list[list[int]]
 
@@ -161,9 +161,7 @@ def discretize(d: DSE, level: int) -> Matrix:
     for pm in d.maps:
         for a in pm.atoms:
             for j in range(int(a.lo / unit), int(a.hi / unit)):
-                src_lo = j * unit
-                tgt_lo = src_lo + a.offset if a.slope == 1 \
-                    else a.offset - (src_lo + unit)
+                tgt_lo, _ = _move(a.slope, a.offset, j * unit, (j + 1) * unit)
                 out[int(tgt_lo / unit)][j] += 1
     return out
 

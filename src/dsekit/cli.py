@@ -2,8 +2,9 @@
 
 Every subcommand prints one JSON report to stdout and exits 0 on success,
 2 on domain errors (validation failures and their kin) with a structured
-error object, and 1 on I/O or parse problems.  Reported bounds are always
-recomputed from the emitted artifacts, never copied from run state.
+error object, and 1 on I/O or parse problems, command-line usage errors
+included.  Reported bounds are always recomputed from the emitted
+artifacts, never copied from run state.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from pathlib import Path
 from . import bvn as bvn_mod
 from . import serialize as ser
 from .decompose import almost_decompose
+from .division import Division, near_perfect_division, symmetric_split
 from .division import error as division_error
-from .division import near_perfect_division, symmetric_split
 from .dse import DSE, distance, symmetrize, validate
 from .errors import DsekitError, check
 from .gallery import amplification, counterexample, forest_example
@@ -94,7 +95,6 @@ def _cmd_divide(args, started: float) -> tuple[dict, int]:
                "error": rat_str(division_error(div))}
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     emitted = _read_json(args.out)
-    from .division import Division
     redone = Division(ser.multiset_from_json(emitted["oriented"]),
                       ser.multiset_from_json(emitted["base"]),
                       int(emitted["degree"]))
@@ -150,8 +150,16 @@ def _cmd_demo(args, started: float) -> tuple[dict, int]:
     return out, 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of printing them and exiting 2, so that
+    ``main`` can report them as a JSON error object."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dsekit",
         description="exact calculus for doubly stochastic elements of [0,1)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -191,10 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(argv: list[str], exc: Exception) -> dict:
+    """The JSON error object; its command is the first argument, or ""."""
+    return {"command": argv[0] if argv else "", "error": str(exc),
+            "error_type": type(exc).__name__}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.monotonic()
+    argv = sys.argv[1:] if argv is None else list(argv)
     handlers = {
         "validate": _cmd_validate,
         "distance": _cmd_distance,
@@ -205,16 +217,13 @@ def main(argv=None) -> int:
         "demo": _cmd_demo,
     }
     try:
-        report, code = handlers[args.command](args, started)
+        args = build_parser().parse_args(argv)
+        report, code = handlers[args.command](args, time.monotonic())
     except DsekitError as exc:
-        print(json.dumps({"command": args.command, "error": str(exc),
-                          "error_type": type(exc).__name__}))
-        return 2
-    except (OSError, ValueError, KeyError, ZeroDivisionError,
-            json.JSONDecodeError) as exc:
-        print(json.dumps({"command": args.command, "error": str(exc),
-                          "error_type": type(exc).__name__}))
-        return 1
+        report, code = _error(argv, exc), 2
+    except (argparse.ArgumentError, OSError, ValueError, KeyError,
+            ZeroDivisionError, json.JSONDecodeError) as exc:
+        report, code = _error(argv, exc), 1
     print(json.dumps(report))
     return code
 

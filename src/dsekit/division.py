@@ -350,7 +350,7 @@ def regular_graph_partial_automorphism(g: GraphMultiset, eps) -> PartialMap:
         raise NotDoublyStochastic("multiset is not regular")
     degree = masses.pop()
     if degree % 2:
-        raise ValueError("regularity must be even")
+        raise PreconditionViolated(f"regularity must be even, got {degree}")
     psi = normalize_cover(g, degree)
     phi = symmetric_split(psi, eps)
     piece = near_full_piece(phi, eps / 2)

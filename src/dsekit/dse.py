@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from .errors import (InvalidDSE, MultiplicityMismatch, NotDoublyStochastic,
                      check)
 from .intervals import ONE, ZERO, IntervalSet, Step, step_sum
-from .maps import Atom, PartialMap
+from .maps import Atom, PartialMap, _inverse_key, _move
 from .multiset import GraphMultiset
 
 
@@ -185,9 +185,9 @@ def _split_into_injective(atoms: Sequence[Atom]) -> list[PartialMap]:
             live.append(branches[nxt])
             nxt += 1
         mid = (lo + hi) / 2
-        live.sort(key=lambda c, m=mid: m - c[3] if c[2] == 1 else c[3] - m)
+        # x -> s*x + o carries s*(mid - o) to mid
+        live.sort(key=lambda c, m=mid: c[2] * (m - c[3]))
         for r, (_, _, slope, off) in enumerate(live):
             ranks.setdefault(r, []).append(
-                Atom(lo - off, hi - off, 1, off) if slope == 1
-                else Atom(off - hi, off - lo, -1, off))
+                Atom(*_move(*_inverse_key(slope, off), lo, hi), slope, off))
     return [PartialMap(v) for _, v in sorted(ranks.items())]

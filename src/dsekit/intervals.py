@@ -7,15 +7,18 @@ pieces merged.  Equality of canonical forms is equality of sets up to
 measure zero, and Lebesgue measure is an exact finite sum of ``Fraction``
 lengths.  No floating point appears anywhere.
 
-The binary operations ``union``, ``intersect`` and ``subtract`` sweep only
-the window where the two operands can interact.  Both operands are cut to
-that window by bisection on their sorted endpoints, the sweep runs on the
-cut parts, and the intervals of the result that lie wholly before or after
-the window are copied as tuple slices.  The copied parts are separated from
-the window by gaps, so the result is canonical by construction and equal,
-tuple for tuple, to a sweep over the whole of both operands.  An operation
-with a single interval against a set of k intervals therefore costs
-O(log k) comparisons plus the intervals it actually touches.
+The binary operations ``union``, ``intersect`` and ``subtract`` work only
+on the window where the two operands can interact.  Both operands are cut
+to that window by bisection on their sorted endpoints, and the intervals
+of the result that lie wholly before or after the window are copied as
+tuple slices.  On the window, ``union`` merges the concatenated pairs
+(``IntervalSet._merge_pairs``), ``intersect`` and ``clip`` walk both pair
+lists with two pointers (``_meet``) and ``subtract`` does the same for the
+difference (``_minus``).  The copied parts are separated from the window
+by gaps, so the result is canonical by construction.  An operation with a
+single interval against a set of k intervals therefore costs O(log k)
+comparisons plus the intervals it actually touches.  The weighted cut
+sweep ``sweep`` is reserved for step functions and multiset cells.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -67,7 +68,7 @@ class IntervalSet:
         return s
 
     @classmethod
-    def _merge_pairs(cls, pairs: list) -> "IntervalSet":
+    def _merge_pairs(cls, pairs: Iterable) -> "IntervalSet":
         """Canonicalize Fraction pairs: drop empty ones, sort and merge."""
         pairs = sorted(p for p in pairs if p[0] < p[1])
         merged: list[list[Fraction]] = []
@@ -82,19 +83,8 @@ class IntervalSet:
     def clip(self, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
         """Pairs of the intersection with the window [lo, hi); sorted."""
         iv = self._iv
-        out = []
-        i = bisect_right(iv, (lo,)) - 1
-        if i >= 0 and iv[i][1] > lo:
-            top = iv[i][1] if iv[i][1] < hi else hi
-            if lo < top:
-                out.append((lo, top))
-        i += 1
-        while i < len(iv) and iv[i][0] < hi:
-            top = iv[i][1] if iv[i][1] < hi else hi
-            if iv[i][0] < top:
-                out.append((iv[i][0], top))
-            i += 1
-        return out
+        window = iv[bisect_right(iv, lo, key=_HI):bisect_left(iv, hi, key=_LO)]
+        return _meet(window, ((lo, hi),))
 
     @classmethod
     def interval(cls, lo, hi) -> "IntervalSet":
@@ -137,7 +127,7 @@ class IntervalSet:
         a1 = bisect_right(a, b[-1][1], key=_LO)
         b0 = bisect_left(b, a[0][0], key=_HI)
         b1 = bisect_right(b, a[-1][1], key=_LO)
-        mid = _merge_op(a[a0:a1], b[b0:b1], _or)
+        mid = self._merge_pairs(a[a0:a1] + b[b0:b1])._iv
         return self._raw(a[:a0] + b[:b0] + mid + a[a1:] + b[b1:])
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
@@ -148,7 +138,7 @@ class IntervalSet:
         a1 = bisect_left(a, b[-1][1], key=_LO)
         b0 = bisect_right(b, a[0][0], key=_HI)
         b1 = bisect_left(b, a[-1][1], key=_LO)
-        return self._raw(_merge_op(a[a0:a1], b[b0:b1], _and))
+        return self._raw(tuple(_meet(a[a0:a1], b[b0:b1])))
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
         a, b = self._iv, other._iv
@@ -161,8 +151,8 @@ class IntervalSet:
             return self
         b0 = bisect_right(b, a[a0][0], key=_HI)
         b1 = bisect_left(b, a[a1 - 1][1], key=_LO)
-        mid = _merge_op(a[a0:a1], b[b0:b1], _and_not)
-        return self._raw(a[:a0] + mid + a[a1:])
+        mid = _minus(a[a0:a1], b[b0:b1])
+        return self._raw(a[:a0] + tuple(mid) + a[a1:])
 
     def complement(self) -> "IntervalSet":
         """Complement relative to [0, 1)."""
@@ -179,65 +169,50 @@ class IntervalSet:
         return f"IntervalSet({body or 'empty'})"
 
 
-def _merge_cuts(a: tuple, b: tuple) -> list:
-    """Merged, deduplicated endpoint list of two canonical interval tuples."""
-    xs = [x for p in a for x in p]
-    ys = [x for p in b for x in p]
-    out = []
-    i = j = 0
-    na, nb = len(xs), len(ys)
-    while i < na or j < nb:
-        if j >= nb or (i < na and xs[i] <= ys[j]):
-            v = xs[i]
-            i += 1
-        else:
-            v = ys[j]
-            j += 1
-        if not out or out[-1] != v:
-            out.append(v)
-    return out
-
-
 _LO = itemgetter(0)
 _HI = itemgetter(1)
 
 
-def _or(a: bool, b: bool) -> bool:
-    return a or b
+def _meet(a, b) -> list:
+    """Intersection of two canonical pair sequences, by two pointers."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        alo, ahi = a[i]
+        blo, bhi = b[j]
+        lo = alo if alo > blo else blo
+        if ahi < bhi:
+            if lo < ahi:
+                out.append((lo, ahi))
+            i += 1
+        else:
+            if lo < bhi:
+                out.append((lo, bhi))
+            j += 1
+    return out
 
 
-def _and(a: bool, b: bool) -> bool:
-    return a and b
+def _minus(a, b) -> list:
+    """Difference a minus b of two canonical pair sequences, by two pointers.
 
-
-def _and_not(a: bool, b: bool) -> bool:
-    return a and not b
-
-
-def _merge_op(a: tuple, b: tuple, keep) -> tuple:
-    """Linear sweep over the merged breakpoints of two canonical sets.
-
-    The callers pass the windows of their operands that can interact.
+    Every interval of b that meets an interval of a cuts a gap into it;
+    the pointer into b only moves past intervals that end before the
+    current interval of a starts.
     """
-    cuts = _merge_cuts(a, b)
-    out: list[list[Fraction]] = []
-    ia = ib = 0
-    na, nb = len(a), len(b)
-    for k in range(len(cuts) - 1):
-        lo = cuts[k]
-        while ia < na and a[ia][1] <= lo:
-            ia += 1
-        in_a = ia < na and a[ia][0] <= lo
-        while ib < nb and b[ib][1] <= lo:
-            ib += 1
-        in_b = ib < nb and b[ib][0] <= lo
-        if keep(in_a, in_b):
-            hi = cuts[k + 1]
-            if out and out[-1][1] == lo:
-                out[-1][1] = hi
-            else:
-                out.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in out)
+    out = []
+    j, nb = 0, len(b)
+    for lo, hi in a:
+        while j < nb and b[j][1] <= lo:
+            j += 1
+        k = j
+        while k < nb and b[k][0] < hi:
+            if lo < b[k][0]:
+                out.append((lo, b[k][0]))
+            lo = b[k][1]
+            k += 1
+        if lo < hi:
+            out.append((lo, hi))
+    return out
 
 
 EMPTY = IntervalSet()

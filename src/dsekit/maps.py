@@ -6,7 +6,7 @@ automatic and the class is closed under restriction, inversion and
 composition, which is all the calculus downstream needs.  Reflection atoms
 reorient their image half-open: the image of ``[a, b)`` under
 ``x -> o - x`` is taken to be ``[o - b, o - a)``; the single endpoint this
-drops has measure zero.
+drops has measure zero.  ``_move`` is the one place this rule is written.
 """
 
 from __future__ import annotations
@@ -18,10 +18,23 @@ from .errors import OverlapError
 from .intervals import FULL, ONE, ZERO, IntervalSet, rat
 
 
+def _move(slope: int, offset: Fraction, lo: Fraction,
+          hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Image of [lo, hi) under x -> slope*x + offset, taken half-open."""
+    if slope == 1:
+        return lo + offset, hi + offset
+    return offset - hi, offset - lo
+
+
+def _inverse_key(slope: int, offset: Fraction) -> tuple[int, Fraction]:
+    """(slope, offset) of the inverse of x -> slope*x + offset."""
+    return (1, -offset) if slope == 1 else (-1, offset)
+
+
 class Atom:
     """One affine piece of a partial isomorphism."""
 
-    __slots__ = ("lo", "hi", "slope", "offset")
+    __slots__ = ("lo", "hi", "slope", "offset", "image_lo", "image_hi")
 
     def __init__(self, lo, hi, slope: int, offset):
         lo, hi, offset = rat(lo), rat(hi), rat(offset)
@@ -29,18 +42,11 @@ class Atom:
             raise ValueError("slope must be +1 or -1")
         if not (ZERO <= lo < hi <= ONE):
             raise ValueError(f"bad source [{lo},{hi})")
-        ilo, ihi = (lo + offset, hi + offset) if slope == 1 else (offset - hi, offset - lo)
+        ilo, ihi = _move(slope, offset, lo, hi)
         if ilo < ZERO or ihi > ONE:
             raise ValueError(f"image [{ilo},{ihi}) leaves [0,1)")
         self.lo, self.hi, self.slope, self.offset = lo, hi, slope, offset
-
-    @property
-    def image_lo(self) -> Fraction:
-        return self.lo + self.offset if self.slope == 1 else self.offset - self.hi
-
-    @property
-    def image_hi(self) -> Fraction:
-        return self.hi + self.offset if self.slope == 1 else self.offset - self.lo
+        self.image_lo, self.image_hi = ilo, ihi
 
     def apply(self, x) -> Fraction | None:
         x = rat(x)
@@ -49,9 +55,8 @@ class Atom:
         return None
 
     def invert(self) -> "Atom":
-        if self.slope == 1:
-            return Atom(self.lo + self.offset, self.hi + self.offset, 1, -self.offset)
-        return Atom(self.offset - self.hi, self.offset - self.lo, -1, self.offset)
+        return Atom(self.image_lo, self.image_hi,
+                    *_inverse_key(self.slope, self.offset))
 
     def key(self) -> tuple:
         return (self.slope, self.offset)
@@ -131,31 +136,24 @@ class PartialMap:
         """Keep only the graph whose image lies in s."""
         out = []
         for a in self.atoms:
+            back = _inverse_key(a.slope, a.offset)
             for lo, hi in s.clip(a.image_lo, a.image_hi):
-                if a.slope == 1:
-                    out.append(Atom(lo - a.offset, hi - a.offset, 1, a.offset))
-                else:
-                    out.append(Atom(a.offset - hi, a.offset - lo, -1, a.offset))
+                out.append(Atom(*_move(*back, lo, hi), a.slope, a.offset))
         return PartialMap(out)
 
     def image_of(self, s: IntervalSet) -> IntervalSet:
         pieces = []
         for a in self.atoms:
             for lo, hi in s.clip(a.lo, a.hi):
-                if a.slope == 1:
-                    pieces.append((lo + a.offset, hi + a.offset))
-                else:
-                    pieces.append((a.offset - hi, a.offset - lo))
+                pieces.append(_move(a.slope, a.offset, lo, hi))
         return IntervalSet._merge_pairs(pieces)
 
     def preimage_of(self, s: IntervalSet) -> IntervalSet:
         pieces = []
         for a in self.atoms:
+            back = _inverse_key(a.slope, a.offset)
             for lo, hi in s.clip(a.image_lo, a.image_hi):
-                if a.slope == 1:
-                    pieces.append((lo - a.offset, hi - a.offset))
-                else:
-                    pieces.append((a.offset - hi, a.offset - lo))
+                pieces.append(_move(*back, lo, hi))
         return IntervalSet._merge_pairs(pieces)
 
     def __eq__(self, other) -> bool:
@@ -179,15 +177,11 @@ def compose(f: PartialMap, g: PartialMap) -> PartialMap:
     """f after g, defined on g^{-1}(domain(f)); slopes multiply, exact."""
     out = []
     for ag in g.atoms:
-        glo, ghi = ag.image_lo, ag.image_hi
+        back = _inverse_key(ag.slope, ag.offset)
         for af in f.atoms:
-            lo, hi = max(glo, af.lo), min(ghi, af.hi)
+            lo, hi = max(ag.image_lo, af.lo), min(ag.image_hi, af.hi)
             if lo < hi:
-                if ag.slope == 1:
-                    xlo, xhi = lo - ag.offset, hi - ag.offset
-                else:
-                    xlo, xhi = ag.offset - hi, ag.offset - lo
-                out.append(Atom(xlo, xhi, af.slope * ag.slope,
+                out.append(Atom(*_move(*back, lo, hi), af.slope * ag.slope,
                                 af.slope * ag.offset + af.offset))
     return PartialMap(out)
 

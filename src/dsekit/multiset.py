@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .intervals import ZERO, IntervalSet, Step, step_sum, sweep
-from .maps import Atom, PartialMap
+from .maps import Atom, PartialMap, _inverse_key, _move
 
 Key = tuple[int, Fraction]
 Cells = tuple[tuple[Fraction, Fraction, int], ...]
@@ -94,23 +94,14 @@ class GraphMultiset:
                         for lo, hi, m in cells)
 
     def col_step(self) -> Step:
-        pieces = []
-        for (slope, offset), cells in self._fam.items():
-            for lo, hi, m in cells:
-                if slope == 1:
-                    pieces.append((lo + offset, hi + offset, m))
-                else:
-                    pieces.append((offset - hi, offset - lo, m))
-        return step_sum(pieces)
+        return step_sum((*_move(slope, offset, lo, hi), m)
+                        for (slope, offset), cells in self._fam.items()
+                        for lo, hi, m in cells)
 
     def contains_graph(self, m: PartialMap) -> bool:
         """True when every atom of m lies inside the matching family support."""
-        for a in m.atoms:
-            inside = self.support(a.key()).clip(a.lo, a.hi)
-            covered = sum((hi - lo for lo, hi in inside), ZERO)
-            if covered != a.hi - a.lo:
-                return False
-        return True
+        return all(self.support(a.key()).clip(a.lo, a.hi) == [(a.lo, a.hi)]
+                   for a in m.atoms)
 
     def clip_to_support(self, m: PartialMap) -> PartialMap:
         """Restrict m to the part of its graph inside this multiset's support."""
@@ -148,13 +139,8 @@ class GraphMultiset:
         """Transpose: each atom family is replaced by its inverse family."""
         fam: dict[Key, list] = {}
         for (slope, offset), cells in self._fam.items():
-            if slope == 1:
-                key = (1, -offset)
-                moved = [(lo + offset, hi + offset, m) for lo, hi, m in cells]
-            else:
-                key = (-1, offset)
-                moved = [(offset - hi, offset - lo, m) for lo, hi, m in cells]
-            fam.setdefault(key, []).extend(moved)
+            fam.setdefault(_inverse_key(slope, offset), []).extend(
+                (*_move(slope, offset, lo, hi), m) for lo, hi, m in cells)
         return self._raw({k: overlay_cells(v) for k, v in fam.items()})
 
     def l1_distance(self, other: "GraphMultiset") -> Fraction:

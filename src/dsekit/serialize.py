@@ -100,10 +100,6 @@ def coverage_report_to_json(r: CoverageReport) -> dict:
             "image_cells": cells(r.image_cells)}
 
 
-def matrix_to_csv(a: list[list[int]]) -> str:
-    return "\n".join(",".join(str(x) for x in row) for row in a) + "\n"
-
-
 def matrix_from_csv(text: str) -> list[list[int]]:
     rows = []
     for line in text.strip().splitlines():

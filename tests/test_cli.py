@@ -236,6 +236,33 @@ def test_missing_file_is_io_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, command", [
+    (["bvn", "--in", "x.csv", "--n", "abc"], "bvn"),
+    (["decompose", "--in", "x.json", "--eps", "-1/2", "--out", "o.json"],
+     "decompose"),
+    (["frobnicate"], "frobnicate"),
+    (["decompose", "--in", "x.json", "--eps", "1/2"], "decompose"),
+    ([], ""),
+], ids=["bad-int", "negative-eps", "unknown-command", "missing-flag",
+        "no-command"])
+def test_usage_error_is_json_parse_error(argv, command, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert code == 1
+    assert report["command"] == command
+    assert report["error_type"] == "ArgumentError"
+    assert captured.err == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: dsekit" in capsys.readouterr().out
+
+
 def test_demo_deterministic(capsys):
     code1, rep1 = run(capsys, "demo", "--name", "counterexample", "--level", "3")
     code2, rep2 = run(capsys, "demo", "--name", "counterexample", "--level", "3")

@@ -10,7 +10,8 @@ from dsekit import (DSE, Atom, BetterPath, GraphMultiset, IntervalSet,
                     symmetrize, validate)
 from dsekit.division import _take_by_rows
 from dsekit.errors import (AlreadyPerfect, BoundViolated, InvalidPath,
-                           NotSymmetric, UnsplittableDiagonal)
+                           NotSymmetric, PreconditionViolated,
+                           UnsplittableDiagonal)
 from dsekit.gallery import counterexample
 
 from conftest import half_shift, random_cell_dse
@@ -193,6 +194,12 @@ def test_regular_graph_counterexample():
     pm = regular_graph_partial_automorphism(g, F(1, 16))
     assert pm.domain.measure() > F(15, 16)
     assert g.contains_graph(pm)
+
+
+def test_regular_graph_odd_regularity_is_precondition_violation():
+    g = GraphMultiset([(Atom(0, 1, 1, 0), 1)])
+    with pytest.raises(PreconditionViolated, match="regularity must be even"):
+        regular_graph_partial_automorphism(g, F(1, 2))
 
 
 def test_take_by_rows_shortfall_raises_bound_violated():

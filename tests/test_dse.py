@@ -164,3 +164,16 @@ def test_multiset_flip_involution(rng):
     m = associated_matrix(random_cell_dse(rng, 3, 2, reflections=True))
     assert m.flip().flip() == m
     assert m.flip().mass() == m.mass()
+
+
+def test_multiset_contains_graph_needs_the_whole_atom():
+    # family (1, 0) on [0, 1/4) + [1/2, 3/4) with a gap between; one
+    # reflection family on [3/4, 1)
+    g = GraphMultiset([(Atom(0, F(1, 4), 1, 0), 1),
+                       (Atom(F(1, 2), F(3, 4), 1, 0), 2),
+                       (Atom(F(3, 4), 1, -1, F(7, 4)), 1)])
+    assert g.contains_graph(PartialMap([Atom(F(1, 8), F(1, 4), 1, 0),
+                                        Atom(F(3, 4), F(7, 8), -1, F(7, 4))]))
+    assert not g.contains_graph(PartialMap([Atom(0, F(3, 4), 1, 0)]))
+    assert not g.contains_graph(PartialMap([Atom(F(1, 2), 1, 1, 0)]))
+    assert not g.contains_graph(PartialMap([Atom(0, F(1, 4), 1, F(1, 2))]))

@@ -153,3 +153,46 @@ def test_image_distributes_over_union(m, i, j):
     b = iv(F(j, 8), F(j + 1, 8))
     lhs = m.image_of(a.union(b))
     assert lhs == m.image_of(a).union(m.image_of(b))
+
+
+# -- the transport rule on partial maps with reflections ---------------------
+
+
+@st.composite
+def partial_maps(draw):
+    """Some cells of a non-dyadic grid carried to other cells, a third of
+    them reversed, so offsets such as 2/7 or 4/9 appear."""
+    cells = draw(st.sampled_from([3, 5, 7, 9, 12]))
+    sources = draw(st.lists(st.integers(0, cells - 1), unique=True,
+                            max_size=cells))
+    targets = draw(st.permutations(range(cells)))
+    atoms = []
+    for j, i in zip(sources, targets):
+        if draw(st.integers(0, 2)) == 0:
+            atoms.append(Atom(F(j, cells), F(j + 1, cells), -1,
+                              F(i + j + 1, cells)))
+        else:
+            atoms.append(Atom(F(j, cells), F(j + 1, cells), 1,
+                              F(i - j, cells)))
+    return PartialMap(atoms)
+
+
+@st.composite
+def grid_sets(draw):
+    """Runs of a random bitmap of 1/11 cells, which cut the map's cells."""
+    bits = draw(st.lists(st.booleans(), min_size=11, max_size=11))
+    return IntervalSet((F(k, 11), F(k + 1, 11))
+                       for k, on in enumerate(bits) if on)
+
+
+@settings(max_examples=80)
+@given(partial_maps(), grid_sets())
+def test_transport_rule(m, s):
+    assert m.restrict_image(s) == m.restrict(m.preimage_of(s))
+    assert m.restrict_image(s).image == m.image.intersect(s)
+    assert m.preimage_of(s) == m.invert().image_of(s)
+    for a in m.atoms:
+        b = a.invert()
+        assert (b.lo, b.hi) == (a.image_lo, a.image_hi)
+        assert (b.image_lo, b.image_hi) == (a.lo, a.hi)
+        assert b.invert() == a
