@@ -66,57 +66,59 @@ def _cmd_distance(args, started: float) -> tuple[dict, int]:
     return out, 0
 
 
-def _cmd_decompose(args, started: float) -> tuple[dict, int]:
-    d = ser.dse_from_json(_read_json(args.infile))
-    eps = ser.parse_eps(args.eps)
+def _run_decompose(d: DSE, eps, emit) -> tuple[dict, dict]:
     dec = almost_decompose(d, eps)
-    payload = {"automorphisms": [ser.map_to_json(a.map)
-                                 for a in dec.automorphisms],
-               "achieved_distance": rat_str(dec.achieved_distance)}
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    # recompute the bound from the artifact on disk
-    emitted = _read_json(args.out)
+    emitted = emit({"automorphisms": [ser.map_to_json(a.map)
+                                      for a in dec.automorphisms],
+                    "achieved_distance": rat_str(dec.achieved_distance)})
     maps = [ser.map_from_json(m) for m in emitted["automorphisms"]]
     achieved = distance(d, DSE(maps, d.multiplicity))
-    out = _report("decompose", {"in": args.infile, "eps": args.eps},
-                  {"out": args.out},
-                  {"eps": args.eps, "achieved_distance": rat_str(achieved)},
-                  {"automorphisms": len(maps)}, started)
-    return out, 0
+    return ({"achieved_distance": rat_str(achieved)},
+            {"automorphisms": len(maps)})
 
 
-def _cmd_divide(args, started: float) -> tuple[dict, int]:
-    d = ser.dse_from_json(_read_json(args.infile))
-    eps = ser.parse_eps(args.eps)
+def _run_divide(d: DSE, eps, emit) -> tuple[dict, dict]:
     div = near_perfect_division(d.matrix, eps)
-    payload = {"base": ser.multiset_to_json(div.base),
-               "oriented": ser.multiset_to_json(div.oriented),
-               "degree": div.n,
-               "error": rat_str(division_error(div))}
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    emitted = _read_json(args.out)
+    emitted = emit({"base": ser.multiset_to_json(div.base),
+                    "oriented": ser.multiset_to_json(div.oriented),
+                    "degree": div.n,
+                    "error": rat_str(division_error(div))})
     redone = Division(ser.multiset_from_json(emitted["oriented"]),
                       ser.multiset_from_json(emitted["base"]),
                       int(emitted["degree"]))
-    out = _report("divide", {"in": args.infile, "eps": args.eps},
-                  {"out": args.out},
-                  {"eps": args.eps, "error": rat_str(division_error(redone))},
-                  {"families": len(list(redone.oriented.families()))}, started)
-    return out, 0
+    return ({"error": rat_str(division_error(redone))},
+            {"families": len(list(redone.oriented.families()))})
 
 
-def _cmd_split(args, started: float) -> tuple[dict, int]:
+def _run_split(d: DSE, eps, emit) -> tuple[dict, dict]:
+    emitted = ser.dse_from_json(emit(ser.dse_to_json(symmetric_split(d, eps))))
+    achieved = distance(d, symmetrize(emitted))
+    return ({"achieved_distance": rat_str(achieved)},
+            {"multiplicity": emitted.multiplicity})
+
+
+# name -> (help, run) of the commands that write one artifact to --out.
+# run(d, eps, emit) passes its payload to emit, which writes it and returns
+# it read back from disk; run recomputes bounds and result from that.
+_ARTIFACT_COMMANDS = {
+    "decompose": ("almost-decompose into automorphisms", _run_decompose),
+    "divide": ("orient a symmetric element", _run_divide),
+    "split": ("halve a symmetric element", _run_split),
+}
+
+
+def _cmd_artifact(args, started: float) -> tuple[dict, int]:
     d = ser.dse_from_json(_read_json(args.infile))
     eps = ser.parse_eps(args.eps)
-    phi = symmetric_split(d, eps)
-    Path(args.out).write_text(
-        json.dumps(ser.dse_to_json(phi), indent=2) + "\n")
-    emitted = ser.dse_from_json(_read_json(args.out))
-    achieved = distance(d, symmetrize(emitted))
-    out = _report("split", {"in": args.infile, "eps": args.eps},
-                  {"out": args.out},
-                  {"eps": args.eps, "achieved_distance": rat_str(achieved)},
-                  {"multiplicity": emitted.multiplicity}, started)
+
+    def emit(payload: dict):
+        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        return _read_json(args.out)
+
+    bounds, result = _ARTIFACT_COMMANDS[args.command][1](d, eps, emit)
+    out = _report(args.command, {"in": args.infile, "eps": args.eps},
+                  {"out": args.out}, {"eps": args.eps, **bounds}, result,
+                  started)
     return out, 0
 
 
@@ -137,14 +139,15 @@ def _cmd_bvn(args, started: float) -> tuple[dict, int]:
     return out, 0
 
 
+_DEMOS = {
+    "counterexample": counterexample,
+    "forest": lambda level: DSE(forest_example(level), 2),
+    "amplification": lambda level: amplification(level)[0],
+}
+
+
 def _cmd_demo(args, started: float) -> tuple[dict, int]:
-    if args.name == "counterexample":
-        d = counterexample(args.level)
-    elif args.name == "forest":
-        d = DSE(forest_example(args.level), 2)
-    else:
-        d, _ = amplification(args.level)
-    result = ser.dse_to_json(d)
+    result = ser.dse_to_json(_DEMOS[args.name](args.level))
     out = _report("demo", {"name": args.name, "level": args.level}, {}, {},
                   result, started)
     return out, 0
@@ -171,21 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
-    p = sub.add_parser("decompose",
-                       help="almost-decompose into automorphisms")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("divide", help="orient a symmetric element")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("split", help="halve a symmetric element")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--out", required=True)
+    for name, (help_text, _) in _ARTIFACT_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--eps", required=True)
+        p.add_argument("--out", required=True)
 
     p = sub.add_parser("bvn", help="finite Birkhoff-von Neumann tools")
     p.add_argument("--in", dest="infile", required=True)
@@ -193,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decompose", action="store_true")
 
     p = sub.add_parser("demo", help="emit a gallery element as JSON")
-    p.add_argument("--name", required=True,
-                   choices=["counterexample", "forest", "amplification"])
+    p.add_argument("--name", required=True, choices=list(_DEMOS))
     p.add_argument("--level", type=int, default=2)
     return parser
 
@@ -210,9 +202,7 @@ def main(argv=None) -> int:
     handlers = {
         "validate": _cmd_validate,
         "distance": _cmd_distance,
-        "decompose": _cmd_decompose,
-        "divide": _cmd_divide,
-        "split": _cmd_split,
+        **dict.fromkeys(_ARTIFACT_COMMANDS, _cmd_artifact),
         "bvn": _cmd_bvn,
         "demo": _cmd_demo,
     }
@@ -222,7 +212,7 @@ def main(argv=None) -> int:
     except DsekitError as exc:
         report, code = _error(argv, exc), 2
     except (argparse.ArgumentError, OSError, ValueError, KeyError,
-            ZeroDivisionError, json.JSONDecodeError) as exc:
+            ZeroDivisionError) as exc:
         report, code = _error(argv, exc), 1
     print(json.dumps(report))
     return code

@@ -3,8 +3,8 @@
 One automorphism is peeled off at a time: a near-full piece is completed
 to an automorphism by the monotone rearrangement of the leftover sets, the
 residual matrix is repaired with exact correction maps so that it is again
-doubly stochastic of multiplicity n-1, and the construction recurses with
-a halved budget.  The achieved distance is always recomputed from the
+doubly stochastic of multiplicity n-1, and the construction repeats on it
+with a halved budget.  The achieved distance is always recomputed from the
 output, never trusted from intermediate bounds.
 """
 
@@ -15,10 +15,10 @@ from fractions import Fraction
 
 from .dse import DSE, distance, normalize_cover, validate
 from .errors import PreconditionViolated, check
-from .intervals import EMPTY, FULL, IntervalSet, rat
+from .intervals import EMPTY, FULL, IntervalSet, positive_rat
 from .maps import Atom, PartialMap, glue, monotone_pairing, pair_chunks
 from .multiset import Cells, overlay_cells
-from .pieces import Piece, greedy_maximal_map, near_full_piece
+from .pieces import greedy_maximal_map, near_full_piece
 
 
 @dataclass(frozen=True)
@@ -42,17 +42,16 @@ class Decomposition:
                    multiplicity or len(self.automorphisms))
 
 
-def complete_to_automorphism(piece: "Piece | PartialMap") -> PartialMap:
-    """Extend a piece to a full automorphism.
+def complete_to_automorphism(piece: PartialMap) -> PartialMap:
+    """Extend a partial map to a full automorphism.
 
     The complement of the domain is carried onto the complement of the
     image by the unique monotone order isomorphism with slope +1 pieces.
     """
-    m = piece.map if isinstance(piece, Piece) else piece
-    rest_dom = m.domain.complement()
+    rest_dom = piece.domain.complement()
     if rest_dom.is_empty():
-        return m
-    return glue([m, monotone_pairing(rest_dom, m.image.complement())])
+        return piece
+    return glue([piece, monotone_pairing(rest_dom, piece.image.complement())])
 
 
 def pair_profiles(src: Cells, dst: Cells) -> list[PartialMap]:
@@ -81,27 +80,14 @@ def pair_profiles(src: Cells, dst: Cells) -> list[PartialMap]:
             for lo, hi, shift in pair_chunks(src_q, dst_q)]
 
 
-def _cover_sources(d: DSE, region: IntervalSet) -> list[PartialMap]:
-    """Pieces of the element whose domains partition the region."""
+def _cover(maps, region: IntervalSet) -> list[PartialMap]:
+    """Restrictions of the maps whose domains partition the region."""
     out = []
     covered = EMPTY
-    for m in d.maps:
+    for m in maps:
         part = region.subtract(covered).intersect(m.domain)
         if not part.is_empty():
             out.append(m.restrict(part))
-            covered = covered.union(part)
-    check(covered == region, "element does not cover the region")
-    return out
-
-
-def _cover_targets(d: DSE, region: IntervalSet) -> list[PartialMap]:
-    """Pieces of the element whose images partition the region."""
-    out = []
-    covered = EMPTY
-    for m in d.maps:
-        part = region.subtract(covered).intersect(m.image)
-        if not part.is_empty():
-            out.append(m.restrict_image(part))
             covered = covered.union(part)
     check(covered == region, "element does not cover the region")
     return out
@@ -119,9 +105,7 @@ def peel(d: DSE, eps, diagnostics: dict | None = None,
     doubly stochastic residual of multiplicity n - 1.  Pass a dict as
     ``diagnostics`` to learn whether the top-up pass found anything.
     """
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = positive_rat(eps)
     n = d.multiplicity
     if n < 2:
         raise PreconditionViolated("peel needs multiplicity at least 2")
@@ -139,8 +123,10 @@ def peel(d: DSE, eps, diagnostics: dict | None = None,
 
     resid = d.matrix.subtract_maps([tmap])
     if not a_comp.is_empty():
-        phis = _cover_sources(d, a_comp)
-        psis = _cover_targets(d, b_comp)
+        phis = _cover(d.maps, a_comp)
+        # images partitioning b_comp: cover it with the inverses, invert back
+        inverses = [m.invert() for m in d.maps]
+        psis = [m.invert() for m in _cover(inverses, b_comp)]
         resid = resid.subtract_maps(phis).subtract_maps(psis)
         deltas = pair_profiles(
             overlay_cells((lo, hi, 1) for m in psis for lo, hi in m.domain),
@@ -159,25 +145,23 @@ def almost_decompose(d: DSE, eps) -> Decomposition:
     """n automorphisms whose element is within eps of the input.
 
     Each peel spends half of the remaining budget (the piece threshold
-    eps/8 makes the peel distance at most eps/2) and the recursion halves
-    the budget for the residual, so the total stays below eps.  A
-    multiplicity-one element normalizes to a single automorphism exactly.
+    eps/8 makes the peel distance at most eps/2) and the loop halves the
+    budget for the residual, so the total stays below eps.  The residual
+    of multiplicity one normalizes to a single automorphism exactly.  The
+    automorphisms are listed in reverse peel order, the last one first.
     The input's coverage is validated first (InvalidDSE on failure).
     """
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = positive_rat(eps)
     validate(d)
-    autos = _decompose_rec(d, eps)
+    autos = []
+    rest, budget = d, eps
+    while rest.multiplicity != 1:
+        auto, rest, _ = peel(rest, budget)
+        autos.append(auto)
+        budget /= 2
+    autos.append(Automorphism(glue(normalize_cover(rest.matrix, 1).maps)))
+    autos.reverse()
     final = DSE(tuple(a.map for a in autos), d.multiplicity)
     dist = distance(d, final)
     check(dist < eps, f"decomposition distance {dist} is not below {eps}")
     return Decomposition(tuple(autos), dist)
-
-
-def _decompose_rec(d: DSE, eps: Fraction) -> list[Automorphism]:
-    if d.multiplicity == 1:
-        single = normalize_cover(d.matrix, 1)
-        return [Automorphism(glue(single.maps))]
-    auto, rest, _ = peel(d, eps)
-    return _decompose_rec(rest, eps / 2) + [auto]

@@ -25,10 +25,10 @@ from .dse import DSE, distance, is_symmetric, normalize_cover, symmetrize
 from .errors import (AlreadyPerfect, InvalidPath, NotDoublyStochastic,
                      NotSymmetric, PreconditionViolated, UnsplittableDiagonal,
                      check)
-from .intervals import (EMPTY, IntervalSet, Step, rat, step_integral,
-                        step_where)
+from .intervals import (EMPTY, IntervalSet, Step, positive_rat,
+                        step_integral, step_where)
 from .maps import Atom, PartialMap
-from .multiset import GraphMultiset
+from .multiset import GraphMultiset, _cells_sub
 from .decompose import pair_profiles
 from .pieces import _chain_search, greedy_maximal_map, near_full_piece
 
@@ -223,9 +223,7 @@ def improve_division(d: Division) -> Division:
 
 def near_perfect_division(g: GraphMultiset, eps) -> Division:
     """A division with error below eps, by iterated improvement."""
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = positive_rat(eps)
     d = initial_division(g)
     while error(d) >= eps:
         d = improve_division(d)
@@ -255,41 +253,23 @@ def _eliminate_short_paths(d: Division) -> Division:
 
 
 def _take_by_rows(h: GraphMultiset, need: Step) -> GraphMultiset:
-    """A sub-multiset of h whose row profile equals the positive part of need."""
+    """A sub-multiset of h whose row profile equals the positive part of need.
+
+    Families are taken in canonical order, each pointwise as much as is
+    still needed: what is left after a family is the positive part of
+    left - cells, and the family gives left - rest.
+    """
     taken: list[tuple[Atom, int]] = []
-    remaining = [[lo, hi, v] for lo, hi, v in need if v > 0]
+    left = _sparse(need)
     for (slope, offset), cells in h.families():
-        if not remaining:
+        if not left:
             break
-        next_rem = []
-        for rlo, rhi, rv in remaining:
-            pieces = [(rlo, rhi, rv)]
-            for lo, hi, m in cells:
-                new_pieces = []
-                for plo, phi, pv in pieces:
-                    clo, chi = max(plo, lo), min(phi, hi)
-                    if clo >= chi:
-                        new_pieces.append((plo, phi, pv))
-                        continue
-                    take = min(m, pv)
-                    taken.append((Atom(clo, chi, slope, offset), take))
-                    if plo < clo:
-                        new_pieces.append((plo, clo, pv))
-                    if pv - take > 0:
-                        new_pieces.append((clo, chi, pv - take))
-                    if chi < phi:
-                        new_pieces.append((chi, phi, pv))
-                pieces = new_pieces
-            next_rem.extend(pieces)
-        remaining = [[lo, hi, v] for lo, hi, v in sorted(next_rem)]
-    check(not remaining, "row selection could not satisfy the profile")
+        rest = _sparse(_cells_sub(left, cells, strict=False))
+        taken.extend((Atom(lo, hi, slope, offset), m)
+                     for lo, hi, m in _cells_sub(left, rest, strict=True))
+        left = rest
+    check(not left, "row selection could not satisfy the profile")
     return GraphMultiset(taken)
-
-
-def _take_by_cols(h: GraphMultiset, need: Step) -> GraphMultiset:
-    """A sub-multiset of h whose column profile equals the positive part."""
-    flipped = _take_by_rows(h.flip(), need)
-    return flipped.flip()
 
 
 def _sparse(step: Step) -> tuple:
@@ -307,9 +287,7 @@ def symmetric_split(psi: DSE, eps) -> DSE:
     repaired orientation is exactly n-regular both ways and normalizes to
     the answer.
     """
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = positive_rat(eps)
     if not is_symmetric(psi):
         raise NotSymmetric("element is not equivalent to its inverse")
     if psi.multiplicity % 2:
@@ -325,7 +303,7 @@ def symmetric_split(psi: DSE, eps) -> DSE:
     h2 = div.oriented
     if excess_out or excess_in:
         r_out = _take_by_rows(div.oriented, excess_out)
-        r_in = _take_by_cols(div.oriented, excess_in)
+        r_in = _take_by_rows(div.oriented.flip(), excess_in).flip()
         h2 = h2.subtract(r_out).subtract(r_in)
         theta_maps = pair_profiles(_sparse(r_in.row_step()),
                                    _sparse(r_out.col_step()))
@@ -341,9 +319,7 @@ def symmetric_split(psi: DSE, eps) -> DSE:
 def regular_graph_partial_automorphism(g: GraphMultiset, eps) -> PartialMap:
     """A partial automorphism inside a symmetric 2n-regular multiset with
     domain measure above 1 - eps."""
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = positive_rat(eps)
     row = g.row_step()
     masses = {v for _, _, v in row}
     if len(masses) != 1:

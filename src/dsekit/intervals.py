@@ -43,6 +43,14 @@ def rat(value) -> Fraction:
     return Fraction(str(value))
 
 
+def positive_rat(value) -> Fraction:
+    """``rat(value)`` for a tolerance, which must be positive."""
+    value = rat(value)
+    if value <= 0:
+        raise ValueError("eps must be positive")
+    return value
+
+
 def rat_str(value) -> str:
     """Serialize a rational as ``"p/q"`` in lowest terms."""
     q = Fraction(value)

@@ -27,7 +27,7 @@ from typing import Sequence
 from .dse import DSE
 from .errors import (AlreadyFull, InvalidExtension, PreconditionViolated,
                      check)
-from .intervals import EMPTY, FULL, IntervalSet, rat
+from .intervals import EMPTY, FULL, IntervalSet, positive_rat
 from .maps import EMPTY_MAP, PartialMap, glue
 
 _FAMILY_CAP = 100_000
@@ -310,9 +310,7 @@ def near_full_piece(d: DSE, eps, trace: list | None = None) -> Piece:
     domain measures toward one, so the loop terminates for any eps > 0.
     Pass a list as ``trace`` to record (before, after, bound) per round.
     """
-    eps = rat(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = positive_rat(eps)
     piece = maximal_piece(d, FULL, EMPTY)
     while FULL.measure() - piece.measure() >= eps:
         before = piece.measure()

@@ -3,7 +3,9 @@
 Rationals cross the boundary as "p/q" strings in lowest terms; intervals
 as ["a","b"] endpoint pairs; atoms as {"src","slope","offset"} objects.
 Matrices are JSON lists of integer rows, or CSV with one comma-separated
-row per line and no header.
+row per line and no header.  The readers take exactly these shapes: an
+integer must be a JSON integer (not a float or a bool), and a value of
+another kind or length raises ValueError.
 """
 
 from __future__ import annotations
@@ -30,6 +32,19 @@ def parse_eps(text: str) -> Fraction:
     return value
 
 
+def _expect(value, kind: type):
+    """value itself, if it is of the kind: int (not bool), list or dict."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"expected a JSON {kind.__name__}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _rat(value) -> Fraction:
+    """A JSON rational: a "p/q" string or an integer."""
+    return rat(value if isinstance(value, str) else _expect(value, int))
+
+
 def interval_set_to_json(s: IntervalSet) -> list:
     return [[rat_str(lo), rat_str(hi)] for lo, hi in s]
 
@@ -40,8 +55,9 @@ def atom_to_json(a: Atom) -> dict:
 
 
 def atom_from_json(data) -> Atom:
-    return Atom(rat(data["src"][0]), rat(data["src"][1]),
-                int(data["slope"]), rat(data["offset"]))
+    lo, hi = _expect(_expect(data, dict)["src"], list)
+    return Atom(_rat(lo), _rat(hi), _expect(data["slope"], int),
+                _rat(data["offset"]))
 
 
 def map_to_json(m: PartialMap) -> list:
@@ -49,7 +65,7 @@ def map_to_json(m: PartialMap) -> list:
 
 
 def map_from_json(data) -> PartialMap:
-    return PartialMap(atom_from_json(a) for a in data)
+    return PartialMap(atom_from_json(a) for a in _expect(data, list))
 
 
 def dse_to_json(d: DSE) -> dict:
@@ -58,24 +74,22 @@ def dse_to_json(d: DSE) -> dict:
 
 
 def dse_from_json(data) -> DSE:
-    return DSE((map_from_json(m) for m in data["maps"]),
-               int(data["multiplicity"]))
+    data = _expect(data, dict)
+    return DSE((map_from_json(m) for m in _expect(data["maps"], list)),
+               _expect(data["multiplicity"], int))
 
 
 def multiset_to_json(g: GraphMultiset) -> dict:
-    entries = []
-    for (slope, offset), cells in g.families():
-        for lo, hi, mult in cells:
-            entries.append({"src": [rat_str(lo), rat_str(hi)], "slope": slope,
-                            "offset": rat_str(offset), "multiplicity": mult})
-    return {"entries": entries}
+    """Entries are atom objects with a "multiplicity" key."""
+    return {"entries": [
+        {**atom_to_json(Atom(lo, hi, slope, offset)), "multiplicity": mult}
+        for (slope, offset), cells in g.families() for lo, hi, mult in cells]}
 
 
 def multiset_from_json(data) -> GraphMultiset:
     return GraphMultiset(
-        (Atom(rat(e["src"][0]), rat(e["src"][1]), int(e["slope"]),
-              rat(e["offset"])), int(e["multiplicity"]))
-        for e in data["entries"])
+        (atom_from_json(e), _expect(e["multiplicity"], int))
+        for e in _expect(_expect(data, dict)["entries"], list))
 
 
 def piece_to_json(p) -> dict:
@@ -109,4 +123,5 @@ def matrix_from_csv(text: str) -> list[list[int]]:
 
 
 def matrix_from_json(data) -> list[list[int]]:
-    return [[int(x) for x in row] for row in data]
+    return [[_expect(x, int) for x in _expect(row, list)]
+            for row in _expect(data, list)]

@@ -61,7 +61,7 @@ def _write_csv(name: str, a: list[list[int]]) -> str:
 def calls() -> list[tuple[str, list[str]]]:
     """Write the inputs into the current directory; return (name, argv)."""
     out = []
-    for k in range(3, 6):
+    for k in (3, 4, 5, 7):
         f = _write_dse(f"ce{k}.json", counterexample(k))
         out.append((f"decompose ce{k}",
                     ["decompose", "--in", f, "--eps", EPS,

@@ -285,3 +285,45 @@ def reference_backtrack_path(chain, wsets, hit):
         cur_set = pm.image
         sets.append(cur_set)
     return BetterPath(tuple(pieces), tuple(sets))
+
+
+def reference_take_by_rows(h, need):
+    """The cut-and-overlap row selection, kept as the reference for the
+    cell-sweep ``division._take_by_rows``.
+
+    Visits the families in canonical order and cuts every still-needed
+    piece against every cell of the family, taking min(cell, need) on each
+    overlap and keeping the uncovered and unmet parts for the next family.
+    """
+    from dsekit.errors import check
+    from dsekit.maps import Atom
+    from dsekit.multiset import GraphMultiset
+
+    taken = []
+    remaining = [[lo, hi, v] for lo, hi, v in need if v > 0]
+    for (slope, offset), cells in h.families():
+        if not remaining:
+            break
+        next_rem = []
+        for rlo, rhi, rv in remaining:
+            pieces = [(rlo, rhi, rv)]
+            for lo, hi, m in cells:
+                new_pieces = []
+                for plo, phi, pv in pieces:
+                    clo, chi = max(plo, lo), min(phi, hi)
+                    if clo >= chi:
+                        new_pieces.append((plo, phi, pv))
+                        continue
+                    take = min(m, pv)
+                    taken.append((Atom(clo, chi, slope, offset), take))
+                    if plo < clo:
+                        new_pieces.append((plo, clo, pv))
+                    if pv - take > 0:
+                        new_pieces.append((clo, chi, pv - take))
+                    if chi < phi:
+                        new_pieces.append((chi, phi, pv))
+                pieces = new_pieces
+            next_rem.extend(pieces)
+        remaining = [[lo, hi, v] for lo, hi, v in sorted(next_rem)]
+    check(not remaining, "row selection could not satisfy the profile")
+    return GraphMultiset(taken)

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import os
 import random
+import tempfile
 import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsekit import Atom, DSE, PartialMap, distance, identity_map, symmetrize
 from dsekit.cli import main
@@ -117,6 +123,58 @@ def test_zero_denominator_is_parse_error(tmp_path, capsys):
     code, report = run(capsys, "validate", "--in", str(f))
     assert code == 1
     assert report["error_type"] == "ZeroDivisionError"
+
+
+def replaced(node, path, value):
+    """A copy of the tree with the node at path replaced by value."""
+    if not path:
+        return value
+    node = json.loads(json.dumps(node))
+    parent = node
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return node
+
+
+IDENTITY = ser.dse_to_json(DSE([identity_map()], 1))
+
+# Each edit (key path, new value) of the identity element is malformed and
+# must be a JSON parse error (exit 1), neither a traceback nor silently
+# truncated.
+MALFORMED = {
+    "float-endpoints": (("maps", 0, 0, "src"), [0.0, 1.0]),
+    "one-endpoint": (("maps", 0, 0, "src"), ["0"]),
+    "top-level-list": ((), [1, 2]),
+    "top-level-string": ((), "x"),
+    "maps-not-a-list": (("maps",), 5),
+    "float-multiplicity": (("multiplicity",), 1.9),
+    "bool-multiplicity": (("multiplicity",), True),
+    "float-slope": (("maps", 0, 0, "slope"), 1.7),
+    "bool-slope": (("maps", 0, 0, "slope"), True),
+}
+
+
+@pytest.mark.parametrize("path, value", MALFORMED.values(),
+                         ids=MALFORMED.keys())
+def test_malformed_element_is_parse_error(path, value, tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(replaced(IDENTITY, path, value)))
+    code, report = run(capsys, "validate", "--in", str(f))
+    assert code == 1
+    assert report["error_type"] == "ValueError"
+
+
+@pytest.mark.parametrize("matrix, n", [
+    ([[2.9, 0], [0, 2]], "2"),
+    ([[True, False], [False, True]], "1"),
+], ids=["float-entry", "bool-entries"])
+def test_malformed_json_matrix_is_parse_error(matrix, n, tmp_path, capsys):
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps(matrix))
+    code, report = run(capsys, "bvn", "--in", str(f), "--n", n, "--decompose")
+    assert code == 1
+    assert report["error_type"] == "ValueError"
 
 
 def test_split_odd_multiplicity_is_domain_error(tmp_path, capsys):
@@ -267,3 +325,73 @@ def test_demo_deterministic(capsys):
     code1, rep1 = run(capsys, "demo", "--name", "counterexample", "--level", "3")
     code2, rep2 = run(capsys, "demo", "--name", "counterexample", "--level", "3")
     assert rep1["result"] == rep2["result"]
+
+
+# -- bounded fuzz: one node of a small valid input swapped for a random JSON
+# value.  Whatever the input, a run must print exactly one JSON object that
+# is valid against the report schema and exit 0, 1 or 2; no exception may
+# escape.  The search is derandomized, so every run tries the same examples.
+
+CE2 = ser.dse_to_json(counterexample(2))
+SYM_CE2 = ser.dse_to_json(symmetrize(counterexample(2)))
+MATRIX = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+
+# command -> (valid input, argv for an input file named "in.json"); the
+# other operand of distance stays valid.
+COMMANDS = {
+    "validate": (CE2, ["validate", "--in", "in.json"]),
+    "distance": (CE2, ["distance", "--a", "in.json", "--b", "ce2.json"]),
+    "bvn": (MATRIX, ["bvn", "--in", "in.json", "--n", "2", "--decompose"]),
+    "decompose": (CE2, ["decompose", "--in", "in.json", "--eps", "1/4",
+                        "--out", "out.json"]),
+    "split": (SYM_CE2, ["split", "--in", "in.json", "--eps", "1/4",
+                        "--out", "out.json"]),
+}
+
+JSON_VALUES = st.one_of(
+    st.floats(), st.booleans(), st.text(max_size=6), st.none(),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    st.integers(2 ** 63, 2 ** 130), st.integers(-2 ** 130, -2 ** 63))
+
+
+def paths(node, path=()):
+    """Every node of a JSON tree, the root included, as a key path."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from paths(child, path + (key,))
+
+
+@st.composite
+def fuzzed_runs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    valid, argv = COMMANDS[command]
+    path = draw(st.sampled_from(list(paths(valid))))
+    return argv, replaced(valid, path, draw(JSON_VALUES))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(fuzzed_runs())
+def test_main_reports_every_fuzzed_input(run):
+    argv, payload = run
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("in.json").write_text(json.dumps(payload))
+            Path("ce2.json").write_text(json.dumps(CE2))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+        finally:
+            os.chdir(here)
+    assert code in (0, 1, 2)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    jsonschema.validate(json.loads(lines[0]), REPORT_SCHEMA)

@@ -164,3 +164,24 @@ def test_bound_checks_survive_optimize_flag():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_many_peels_do_not_hit_the_recursion_limit():
+    """The peels run in a loop: 200 copies of the identity decompose under
+    a recursion limit of 150, each an identity."""
+    script = textwrap.dedent("""
+        import sys
+        from fractions import Fraction
+        from dsekit import DSE, almost_decompose, identity_map
+        sys.setrecursionlimit(150)
+        dec = almost_decompose(DSE([identity_map()] * 200, 200),
+                               Fraction(1, 16))
+        ok = (len(dec.automorphisms) == 200 and dec.achieved_distance == 0
+              and all(a.map == identity_map() for a in dec.automorphisms))
+        sys.exit(0 if ok else 5)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsekit import (DSE, Atom, BetterPath, GraphMultiset, IntervalSet,
                     PartialMap, apply_better_path, degree_profile, distance,
@@ -15,6 +18,7 @@ from dsekit.errors import (AlreadyPerfect, BoundViolated, InvalidPath,
 from dsekit.gallery import counterexample
 
 from conftest import half_shift, random_cell_dse
+from oracles import reference_take_by_rows
 
 iv = IntervalSet.interval
 
@@ -206,3 +210,25 @@ def test_take_by_rows_shortfall_raises_bound_violated():
     h = GraphMultiset([(Atom(0, F(1, 2), 1, F(1, 2)), 1)])
     with pytest.raises(BoundViolated, match="row selection"):
         _take_by_rows(h, ((F(0), F(1), 1),))
+
+
+def _selection(take, h, need):
+    try:
+        return take(h, need)
+    except BoundViolated:
+        return "shortfall"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_take_by_rows_matches_reference(level, n, need_level, seed):
+    """The cell-sweep selection equals the cut-and-overlap reference, on
+    needs that are met and on needs that fall short alike."""
+    rng = random.Random(seed)
+    h = random_cell_dse(rng, level, n, reflections=True).matrix
+    cells = 2 ** need_level
+    need = tuple((F(i, cells), F(i + 1, cells), rng.randint(-1, n + 1))
+                 for i in range(cells))
+    want = _selection(reference_take_by_rows, h, need)
+    assert _selection(_take_by_rows, h, need) == want
