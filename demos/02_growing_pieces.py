@@ -26,7 +26,7 @@ print("...all inside the piece's image, so no one-step enlargement exists")
 
 ext = find_extension(ce, piece, max_depth=3)
 print()
-print(f"an extension of depth {ext.depth} reroutes the piece:")
+print(f"an extension of depth {ext.length - 1} reroutes the piece:")
 print("  new source S0  =", ext.sources[0])
 print("  final target   =", ext.targets[-1])
 bigger = apply_extension(piece, ext)

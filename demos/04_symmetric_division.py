@@ -10,8 +10,8 @@ symmetrization is close to the original.
 
 from fractions import Fraction as F
 
-from dsekit import (apply_better_path, degree_profile, distance, error,
-                    find_better_path, initial_division,
+from dsekit import (apply_better_path, distance, find_better_path,
+                    initial_division,
                     regular_graph_partial_automorphism, symmetric_split,
                     symmetrize)
 from dsekit.gallery import counterexample
@@ -20,20 +20,19 @@ psi = symmetrize(counterexample(3))
 print("symmetrized counterexample(3): multiplicity", psi.multiplicity)
 
 div = initial_division(psi.matrix)
-print("initial orientation error:", error(div))
-prof = degree_profile(div)
-print("  over-oriented region P+ :", prof.p_plus())
-print("  under-oriented region P-:", prof.p_minus())
+print("initial orientation error:", div.error)
+print("  over-oriented region P+ :", div.p_plus)
+print("  under-oriented region P-:", div.p_minus)
 
 step = 0
-while error(div) > 0:
+while div.error > 0:
     path = find_better_path(div, 50)
     if path is None:
         break
     div = apply_better_path(div, path)
     step += 1
     print(f"  path {step}: length {path.length}, "
-          f"source mass {path.sets[0].measure()}, error now {error(div)}")
+          f"source mass {path.gain()}, error now {div.error}")
 
 print()
 phi = symmetric_split(psi, F(1, 8))

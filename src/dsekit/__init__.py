@@ -15,14 +15,13 @@ from .multiset import GraphMultiset
 from .dse import (DSE, CoverageReport, associated_matrix, distance,
                   equivalent, inverse, is_symmetric, neighbor_set,
                   normalize_cover, symmetrize, validate)
-from .pieces import (Extension, Piece, apply_extension, enlarge_piece,
+from .pieces import (Chain, Piece, apply_extension, enlarge_piece,
                      find_extension, lemma_piece, maximal_piece,
                      near_full_piece)
 from .decompose import (Automorphism, Decomposition, almost_decompose,
                         complete_to_automorphism, peel)
-from .division import (BetterPath, DegreeProfile, Division,
-                       apply_better_path, degree_profile, error,
-                       find_better_path, improve_division, initial_division,
+from .division import (Division, apply_better_path, find_better_path,
+                       improve_division, initial_division,
                        near_perfect_division,
                        regular_graph_partial_automorphism, symmetric_split)
 from .bvn import (decompose_bvn, discretize, extract_permutation, lift,
@@ -36,12 +35,11 @@ __all__ = [
     "DSE", "CoverageReport", "associated_matrix", "distance", "equivalent",
     "inverse", "is_symmetric", "neighbor_set", "normalize_cover",
     "symmetrize", "validate",
-    "Extension", "Piece", "apply_extension", "enlarge_piece",
+    "Chain", "Piece", "apply_extension", "enlarge_piece",
     "find_extension", "lemma_piece", "maximal_piece", "near_full_piece",
     "Automorphism", "Decomposition", "almost_decompose",
     "complete_to_automorphism", "peel",
-    "BetterPath", "DegreeProfile", "Division", "apply_better_path",
-    "degree_profile", "error", "find_better_path", "improve_division",
+    "Division", "apply_better_path", "find_better_path", "improve_division",
     "initial_division", "near_perfect_division",
     "regular_graph_partial_automorphism", "symmetric_split",
     "decompose_bvn", "discretize", "extract_permutation", "lift",

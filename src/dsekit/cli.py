@@ -19,7 +19,6 @@ from . import bvn as bvn_mod
 from . import serialize as ser
 from .decompose import almost_decompose
 from .division import Division, near_perfect_division, symmetric_split
-from .division import error as division_error
 from .dse import DSE, distance, symmetrize, validate
 from .errors import DsekitError, check
 from .gallery import amplification, counterexample, forest_example
@@ -82,11 +81,11 @@ def _run_divide(d: DSE, eps, emit) -> tuple[dict, dict]:
     emitted = emit({"base": ser.multiset_to_json(div.base),
                     "oriented": ser.multiset_to_json(div.oriented),
                     "degree": div.n,
-                    "error": rat_str(division_error(div))})
+                    "error": rat_str(div.error)})
     redone = Division(ser.multiset_from_json(emitted["oriented"]),
                       ser.multiset_from_json(emitted["base"]),
                       int(emitted["degree"]))
-    return ({"error": rat_str(division_error(redone))},
+    return ({"error": rat_str(redone.error)},
             {"families": len(list(redone.oriented.families()))})
 
 
@@ -145,8 +144,14 @@ _DEMOS = {
     "amplification": lambda level: amplification(level)[0],
 }
 
+# the output grows about quadratically with the level; at this cap the
+# largest demo is a few hundred kilobytes
+_DEMO_LEVEL_CAP = 256
+
 
 def _cmd_demo(args, started: float) -> tuple[dict, int]:
+    if args.level > _DEMO_LEVEL_CAP:
+        raise ValueError(f"demo level must be at most {_DEMO_LEVEL_CAP}")
     result = ser.dse_to_json(_DEMOS[args.name](args.level))
     out = _report("demo", {"name": args.name, "level": args.level}, {}, {},
                   result, started)

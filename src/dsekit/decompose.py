@@ -37,9 +37,9 @@ class Decomposition:
     automorphisms: tuple[Automorphism, ...]
     achieved_distance: Fraction
 
-    def as_dse(self, multiplicity: int | None = None) -> DSE:
+    def as_dse(self) -> DSE:
         return DSE((a.map for a in self.automorphisms),
-                   multiplicity or len(self.automorphisms))
+                   len(self.automorphisms))
 
 
 def complete_to_automorphism(piece: PartialMap) -> PartialMap:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .dse import DSE, distance, is_symmetric, normalize_cover, symmetrize
@@ -30,14 +31,18 @@ from .intervals import (EMPTY, IntervalSet, Step, positive_rat,
 from .maps import Atom, PartialMap
 from .multiset import GraphMultiset, _cells_sub
 from .decompose import pair_profiles
-from .pieces import _chain_search, greedy_maximal_map, near_full_piece
+from .pieces import Chain, _chain_search, greedy_maximal_map, near_full_piece
 
 _PATH_CAP = 100_000
 
 
 @dataclass(frozen=True)
 class Division:
-    """An orientation H of a symmetric multiset G: H + flip(H) = G."""
+    """An orientation H of a symmetric multiset G: H + flip(H) = G.
+
+    What is read off the out-degree is computed once, on first use, from
+    the division's own oriented multiset.
+    """
 
     oriented: GraphMultiset
     base: GraphMultiset
@@ -47,39 +52,40 @@ class Division:
         if self.oriented.add(self.oriented.flip()) != self.base:
             raise ValueError("oriented part plus its flip is not the base")
 
+    @cached_property
+    def degrees(self) -> Step:
+        """The out-degree of H as a step function."""
+        return self.oriented.row_step()
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    cells: Step
-    n: int
+    @cached_property
+    def error(self) -> Fraction:
+        """Exact integral of |n - out-degree| over the interval."""
+        return step_integral(self.degrees, lambda v: abs(self.n - v))
 
+    @cached_property
     def p_plus(self) -> IntervalSet:
-        return step_where(self.cells, lambda v: v > self.n)
+        return step_where(self.degrees, lambda v: v > self.n)
 
+    @cached_property
     def p_minus(self) -> IntervalSet:
-        return step_where(self.cells, lambda v: v < self.n)
+        return step_where(self.degrees, lambda v: v < self.n)
+
+    @cached_property
+    def maps(self) -> tuple[PartialMap, ...]:
+        """H's families as partial maps, in canonical order."""
+        return tuple(self.oriented.family_map(key)
+                     for key, _ in self.oriented.families())
 
 
-@dataclass(frozen=True)
-class BetterPath:
-    """Pieces phi_i: V_{i-1} -> V_i inside H, from P+ to P-."""
-
-    pieces: tuple[PartialMap, ...]
-    sets: tuple[IntervalSet, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.pieces)
-
-
-def degree_profile(d: Division) -> DegreeProfile:
-    return DegreeProfile(d.oriented.row_step(), d.n)
-
-
-def error(d: Division) -> Fraction:
-    """Exact integral of |n - out-degree| over the interval."""
-    n = d.n
-    return step_integral(d.oriented.row_step(), lambda v: abs(n - v))
+def _regular_degree(g: GraphMultiset) -> int:
+    """The constant row mass of g, which must be even."""
+    masses = {v for _, _, v in g.row_step()}
+    if len(masses) != 1:
+        raise NotDoublyStochastic("row mass is not constant")
+    degree = masses.pop()
+    if degree % 2:
+        raise PreconditionViolated(f"regularity must be even, got {degree}")
+    return degree
 
 
 def initial_division(g: GraphMultiset) -> Division:
@@ -109,15 +115,7 @@ def initial_division(g: GraphMultiset) -> Division:
                 cut = min(hi, max(lo, pivot))
                 if lo < cut:
                     entries.append((Atom(lo, cut, -1, offset), m))
-    row = g.row_step()
-    masses = {v for _, _, v in row}
-    if len(masses) != 1:
-        raise NotDoublyStochastic("row mass is not constant")
-    full = masses.pop()
-    if full % 2:
-        raise PreconditionViolated(
-            f"row mass {full} is odd; need multiplicity 2n")
-    return Division(GraphMultiset(entries), g, full // 2)
+    return Division(GraphMultiset(entries), g, _regular_degree(g) // 2)
 
 
 def _smain_piece(hmaps: Sequence[PartialMap], n: int, a: IntervalSet,
@@ -136,7 +134,7 @@ def _smain_piece(hmaps: Sequence[PartialMap], n: int, a: IntervalSet,
 
 
 def find_better_path(d: Division, max_length: int,
-                     consumed: IntervalSet = EMPTY) -> BetterPath | None:
+                     consumed: IntervalSet = EMPTY) -> Chain | None:
     """A better path of length <= max_length avoiding consumed sets.
 
     Runs the chain-search engine of ``pieces`` with the identity link: the
@@ -146,49 +144,41 @@ def find_better_path(d: Division, max_length: int,
     for max_length steps certifies that the consumed family already
     carries the measure the improvement bound needs.
     """
-    prof = degree_profile(d)
-    p_plus = prof.p_plus()
-    if p_plus.is_empty():
+    if d.p_plus.is_empty():
         return None
-    hmaps = [d.oriented.family_map(key) for key, _ in d.oriented.families()]
     n = d.n
-    start = _smain_piece(hmaps, n, p_plus.subtract(consumed), EMPTY, consumed)
+    start = _smain_piece(d.maps, n, d.p_plus.subtract(consumed), EMPTY,
+                         consumed)
 
     def step(opened: IntervalSet) -> PartialMap:
-        return _smain_piece(hmaps, n, start.domain, opened, consumed)
+        return _smain_piece(d.maps, n, start.domain, opened, consumed)
 
-    found = _chain_search(start, step, None, prof.p_minus(), max_length)
-    if found is None:
-        return None
-    chain, sets = found
-    return BetterPath(chain, sets + (chain[-1].image,))
+    return _chain_search(start, step, None, d.p_minus, max_length)
 
 
-def apply_better_path(d: Division, p: BetterPath) -> Division:
+def apply_better_path(d: Division, p: Chain) -> Division:
     """Reverse the path's edges; the error drops by exactly 2*mu(V_0)."""
-    if not p.pieces or p.sets[0].is_empty():
+    if not p.pieces or p.sources[0].is_empty():
         raise InvalidPath("path has an empty source set")
-    prof = degree_profile(d)
-    if not prof.p_plus().contains(p.sets[0]):
+    sets = p.sources + p.targets[-1:]
+    if not d.p_plus.contains(sets[0]):
         raise InvalidPath("path does not start inside P+")
-    if not prof.p_minus().contains(p.sets[-1]):
+    if not d.p_minus.contains(sets[-1]):
         raise InvalidPath("path does not end inside P-")
     union = EMPTY
-    for s in p.sets:
+    for s in sets:
         if not union.intersect(s).is_empty():
             raise InvalidPath("path sets overlap")
         union = union.union(s)
-    for pm, src, dst in zip(p.pieces, p.sets, p.sets[1:]):
-        if pm.domain != src or pm.image != dst:
-            raise InvalidPath("piece endpoints disagree with the path sets")
+    if p.targets[:-1] != p.sources[1:]:
+        raise InvalidPath("piece endpoints disagree with the path sets")
     reversal = GraphMultiset.from_maps(p.pieces)
     try:
         oriented = d.oriented.subtract(reversal).add(reversal.flip())
     except ValueError as exc:
         raise InvalidPath(f"path is not inside the oriented part: {exc}")
     out = Division(oriented, d.base, d.n)
-    drop = p.sets[0].measure()
-    check(error(out) == error(d) - 2 * drop, "error identity violated")
+    check(out.error == d.error - 2 * p.gain(), "error identity violated")
     return out
 
 
@@ -197,25 +187,25 @@ def improve_division(d: Division) -> Division:
 
     The error decreases by at least (E / (7 n^3 + E))^2, checked exactly.
     """
-    err = error(d)
+    err = d.error
     if err == 0:
         raise AlreadyPerfect("division already balanced")
-    mu_plus = degree_profile(d).p_plus().measure()
-    max_length = int(Fraction(7 * d.n ** 2) / mu_plus)
+    max_length = int(Fraction(7 * d.n ** 2) / d.p_plus.measure())
     consumed = EMPTY
-    paths: list[BetterPath] = []
+    paths: list[Chain] = []
     while True:
         p = find_better_path(d, max_length, consumed)
         if p is None:
             break
         paths.append(p)
-        consumed = consumed.union(IntervalSet.union_all(p.sets))
+        consumed = consumed.union(
+            IntervalSet.union_all(p.sources + p.targets[-1:]))
         check(len(paths) <= _PATH_CAP, "better-path family did not exhaust")
     out = d
     for p in paths:
         out = apply_better_path(out, p)
     bound = (err / (7 * d.n ** 3 + err)) ** 2
-    after = error(out)
+    after = out.error
     check(after <= err - bound,
           f"improvement bound violated: {after} > {err} - {bound}")
     return out
@@ -225,7 +215,7 @@ def near_perfect_division(g: GraphMultiset, eps) -> Division:
     """A division with error below eps, by iterated improvement."""
     eps = positive_rat(eps)
     d = initial_division(g)
-    while error(d) >= eps:
+    while d.error >= eps:
         d = improve_division(d)
     return d
 
@@ -234,20 +224,14 @@ def _eliminate_short_paths(d: Division) -> Division:
     """Reverse every single edge family leading from P+ straight into P-."""
     while True:
         changed = False
-        prof = degree_profile(d)
-        p_plus = prof.p_plus()
-        p_minus = prof.p_minus()
         for key, _ in list(d.oriented.families()):
             fm = d.oriented.family_map(key)
-            src = fm.domain.intersect(p_plus).intersect(fm.preimage_of(p_minus))
+            src = fm.domain.intersect(d.p_plus).intersect(
+                fm.preimage_of(d.p_minus))
             if src.is_empty():
                 continue
-            pm = fm.restrict(src)
-            d = apply_better_path(d, BetterPath((pm,), (pm.domain, pm.image)))
+            d = apply_better_path(d, Chain((fm.restrict(src),)))
             changed = True
-            prof = degree_profile(d)
-            p_plus = prof.p_plus()
-            p_minus = prof.p_minus()
         if not changed:
             return d
 
@@ -297,9 +281,8 @@ def symmetric_split(psi: DSE, eps) -> DSE:
     div = near_perfect_division(psi.matrix, eps / 4)
     div = _eliminate_short_paths(div)
 
-    prof = degree_profile(div)
-    excess_out = tuple((lo, hi, v - n) for lo, hi, v in prof.cells if v > n)
-    excess_in = tuple((lo, hi, n - v) for lo, hi, v in prof.cells if v < n)
+    excess_out = tuple((lo, hi, v - n) for lo, hi, v in div.degrees if v > n)
+    excess_in = tuple((lo, hi, n - v) for lo, hi, v in div.degrees if v < n)
     h2 = div.oriented
     if excess_out or excess_in:
         r_out = _take_by_rows(div.oriented, excess_out)
@@ -320,13 +303,7 @@ def regular_graph_partial_automorphism(g: GraphMultiset, eps) -> PartialMap:
     """A partial automorphism inside a symmetric 2n-regular multiset with
     domain measure above 1 - eps."""
     eps = positive_rat(eps)
-    row = g.row_step()
-    masses = {v for _, _, v in row}
-    if len(masses) != 1:
-        raise NotDoublyStochastic("multiset is not regular")
-    degree = masses.pop()
-    if degree % 2:
-        raise PreconditionViolated(f"regularity must be even, got {degree}")
+    degree = _regular_degree(g)
     psi = normalize_cover(g, degree)
     phi = symmetric_split(psi, eps)
     piece = near_full_piece(phi, eps / 2)

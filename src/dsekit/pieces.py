@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .dse import DSE
@@ -31,9 +32,6 @@ from .intervals import EMPTY, FULL, IntervalSet, positive_rat
 from .maps import EMPTY_MAP, PartialMap, glue
 
 _FAMILY_CAP = 100_000
-
-# the pieces of a backtracked chain and their source sets
-Chain = tuple[tuple[PartialMap, ...], tuple[IntervalSet, ...]]
 
 
 class Piece:
@@ -63,16 +61,27 @@ class Piece:
 
 
 @dataclass(frozen=True)
-class Extension:
-    """An augmenting chain phi_i: S_{i-1} -> T_i, i = 1..depth+1."""
+class Chain:
+    """A backtracked chain of pieces phi_i: S_{i-1} -> T_i, i = 1..length.
+
+    An extension has depth length - 1 and its T_i, i <= depth, lie in the
+    piece's image; a better path visits V_0 = S_0 and V_i = T_i.  The
+    sources and targets are the pieces' domains and images.
+    """
 
     pieces: tuple[PartialMap, ...]
-    sources: tuple[IntervalSet, ...]   # S_0 .. S_k
-    targets: tuple[IntervalSet, ...]   # T_1 .. T_{k+1}
+
+    @cached_property
+    def sources(self) -> tuple[IntervalSet, ...]:
+        return tuple(pm.domain for pm in self.pieces)
+
+    @cached_property
+    def targets(self) -> tuple[IntervalSet, ...]:
+        return tuple(pm.image for pm in self.pieces)
 
     @property
-    def depth(self) -> int:
-        return len(self.pieces) - 1
+    def length(self) -> int:
+        return len(self.pieces)
 
     def gain(self) -> Fraction:
         return self.sources[0].measure()
@@ -135,7 +144,7 @@ def lemma_piece(d: DSE, a: IntervalSet, b: IntervalSet,
 
 def find_extension(d: DSE, piece: Piece, max_depth: int,
                    occupied: tuple[IntervalSet, IntervalSet] = (EMPTY, EMPTY),
-                   ) -> Extension | None:
+                   ) -> Chain | None:
     """Search for an extension of depth <= max_depth avoiding occupied sets.
 
     The chain starts with a maximal piece from the complement of the
@@ -160,12 +169,8 @@ def find_extension(d: DSE, piece: Piece, max_depth: int,
         forbidden = forbidden.union(pm.image)
         return pm
 
-    found = _chain_search(first.map, step, theta, theta.image.complement(),
-                          max_depth + 1)
-    if found is None:
-        return None
-    chain, sources = found
-    return Extension(chain, sources, tuple(pm.image for pm in chain))
+    return _chain_search(first.map, step, theta, theta.image.complement(),
+                         max_depth + 1)
 
 
 def _chain_search(first: PartialMap, step, link: PartialMap | None,
@@ -202,8 +207,7 @@ def _backtrack(chain: list[PartialMap], opened_at: list[IntervalSet],
     always to the smallest index whose opened set the current preimage
     meets, until index 0; then rebuild the chain forward from there.
 
-    Returns the restricted pieces and their sources; the last piece's
-    image, which lies in the exit, is not linked.
+    The last piece's image, which lies in the exit, is not linked.
     """
     indices = []
     cur, i = hit, len(chain)
@@ -219,23 +223,20 @@ def _backtrack(chain: list[PartialMap], opened_at: list[IntervalSet],
             break
         cur, i = (hop if link is None else link.image_of(hop)), t
     pieces: list[PartialMap] = []
-    sources = [hop]
+    source = hop
     for i in reversed(indices):
-        pieces.append(chain[i - 1].restrict(sources[-1]))
-        if len(pieces) < len(indices):
+        if pieces:
             image = pieces[-1].image
-            sources.append(image if link is None else link.preimage_of(image))
-    return tuple(pieces), tuple(sources)
+            source = image if link is None else link.preimage_of(image)
+        pieces.append(chain[i - 1].restrict(source))
+    return Chain(tuple(pieces))
 
 
-def validate_extension(piece: Piece, ext: Extension) -> None:
+def validate_extension(piece: Piece, ext: Chain) -> None:
     """Check every extension invariant against the piece; exact."""
     theta = piece.map
     a_set, b_set = theta.domain, theta.image
-    k = ext.depth
-    if len(ext.sources) != k + 1 or len(ext.targets) != k + 1:
-        raise InvalidExtension("sources/targets do not match the depth")
-    if ext.sources[0].measure() == 0:
+    if not ext.pieces or ext.gain() == 0:
         raise InvalidExtension("gain set S_0 has measure zero")
     if not a_set.complement().contains(ext.sources[0]):
         raise InvalidExtension("S_0 leaves the domain complement")
@@ -246,7 +247,7 @@ def validate_extension(piece: Piece, ext: Extension) -> None:
         if not union.intersect(s).is_empty():
             raise InvalidExtension("sources of the chain overlap")
         union = union.union(s)
-    for i in range(1, k + 1):
+    for i in range(1, ext.length):
         if not a_set.contains(ext.sources[i]):
             raise InvalidExtension(f"S_{i} leaves the domain")
         if not b_set.contains(ext.targets[i - 1]):
@@ -254,14 +255,12 @@ def validate_extension(piece: Piece, ext: Extension) -> None:
         if theta.preimage_of(ext.targets[i - 1]) != ext.sources[i]:
             raise InvalidExtension(f"theta^-1(T_{i}) != S_{i}")
     host = piece.host.matrix
-    for pm, src, tgt in zip(ext.pieces, ext.sources, ext.targets):
-        if pm.domain != src or pm.image != tgt:
-            raise InvalidExtension("piece endpoints disagree with S_i/T_i")
+    for pm in ext.pieces:
         if not host.contains_graph(pm):
             raise InvalidExtension("extension piece leaves the support")
 
 
-def apply_extension(piece: Piece, ext: Extension) -> Piece:
+def apply_extension(piece: Piece, ext: Chain) -> Piece:
     """Reroute the piece along the extension; the domain gains S_0."""
     validate_extension(piece, ext)
     theta = piece.map
@@ -282,7 +281,7 @@ def enlarge_piece(d: DSE, piece: Piece) -> Piece:
     n = d.multiplicity
     depth_cap = int(Fraction(7 * n) / gap)
     occ_src, occ_tgt = EMPTY, EMPTY
-    family: list[Extension] = []
+    family: list[Chain] = []
     while True:
         ext = find_extension(d, piece, depth_cap, (occ_src, occ_tgt))
         if ext is None:

@@ -1,7 +1,8 @@
 """JSON and CSV forms of the package's values.
 
-Rationals cross the boundary as "p/q" strings in lowest terms; intervals
-as ["a","b"] endpoint pairs; atoms as {"src","slope","offset"} objects.
+Rationals cross the boundary as "p/q" strings in lowest terms, and the
+readers take no other string form; intervals as ["a","b"] endpoint pairs;
+atoms as {"src","slope","offset"} objects.
 Matrices are JSON lists of integer rows, or CSV with one comma-separated
 row per line and no header.  The readers take exactly these shapes: an
 integer must be a JSON integer (not a float or a bool), and a value of
@@ -14,22 +15,17 @@ import re
 from fractions import Fraction
 
 from .dse import CoverageReport, DSE
-from .intervals import IntervalSet, rat, rat_str
+from .intervals import IntervalSet, positive_rat, rat, rat_str
 from .maps import Atom, PartialMap
 from .multiset import GraphMultiset
 
-_EPS_RE = re.compile(r"^(\d+)/(\d+)$")
+# the rational pattern of dse.schema.json; [0-9], as \d takes other digits
+_RATIONAL = re.compile(r"^-?[0-9]+/[0-9]+$")
 
 
 def parse_eps(text: str) -> Fraction:
-    """Strict parser for tolerance flags: positive 'p/q' strings only."""
-    m = _EPS_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"expected a 'p/q' rational, got {text!r}")
-    value = Fraction(int(m.group(1)), int(m.group(2)))
-    if value <= 0:
-        raise ValueError("tolerance must be positive")
-    return value
+    """Tolerance flags: a positive "p/q" rational, spaces around it allowed."""
+    return positive_rat(_rat(text.strip()))
 
 
 def _expect(value, kind: type):
@@ -42,7 +38,11 @@ def _expect(value, kind: type):
 
 def _rat(value) -> Fraction:
     """A JSON rational: a "p/q" string or an integer."""
-    return rat(value if isinstance(value, str) else _expect(value, int))
+    if not isinstance(value, str):
+        return rat(_expect(value, int))
+    if not _RATIONAL.fullmatch(value):
+        raise ValueError(f"expected a 'p/q' rational, got {value!r}")
+    return rat(value)
 
 
 def interval_set_to_json(s: IntervalSet) -> list:
@@ -101,7 +101,7 @@ def piece_to_json(p) -> dict:
 
 def extension_to_json(e) -> dict:
     """Extension JSON: chain pieces plus the S_i/T_i interval sets."""
-    return {"depth": e.depth,
+    return {"depth": e.length - 1,
             "pieces": [map_to_json(pm) for pm in e.pieces],
             "sources": [interval_set_to_json(s) for s in e.sources],
             "targets": [interval_set_to_json(t) for t in e.targets]}

@@ -16,6 +16,11 @@ def half_shift() -> PartialMap:
                        Atom(Fraction(1, 2), 1, 1, Fraction(-1, 2))])
 
 
+def shift(lo, hi, offset) -> PartialMap:
+    """x -> x + offset on [lo, hi)."""
+    return PartialMap([Atom(lo, hi, 1, offset)])
+
+
 def random_interval_set(rng: random.Random, level: int = 6) -> IntervalSet:
     cells = 2 ** level
     unit = Fraction(1, cells)

@@ -174,12 +174,12 @@ def reference_find_extension(d, piece, max_depth, occupied=None):
 
 def reference_backtrack(theta, chain, preimages, hit):
     """Descend through the smallest usable chain index, then rebuild."""
-    from dsekit.pieces import Extension
+    from dsekit.pieces import Chain
 
     j = len(chain)
     if j == 1:
         pm = chain[0].restrict(chain[0].preimage_of(hit))
-        return Extension((pm,), (pm.domain,), (pm.image,))
+        return Chain((pm,))
 
     stages = []
     cur_t, cur_i = hit, j
@@ -201,16 +201,12 @@ def reference_backtrack(theta, chain, preimages, hit):
     stages.reverse()
     cur_set = chain[0].preimage_of(stages[0][1])
     pieces = []
-    sources = [cur_set]
-    targets = []
     for pos, (idx, _) in enumerate(stages):
         pm = chain[idx - 1].restrict(cur_set)
         pieces.append(pm)
-        targets.append(pm.image)
         if pos < len(stages) - 1:
             cur_set = theta.preimage_of(pm.image)
-            sources.append(cur_set)
-    return Extension(tuple(pieces), tuple(sources), tuple(targets))
+    return Chain(tuple(pieces))
 
 
 def reference_find_better_path(d, max_length, consumed=None):
@@ -219,13 +215,12 @@ def reference_find_better_path(d, max_length, consumed=None):
     Grows its own chain of oriented pieces with the chain images kept as a
     running union, then backtracks with ``reference_backtrack_path``.
     """
-    from dsekit.division import _smain_piece, degree_profile
+    from dsekit.division import _smain_piece
     from dsekit.intervals import EMPTY
 
     consumed = consumed if consumed is not None else EMPTY
-    prof = degree_profile(d)
-    p_plus = prof.p_plus()
-    p_minus = prof.p_minus()
+    p_plus = d.p_plus
+    p_minus = d.p_minus
     if p_plus.is_empty():
         return None
     hmaps = [d.oriented.family_map(key) for key, _ in d.oriented.families()]
@@ -255,12 +250,12 @@ def reference_find_better_path(d, max_length, consumed=None):
 
 def reference_backtrack_path(chain, wsets, hit):
     """Descend through the smallest usable chain index down to W_0."""
-    from dsekit.division import BetterPath
+    from dsekit.pieces import Chain
 
     j = len(chain)
     if j == 1:
         pm = chain[0].restrict(chain[0].preimage_of(hit))
-        return BetterPath((pm,), (pm.domain, pm.image))
+        return Chain((pm,))
     indices = []
     cur_t, cur_i = hit, j
     while cur_i > 0:
@@ -278,13 +273,11 @@ def reference_backtrack_path(chain, wsets, hit):
     indices.reverse()
     cur_set = cur_t
     pieces = []
-    sets = [cur_set]
     for idx in indices:
         pm = chain[idx - 1].restrict(cur_set)
         pieces.append(pm)
         cur_set = pm.image
-        sets.append(cur_set)
-    return BetterPath(tuple(pieces), tuple(sets))
+    return Chain(tuple(pieces))
 
 
 def reference_take_by_rows(h, need):

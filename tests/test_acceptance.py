@@ -11,7 +11,7 @@ import time
 from fractions import Fraction as F
 
 from dsekit import (DSE, FULL, EMPTY, almost_decompose, apply_better_path,
-                    compose, decompose_bvn, discretize, distance, error,
+                    compose, decompose_bvn, discretize, distance,
                     find_better_path, identity_map, improve_division,
                     initial_division, lift, near_full_piece,
                     near_perfect_division, neighbor_set,
@@ -108,13 +108,13 @@ def test_06_division_identity():
     applications = 0
     for psi in corpus:
         div = initial_division(psi.matrix)
-        while error(div) > 0:
+        while div.error > 0:
             path = find_better_path(div, 7 * div.n ** 2 * 64)
             if path is None:
                 break
-            before = error(div)
+            before = div.error
             div = apply_better_path(div, path)
-            assert error(div) == before - 2 * path.sets[0].measure()
+            assert div.error == before - 2 * path.sources[0].measure()
             applications += 1
     assert applications > 0
     report(6, f"E(H1) = E(H) - 2 mu(V0) exactly across "
@@ -125,18 +125,18 @@ def test_07_division_improvement():
     g = symmetrize(counterexample(4)).matrix
     div = initial_division(g)
     rounds = 0
-    while error(div) >= F(1, 16):
-        before = error(div)
+    while div.error >= F(1, 16):
+        before = div.error
         div = improve_division(div)
-        drop = before - error(div)
+        drop = before - div.error
         assert drop >= (before / (7 * div.n ** 3 + before)) ** 2
         rounds += 1
-    assert error(div) < F(1, 16)
+    assert div.error < F(1, 16)
     # the library loop reaches the same threshold
     direct = near_perfect_division(g, F(1, 16))
-    assert error(direct) < F(1, 16)
+    assert direct.error < F(1, 16)
     report(7, f"improvement bound held for {rounds} rounds; "
-              f"final error {error(div)} < 1/16")
+              f"final error {div.error} < 1/16")
 
 
 def test_08_symmetric_split():

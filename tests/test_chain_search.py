@@ -3,7 +3,8 @@
 ``tests/oracles.py`` keeps the extension search and the better-path search
 as they stood when each grew and backtracked its own chain.  Every call the
 growth and descent loops make is answered by both, and the answers must be
-equal atom for atom: the same pieces, sources and targets, or both None.
+equal atom for atom: the same pieces, whose domains and images are the
+sources and targets, or both None.
 """
 
 import random

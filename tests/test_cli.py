@@ -137,11 +137,19 @@ def replaced(node, path, value):
     return node
 
 
-IDENTITY = ser.dse_to_json(DSE([identity_map()], 1))
+def split_identity(cut: str) -> dict:
+    """The identity element as two atoms that meet at the string cut."""
+    return {"multiplicity": 1, "maps": [[
+        {"src": ["0/1", cut], "slope": 1, "offset": "0/1"},
+        {"src": [cut, "1/1"], "slope": 1, "offset": "0/1"}]]}
+
+
+IDENTITY = split_identity("1/2")
 
 # Each edit (key path, new value) of the identity element is malformed and
 # must be a JSON parse error (exit 1), neither a traceback nor silently
-# truncated.
+# truncated.  The rational strings are read by Fraction() as the value
+# they replace, but they do not match the "p/q" pattern of the schema.
 MALFORMED = {
     "float-endpoints": (("maps", 0, 0, "src"), [0.0, 1.0]),
     "one-endpoint": (("maps", 0, 0, "src"), ["0"]),
@@ -152,6 +160,14 @@ MALFORMED = {
     "bool-multiplicity": (("multiplicity",), True),
     "float-slope": (("maps", 0, 0, "slope"), 1.7),
     "bool-slope": (("maps", 0, 0, "slope"), True),
+    "spaced-endpoint": (("maps", 0, 1, "src", 1), " 1/1 "),
+    "decimal-endpoint": (("maps", 0, 0, "src", 0), "0.0"),
+    "plus-sign-endpoint": (("maps", 0, 0, "src", 1), "+1/2"),
+    "trailing-space-endpoint": (("maps", 0, 1, "src", 0), "1/2 "),
+    "plus-sign-offset": (("maps", 0, 0, "offset"), "+0/1"),
+    "trailing-space-offset": (("maps", 0, 1, "offset"), "0/1 "),
+    "trailing-newline-endpoint": (("maps", 0, 1, "src", 1), "1/1\n"),
+    "arabic-indic-digits": (("maps", 0, 1, "src", 1), "\u0661/\u0661"),
 }
 
 
@@ -163,6 +179,25 @@ def test_malformed_element_is_parse_error(path, value, tmp_path, capsys):
     code, report = run(capsys, "validate", "--in", str(f))
     assert code == 1
     assert report["error_type"] == "ValueError"
+
+
+def test_exponent_rational_is_rejected_before_it_is_built(tmp_path, capsys):
+    # Fraction("1e-3000000") builds a three-million-digit denominator
+    f = tmp_path / "exp.json"
+    f.write_text(json.dumps(split_identity("1e-3000000")))
+    started = time.monotonic()
+    code, report = run(capsys, "validate", "--in", str(f))
+    assert time.monotonic() - started < 1
+    assert code == 1
+    assert report["error"] == "expected a 'p/q' rational, got '1e-3000000'"
+
+
+def test_zero_eps_flag_reads_as_the_library_tolerance_rule(tmp_path, capsys):
+    f = write_dse(tmp_path / "ce.json", counterexample(1))
+    code, report = run(capsys, "decompose", "--in", f, "--eps", "0/1",
+                       "--out", str(tmp_path / "o.json"))
+    assert code == 1
+    assert report["error"] == "eps must be positive"
 
 
 @pytest.mark.parametrize("matrix, n", [
@@ -319,6 +354,15 @@ def test_help_still_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "usage: dsekit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("level, code", [(256, 0), (257, 1)])
+def test_demo_level_is_capped(level, code, capsys):
+    got, report = run(capsys, "demo", "--name", "amplification",
+                      "--level", str(level))
+    assert got == code
+    if code:
+        assert report["error"] == "demo level must be at most 256"
 
 
 def test_demo_deterministic(capsys):

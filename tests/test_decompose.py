@@ -128,8 +128,8 @@ def test_piece_and_extension_serialize():
     blob = json.dumps({"piece": piece_to_json(piece),
                        "extension": extension_to_json(ext)})
     decoded = json.loads(blob)
-    assert decoded["extension"]["depth"] == ext.depth
-    assert len(decoded["extension"]["sources"]) == ext.depth + 1
+    assert decoded["extension"]["depth"] == ext.length - 1
+    assert len(decoded["extension"]["sources"]) == ext.length
 
 
 def test_almost_decompose_validates_input_first():

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit import (DSE, Atom, BetterPath, GraphMultiset, IntervalSet,
-                    PartialMap, apply_better_path, degree_profile, distance,
-                    equivalent, error, find_better_path, identity_map,
-                    improve_division, initial_division, near_perfect_division,
+from dsekit import (DSE, EMPTY_MAP, Atom, Chain, GraphMultiset, IntervalSet,
+                    PartialMap, apply_better_path, distance, equivalent,
+                    find_better_path, identity_map, improve_division,
+                    initial_division, near_perfect_division,
                     regular_graph_partial_automorphism, symmetric_split,
                     symmetrize, validate)
 from dsekit.division import _take_by_rows
@@ -17,7 +17,7 @@ from dsekit.errors import (AlreadyPerfect, BoundViolated, InvalidPath,
                            UnsplittableDiagonal)
 from dsekit.gallery import counterexample
 
-from conftest import half_shift, random_cell_dse
+from conftest import half_shift, random_cell_dse, shift
 from oracles import reference_take_by_rows
 
 iv = IntervalSet.interval
@@ -31,16 +31,15 @@ def test_initial_division_of_symmetrized_shift():
     div = initial_division(sym_shift().matrix)
     assert list(div.oriented.families()) == [
         ((1, F(1, 2)), ((F(0), F(1, 2), 2),))]
-    assert error(div) == 1
-    prof = degree_profile(div)
-    assert prof.p_plus() == iv(0, F(1, 2))
-    assert prof.p_minus() == iv(F(1, 2), 1)
+    assert div.error == 1
+    assert div.p_plus == iv(0, F(1, 2))
+    assert div.p_minus == iv(F(1, 2), 1)
 
 
 def test_initial_division_even_diagonal():
     g = GraphMultiset([(Atom(0, 1, 1, 0), 2)])
     div = initial_division(g)
-    assert error(div) == 0
+    assert div.error == 0
 
 
 def test_initial_division_odd_diagonal():
@@ -60,13 +59,13 @@ def test_initial_division_splits_reflections():
     div = initial_division(g)
     assert list(div.oriented.families()) == [
         ((-1, F(1)), ((F(0), F(1, 2), 2),))]
-    assert error(div) == 1
+    assert div.error == 1
 
 
 def test_error_bracketing():
     div = initial_division(sym_shift().matrix)
-    mu_plus = degree_profile(div).p_plus().measure()
-    assert mu_plus <= error(div) <= 2 * div.n * mu_plus
+    mu_plus = div.p_plus.measure()
+    assert mu_plus <= div.error <= 2 * div.n * mu_plus
 
 
 def test_find_better_path_perfect_division():
@@ -78,15 +77,15 @@ def test_find_better_path_on_symmetrized_shift():
     div = initial_division(sym_shift().matrix)
     path = find_better_path(div, 1)
     assert path is not None and path.length == 1
-    assert path.sets[0] == iv(0, F(1, 2))
-    assert path.sets[1] == iv(F(1, 2), 1)
+    assert path.sources[0] == iv(0, F(1, 2))
+    assert path.targets[0] == iv(F(1, 2), 1)
 
 
 def test_apply_better_path_error_identity():
     div = initial_division(sym_shift().matrix)
     path = find_better_path(div, 1)
     out = apply_better_path(div, path)
-    assert error(out) == error(div) - 2 * path.sets[0].measure() == 0
+    assert out.error == div.error - 2 * path.sources[0].measure() == 0
 
 
 def test_apply_better_path_rejects_empty_and_reuse():
@@ -95,15 +94,14 @@ def test_apply_better_path_rejects_empty_and_reuse():
     out = apply_better_path(div, path)
     with pytest.raises(InvalidPath):
         apply_better_path(out, path)  # edges were flipped away
-    from dsekit import EMPTY, EMPTY_MAP
     with pytest.raises(InvalidPath):
-        apply_better_path(div, BetterPath((EMPTY_MAP,), (EMPTY, EMPTY)))
+        apply_better_path(div, Chain((EMPTY_MAP,)))
 
 
 def test_improve_division_bound():
     div = initial_division(sym_shift().matrix)
     improved = improve_division(div)
-    assert error(improved) == 0 <= 1 - F(1, 8) ** 2
+    assert improved.error == 0 <= 1 - F(1, 8) ** 2
 
 
 def test_improve_division_already_perfect():
@@ -116,17 +114,17 @@ def test_improve_division_random_symmetric(rng):
     base = random_cell_dse(rng, 4, 2)
     g = symmetrize(base).matrix
     div = initial_division(g)
-    if error(div) == 0:
+    if div.error == 0:
         return
-    err = error(div)
+    err = div.error
     improved = improve_division(div)
-    assert err - error(improved) >= (err / (7 * div.n ** 3 + err)) ** 2
+    assert err - improved.error >= (err / (7 * div.n ** 3 + err)) ** 2
 
 
 def test_near_perfect_division_counterexample():
     g = symmetrize(counterexample(4)).matrix
     div = near_perfect_division(g, F(1, 16))
-    assert error(div) < F(1, 16)
+    assert div.error < F(1, 16)
     assert div.oriented.add(div.oriented.flip()) == g
 
 
@@ -232,3 +230,37 @@ def test_take_by_rows_matches_reference(level, n, need_level, seed):
                  for i in range(cells))
     want = _selection(reference_take_by_rows, h, need)
     assert _selection(_take_by_rows, h, need) == want
+
+
+# The initial division of sym(ce(2)) has P+ = [0,1/2), P- = [1/2,1) and
+# orients the translations by +1/8 on [0,1/4), +1/4 on [1/8,1/2) and +1/2
+# on [0,1/2); each case breaks one invariant and passes every check
+# before it.
+BROKEN_PATHS = {
+    "no-pieces": ((), "path has an empty source set"),
+    "empty-source": ((EMPTY_MAP,), "path has an empty source set"),
+    "starts-outside-p-plus": ((shift(F(1, 2), F(3, 4), 0),),
+                              "path does not start inside P+"),
+    "ends-outside-p-minus": ((shift(0, F(1, 8), F(1, 8)),),
+                             "path does not end inside P-"),
+    "overlapping-sets": (
+        (shift(0, F(1, 8), F(1, 8)), shift(F(1, 8), F(1, 4), -F(1, 8)),
+         shift(0, F(1, 8), F(1, 2))),
+        "path sets overlap"),
+    "unchained-pieces": (
+        (shift(0, F(1, 8), F(1, 8)), shift(F(1, 4), F(3, 8), F(1, 4))),
+        "piece endpoints disagree with the path sets"),
+    "outside-the-orientation": (
+        (shift(0, F(1, 8), F(5, 8)),),
+        "path is not inside the oriented part: "
+        "multiplicity goes negative at 0"),
+}
+
+
+@pytest.mark.parametrize("pieces, message", BROKEN_PATHS.values(),
+                         ids=BROKEN_PATHS.keys())
+def test_apply_better_path_names_the_broken_invariant(pieces, message):
+    div = initial_division(symmetrize(counterexample(2)).matrix)
+    with pytest.raises(InvalidPath) as exc:
+        apply_better_path(div, Chain(pieces))
+    assert str(exc.value) == message

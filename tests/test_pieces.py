@@ -10,9 +10,9 @@ from dsekit import (DSE, EMPTY, FULL, Atom, EMPTY_MAP, IntervalSet,
 from dsekit.errors import AlreadyFull, InvalidExtension, PreconditionViolated
 from dsekit import pieces
 from dsekit.gallery import counterexample
-from dsekit.pieces import validate_extension
+from dsekit.pieces import Chain, validate_extension
 
-from conftest import half_shift
+from conftest import half_shift, shift
 
 iv = IntervalSet.interval
 
@@ -82,7 +82,7 @@ def test_find_extension_depth_zero():
     d = DSE([t, t.invert()], 2)
     theta = Piece(t.restrict(iv(0, F(1, 2))), d)
     ext = find_extension(d, theta, 0)
-    assert ext is not None and ext.depth == 0
+    assert ext is not None and ext.length == 1
     assert iv(F(1, 2), 1).contains(ext.sources[0])
     assert iv(0, F(1, 2)).contains(ext.targets[-1])
 
@@ -91,7 +91,7 @@ def test_find_extension_counterexample_needs_depth(ce2):
     theta = maximal_piece(ce2, FULL, EMPTY)
     ext = find_extension(ce2, theta, 2)
     assert ext is not None
-    assert ext.depth >= 1  # the greedy piece is maximal, no 0-depth move
+    assert ext.length >= 2  # the greedy piece is maximal, no 0-depth move
     validate_extension(theta, ext)
 
 
@@ -123,8 +123,8 @@ def test_find_extension_caches_piece_preimages(monkeypatch):
     monkeypatch.setattr(PartialMap, "preimage_of", counted_preimage)
     gap = 1 - piece.measure()
     ext = find_extension(d, piece, int(F(7 * d.multiplicity) / gap))
-    assert ext is not None and ext.depth >= 20
-    assert steps >= ext.depth + 1
+    assert ext is not None and ext.length >= 21
+    assert steps >= ext.length
     assert preimages <= 2 * steps + 2
     validate_extension(piece, ext)
 
@@ -200,3 +200,41 @@ def test_near_full_counterexample_four():
 def test_near_full_requires_positive_eps(ce2):
     with pytest.raises(ValueError):
         near_full_piece(ce2, F(0, 1))
+
+
+# On ce(2) the greedy piece theta maps [0,1/2) by +1/2 and [1/2,3/4) by
+# -1/4, so dom theta = [0,3/4) and im theta = [1/4,1).  The genuine
+# extension is [3/4,7/8) -> [3/4,7/8) -> theta^-1 -> [1/4,3/8) -> [1/8,1/4);
+# each case breaks one invariant and passes every check before it.
+BROKEN_EXTENSIONS = {
+    "no-pieces": ((), "gain set S_0 has measure zero"),
+    "empty-gain": ((EMPTY_MAP,), "gain set S_0 has measure zero"),
+    "gain-inside-domain": ((shift(0, F(1, 8), 0),),
+                           "S_0 leaves the domain complement"),
+    "final-target-inside-image": (
+        (shift(F(3, 4), F(7, 8), 0),),
+        "final target leaves the image complement"),
+    "overlapping-sources": (
+        (shift(F(3, 4), F(7, 8), 0), shift(F(3, 4), F(7, 8), -F(3, 4))),
+        "sources of the chain overlap"),
+    "source-outside-domain": (
+        (shift(F(3, 4), F(7, 8), 0), shift(F(7, 8), 1, -F(7, 8))),
+        "S_1 leaves the domain"),
+    "target-outside-image": (
+        (shift(F(3, 4), F(7, 8), -F(3, 4)), shift(F(1, 4), F(3, 8), -F(1, 8))),
+        "T_1 leaves the image"),
+    "not-linked-by-theta": (
+        (shift(F(3, 4), F(7, 8), 0), shift(F(3, 8), F(1, 2), -F(1, 4))),
+        "theta^-1(T_1) != S_1"),
+    "outside-the-host": ((shift(F(3, 4), F(7, 8), -F(3, 4)),),
+                         "extension piece leaves the support"),
+}
+
+
+@pytest.mark.parametrize("chain, message", BROKEN_EXTENSIONS.values(),
+                         ids=BROKEN_EXTENSIONS.keys())
+def test_validate_extension_names_the_broken_invariant(ce2, chain, message):
+    theta = maximal_piece(ce2, FULL, EMPTY)
+    with pytest.raises(InvalidExtension) as exc:
+        validate_extension(theta, Chain(chain))
+    assert str(exc.value) == message
