@@ -10,6 +10,7 @@ the exact interval pipeline.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .dse import DSE
@@ -20,24 +21,23 @@ from .maps import Atom, PartialMap, _move
 Matrix = list[list[int]]
 
 
-def _check_square(a: Matrix) -> int:
-    m = len(a)
-    if m == 0 or any(len(row) != m for row in a):
+def _check_square(a: Matrix) -> tuple[list[int], list[int]]:
+    """Row and column sums of a square nonnegative integer matrix."""
+    if not a or any(len(row) != len(a) for row in a):
         raise ValueError("matrix must be square and non-empty")
-    if any(x < 0 or not isinstance(x, int) for row in a for x in row):
+    if any(not isinstance(x, int) or x < 0 for row in a for x in row):
         raise ValueError("entries must be nonnegative integers")
-    return m
+    return [sum(row) for row in a], [sum(col) for col in zip(*a)]
 
 
 def regularity(a: Matrix) -> int:
     """The common row/column sum, or raise NotDoublyStochastic."""
-    m = _check_square(a)
-    n = sum(a[0])
-    for i in range(m):
-        if sum(a[i]) != n:
-            raise NotDoublyStochastic(f"row {i} sums to {sum(a[i])}, expected {n}")
-    for j in range(m):
-        c = sum(a[i][j] for i in range(m))
+    rows, cols = _check_square(a)
+    n = rows[0]
+    for i, r in enumerate(rows):
+        if r != n:
+            raise NotDoublyStochastic(f"row {i} sums to {r}, expected {n}")
+    for j, c in enumerate(cols):
         if c != n:
             raise NotDoublyStochastic(f"column {j} sums to {c}, expected {n}")
     if n < 1:
@@ -45,63 +45,63 @@ def regularity(a: Matrix) -> int:
     return n
 
 
-def extract_permutation(a: Matrix) -> Matrix:
-    """A permutation matrix p with p <= a entrywise, via augmenting paths.
+def _permutations(a: Matrix) -> Iterator[Matrix]:
+    """Permutation matrices below a, one per round, until a is used up.
 
-    Rows are matched in index order, each by a depth-first search for an
-    augmenting path that scans columns in index order.  The search keeps
-    its path on an explicit stack, so path length is not bounded by the
-    interpreter's recursion limit.
+    The work matrix holds one dict per row, column -> remaining
+    multiplicity, in ascending column order, which deleting keys keeps.  A
+    round matches rows in index order, each by a depth-first search for an
+    augmenting path over the row's columns in that order, then subtracts
+    the permutation in O(m).  The path lives on an explicit stack, so its
+    length is not bounded by the interpreter's recursion limit.
     """
-    m = _check_square(a)
-    regularity(a)
-    cols = [[j for j, x in enumerate(row) if x > 0] for row in a]
-    # match[j] = row matched to column j
-    match: list[int | None] = [None] * m
-    for root in range(m):
-        seen = [False] * m
-        rows = [root]                  # rows on the current path
-        scans = [iter(cols[root])]     # each row's remaining columns
-        picked: list[int] = []         # column leading from rows[k] onward
-        while scans:
-            for j in scans[-1]:
-                if not seen[j]:
+    m = len(a)
+    work = [{j: x for j, x in enumerate(row) if x} for row in a]
+    while any(work):
+        # match[j] = row matched to column j; seen[j] = last root through j
+        match: list[int | None] = [None] * m
+        seen = [-1] * m
+        for root in range(m):
+            path = [(root, iter(work[root]))]  # rows and their unscanned columns
+            picked: list[int] = []             # column leading from path[k] on
+            while path:
+                for j in path[-1][1]:
+                    if seen[j] != root:
+                        break
+                else:
+                    path.pop()
+                    if picked:
+                        picked.pop()
+                    continue
+                seen[j] = root
+                picked.append(j)
+                if match[j] is None:
+                    for (i, _), col in zip(path, picked):
+                        match[col] = i
                     break
+                path.append((match[j], iter(work[match[j]])))
             else:
-                rows.pop()
-                scans.pop()
-                if picked:
-                    picked.pop()
-                continue
-            seen[j] = True
-            picked.append(j)
-            if match[j] is None:
-                for i, col in zip(rows, picked):
-                    match[col] = i
-                break
-            rows.append(match[j])
-            scans.append(iter(cols[match[j]]))
-        else:
-            raise NotDoublyStochastic(f"no perfect matching covers row {root}")
-    p = [[0] * m for _ in range(m)]
-    for j, i in enumerate(match):
-        p[i][j] = 1
-    return p
+                raise NotDoublyStochastic(f"no perfect matching covers row {root}")
+        p = [[0] * m for _ in range(m)]
+        for j, i in enumerate(match):
+            p[i][j] = 1
+            work[i][j] -= 1
+            if not work[i][j]:
+                del work[i][j]
+        yield p
+
+
+def extract_permutation(a: Matrix) -> Matrix:
+    """A permutation matrix p with p <= a entrywise, via augmenting paths."""
+    regularity(a)
+    return next(_permutations(a))
 
 
 def decompose_bvn(a: Matrix) -> list[Matrix]:
     """Write a as a sum of exactly n permutation matrices."""
     n = regularity(a)
-    work = [row[:] for row in a]
-    perms = []
-    for _ in range(n):
-        p = extract_permutation(work)
-        perms.append(p)
-        for i in range(len(work)):
-            for j in range(len(work)):
-                work[i][j] -= p[i][j]
-    check(all(x == 0 for row in work for x in row),
-          "permutations do not sum to the matrix")
+    perms = list(_permutations(a))
+    check(len(perms) == n, "permutations do not sum to the matrix")
     return perms
 
 
@@ -115,9 +115,10 @@ def is_permutation(p: Matrix) -> bool:
 def pad_to_doubly_stochastic(y: Matrix, n: int) -> Matrix:
     """A nonnegative z with y + z regular of degree n, by greedy matching
     of deficient rows with deficient columns."""
-    m = _check_square(y)
-    row_def = [n - sum(y[i]) for i in range(m)]
-    col_def = [n - sum(y[i][j] for i in range(m)) for j in range(m)]
+    rows, cols = _check_square(y)
+    m = len(y)
+    row_def = [n - r for r in rows]
+    col_def = [n - c for c in cols]
     if any(d < 0 for d in row_def) or any(d < 0 for d in col_def):
         raise Infeasible("a row or column sum already exceeds the target")
     z = [[0] * m for _ in range(m)]
@@ -174,9 +175,8 @@ def lift(perms: list[Matrix], level: int) -> DSE:
     for p in perms:
         if len(p) != m or not is_permutation(p):
             raise NotPermutation(f"expected a permutation matrix of size {m}")
-        atoms = []
-        for j in range(m):
-            i = next(i for i in range(m) if p[i][j] == 1)
-            atoms.append(Atom(j * unit, (j + 1) * unit, 1, (i - j) * unit))
-        maps.append(PartialMap(atoms))
+        row_of = {row.index(1): i for i, row in enumerate(p)}
+        maps.append(PartialMap(
+            Atom(j * unit, (j + 1) * unit, 1, (row_of[j] - j) * unit)
+            for j in range(m)))
     return DSE(maps, len(perms))

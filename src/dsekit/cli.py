@@ -77,6 +77,7 @@ def _run_decompose(d: DSE, eps, emit) -> tuple[dict, dict]:
 
 
 def _run_divide(d: DSE, eps, emit) -> tuple[dict, dict]:
+    validate(d)
     div = near_perfect_division(d.matrix, eps)
     emitted = emit({"base": ser.multiset_to_json(div.base),
                     "oriented": ser.multiset_to_json(div.oriented),
@@ -129,8 +130,7 @@ def _cmd_bvn(args, started: float) -> tuple[dict, int]:
     result: dict = {"size": len(a), "n": n}
     if args.decompose:
         perms = bvn_mod.decompose_bvn(a)
-        total = [[sum(p[i][j] for p in perms) for j in range(len(a))]
-                 for i in range(len(a))]
+        total = [list(map(sum, zip(*rows))) for rows in zip(*perms)]
         check(total == a, "permutations do not sum to the matrix")
         result["permutations"] = perms
     out = _report("bvn", {"in": args.infile, "n": args.n}, {}, {},

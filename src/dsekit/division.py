@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .dse import DSE, distance, is_symmetric, normalize_cover, symmetrize
+from .dse import DSE, distance, normalize_cover, symmetrize, validate
 from .errors import (AlreadyPerfect, InvalidPath, NotDoublyStochastic,
                      NotSymmetric, PreconditionViolated, UnsplittableDiagonal,
                      check)
@@ -269,11 +269,10 @@ def symmetric_split(psi: DSE, eps) -> DSE:
     over P+ and the in-degree excess over P- (each of mass E/2), and add
     monotone-pairing correction maps with the matching mass profiles; the
     repaired orientation is exactly n-regular both ways and normalizes to
-    the answer.
+    the answer.  The input's coverage is validated first (InvalidDSE).
     """
     eps = positive_rat(eps)
-    if not is_symmetric(psi):
-        raise NotSymmetric("element is not equivalent to its inverse")
+    validate(psi)
     if psi.multiplicity % 2:
         raise PreconditionViolated("symmetric split needs even multiplicity")
     n = psi.multiplicity // 2

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 
 from .dse import CoverageReport, DSE
-from .intervals import IntervalSet, positive_rat, rat, rat_str
+from .intervals import positive_rat, rat, rat_str
 from .maps import Atom, PartialMap
 from .multiset import GraphMultiset
 
@@ -43,10 +43,6 @@ def _rat(value) -> Fraction:
     if not _RATIONAL.fullmatch(value):
         raise ValueError(f"expected a 'p/q' rational, got {value!r}")
     return rat(value)
-
-
-def interval_set_to_json(s: IntervalSet) -> list:
-    return [[rat_str(lo), rat_str(hi)] for lo, hi in s]
 
 
 def atom_to_json(a: Atom) -> dict:
@@ -90,21 +86,6 @@ def multiset_from_json(data) -> GraphMultiset:
     return GraphMultiset(
         (atom_from_json(e), _expect(e["multiplicity"], int))
         for e in _expect(_expect(data, dict)["entries"], list))
-
-
-def piece_to_json(p) -> dict:
-    """Piece JSON: the map plus its endpoint sets, for CLI reporting."""
-    return {"map": map_to_json(p.map),
-            "domain": interval_set_to_json(p.domain),
-            "image": interval_set_to_json(p.image)}
-
-
-def extension_to_json(e) -> dict:
-    """Extension JSON: chain pieces plus the S_i/T_i interval sets."""
-    return {"depth": e.length - 1,
-            "pieces": [map_to_json(pm) for pm in e.pieces],
-            "sources": [interval_set_to_json(s) for s in e.sources],
-            "targets": [interval_set_to_json(t) for t in e.targets]}
 
 
 def coverage_report_to_json(r: CoverageReport) -> dict:

@@ -320,3 +320,70 @@ def reference_take_by_rows(h, need):
         remaining = [[lo, hi, v] for lo, hi, v in sorted(next_rem)]
     check(not remaining, "row selection could not satisfy the profile")
     return GraphMultiset(taken)
+
+
+def reference_extract_permutation(a):
+    """The dense augmenting-path matcher, kept as the reference for the
+    sparse rounds of ``bvn._permutations``.
+
+    Validates the matrix, rebuilds every row's nonzero columns, matches
+    rows in index order and scans columns in index order, with the path on
+    an explicit stack.
+    """
+    from dsekit.bvn import regularity
+    from dsekit.errors import NotDoublyStochastic
+
+    regularity(a)
+    m = len(a)
+    cols = [[j for j, x in enumerate(row) if x > 0] for row in a]
+    # match[j] = row matched to column j
+    match = [None] * m
+    for root in range(m):
+        seen = [False] * m
+        rows = [root]                  # rows on the current path
+        scans = [iter(cols[root])]     # each row's remaining columns
+        picked = []                    # column leading from rows[k] onward
+        while scans:
+            for j in scans[-1]:
+                if not seen[j]:
+                    break
+            else:
+                rows.pop()
+                scans.pop()
+                if picked:
+                    picked.pop()
+                continue
+            seen[j] = True
+            picked.append(j)
+            if match[j] is None:
+                for i, col in zip(rows, picked):
+                    match[col] = i
+                break
+            rows.append(match[j])
+            scans.append(iter(cols[match[j]]))
+        else:
+            raise NotDoublyStochastic(f"no perfect matching covers row {root}")
+    p = [[0] * m for _ in range(m)]
+    for j, i in enumerate(match):
+        p[i][j] = 1
+    return p
+
+
+def reference_decompose_bvn(a):
+    """The dense decomposition: one validated extraction per round, then a
+    dense subtraction, until n permutations are taken."""
+    from dsekit.bvn import regularity
+    from dsekit.errors import check
+
+    n = regularity(a)
+    work = [row[:] for row in a]
+    perms = []
+    for _ in range(n):
+        p = reference_extract_permutation(work)
+        perms.append(p)
+        for i in range(len(work)):
+            for j in range(len(work)):
+                work[i][j] -= p[i][j]
+    check(all(x == 0 for row in work for x in row),
+          "permutations do not sum to the matrix")
+    return perms

@@ -6,12 +6,14 @@ import pytest
 from dsekit import (DSE, Atom, PartialMap, decompose_bvn, discretize,
                     distance, extract_permutation, identity_map, lift,
                     pad_to_doubly_stochastic, symmetrize, validate)
-from dsekit.bvn import is_permutation
+import dsekit.bvn
+from dsekit.bvn import is_permutation, regularity
 from dsekit.errors import (Infeasible, NotCellAligned, NotDoublyStochastic,
                            NotPermutation)
 from dsekit.gallery import counterexample
 
 from conftest import half_shift
+from oracles import reference_decompose_bvn
 
 
 def random_regular_matrix(rng: random.Random, m: int, n: int) -> list[list[int]]:
@@ -23,6 +25,14 @@ def random_regular_matrix(rng: random.Random, m: int, n: int) -> list[list[int]]
         for i, j in enumerate(perm):
             out[i][j] += 1
     return out
+
+
+def cyclic_matrix(m: int) -> list[list[int]]:
+    """The 2-regular a[i][i] = a[i][i+1 mod m] = 1."""
+    a = [[0] * m for _ in range(m)]
+    for i in range(m):
+        a[i][i] = a[i][(i + 1) % m] = 1
+    return a
 
 
 def test_extract_from_scaled_identity():
@@ -60,9 +70,7 @@ def test_decompose_long_augmenting_path():
     # row m-1 reaches for column 0 first, so its augmenting path runs
     # through every other row: longer than the default recursion limit
     m = 1100
-    a = [[0] * m for _ in range(m)]
-    for i in range(m):
-        a[i][i] = a[i][(i + 1) % m] = 1
+    a = cyclic_matrix(m)
     perms = decompose_bvn(a)
     assert len(perms) == 2
     assert all(is_permutation(p) for p in perms)
@@ -82,6 +90,50 @@ def test_decompose_random_matrices(rng):
         total = [[sum(p[i][j] for p in perms) for j in range(m)]
                  for i in range(m)]
         assert total == a
+
+
+def test_decompose_matches_dense_reference(rng):
+    """The sparse rounds return the dense matcher's permutations, in order;
+    the sums of n permutations carry entries above 1 where they overlap."""
+    cases = [random_regular_matrix(rng, rng.randint(1, 24), rng.randint(1, 6))
+             for _ in range(120)]
+    assert any(x > 1 for a in cases for row in a for x in row)
+    for a in cases + [cyclic_matrix(1100)]:
+        expected = reference_decompose_bvn(a)
+        assert decompose_bvn(a) == expected
+        assert extract_permutation(a) == expected[0]
+
+
+def test_decompose_bvn_validates_once(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return regularity(a)
+
+    monkeypatch.setattr(dsekit.bvn, "regularity", counting)
+    a = random_regular_matrix(random.Random(3), 32, 5)
+    assert len(decompose_bvn(a)) == 5
+    assert calls == [a]
+
+
+BAD_ENTRIES = [[[1, "x"], [0, 1]], [[None]], [[1, None], [None, 1]]]
+
+
+@pytest.mark.parametrize("a", BAD_ENTRIES)
+@pytest.mark.parametrize("call", [
+    regularity, extract_permutation, decompose_bvn,
+    lambda a: pad_to_doubly_stochastic(a, 2)],
+    ids=["regularity", "extract_permutation", "decompose_bvn", "pad"])
+def test_non_integer_entries_are_value_errors(call, a):
+    with pytest.raises(ValueError, match="entries must be nonnegative integers"):
+        call(a)
+
+
+@pytest.mark.parametrize("a", BAD_ENTRIES)
+def test_lift_rejects_non_integer_entries(a):
+    with pytest.raises(NotPermutation):
+        lift([a], len(a).bit_length() - 1)
 
 
 def test_pad_already_regular():

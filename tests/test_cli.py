@@ -18,7 +18,7 @@ from dsekit.cli import main
 from dsekit.gallery import counterexample
 from dsekit import serialize as ser
 
-from conftest import half_shift, random_cell_dse
+from conftest import half_shift, random_cell_dse, shift
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "dsekit" / "schemas"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report.schema.json").read_text())
@@ -232,6 +232,28 @@ def test_divide_odd_row_mass_is_domain_error(tmp_path, capsys):
 def test_decompose_rejects_non_covering_input(tmp_path, capsys):
     f = write_dse(tmp_path / "bad.json", DSE([identity_map()], 2))
     code, report = run(capsys, "decompose", "--in", f, "--eps", "1/8",
+                       "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert report["error_type"] == "InvalidDSE"
+    assert not (tmp_path / "x.json").exists()
+
+
+# elements whose coverage is not constantly their multiplicity: each point
+# covered twice but 4 declared, four times but 2 declared, and once on
+# [1/2, 1)
+NON_COVERING = {
+    "double-declared-4": DSE([identity_map()] * 2, 4),
+    "quadruple-declared-2": DSE([identity_map()] * 4, 2),
+    "half-covered-twice": DSE([identity_map(), shift(0, F(1, 2), 0)], 2),
+}
+
+
+@pytest.mark.parametrize("command", ["split", "divide"])
+@pytest.mark.parametrize("name", list(NON_COVERING))
+def test_split_and_divide_reject_non_covering_input(command, name, tmp_path,
+                                                     capsys):
+    f = write_dse(tmp_path / "bad.json", NON_COVERING[name])
+    code, report = run(capsys, command, "--in", f, "--eps", "1/8",
                        "--out", str(tmp_path / "x.json"))
     assert code == 2
     assert report["error_type"] == "InvalidDSE"

@@ -117,21 +117,6 @@ def test_peel_diagnostics_record_top_up():
     assert diag["top_up_mass"] >= 0
 
 
-def test_piece_and_extension_serialize():
-    import json
-
-    from dsekit import find_extension, FULL, EMPTY, maximal_piece
-    from dsekit.serialize import extension_to_json, piece_to_json
-    ce = counterexample(2)
-    piece = maximal_piece(ce, FULL, EMPTY)
-    ext = find_extension(ce, piece, 2)
-    blob = json.dumps({"piece": piece_to_json(piece),
-                       "extension": extension_to_json(ext)})
-    decoded = json.loads(blob)
-    assert decoded["extension"]["depth"] == ext.length - 1
-    assert len(decoded["extension"]["sources"]) == ext.length
-
-
 def test_almost_decompose_validates_input_first():
     with pytest.raises(InvalidDSE):
         almost_decompose(DSE([identity_map()], 2), F(1, 8))
