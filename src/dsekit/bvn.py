@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import repeat
 
 from .dse import DSE
 from .errors import (Infeasible, NotCellAligned, NotDoublyStochastic,
@@ -25,7 +26,9 @@ def _check_square(a: Matrix) -> tuple[list[int], list[int]]:
     """Row and column sums of a square nonnegative integer matrix."""
     if not a or any(len(row) != len(a) for row in a):
         raise ValueError("matrix must be square and non-empty")
-    if any(not isinstance(x, int) or x < 0 for row in a for x in row):
+    # map and min run the per-entry loops in C
+    if not all(all(map(isinstance, row, repeat(int))) and min(row) >= 0
+               for row in a):
         raise ValueError("entries must be nonnegative integers")
     return [sum(row) for row in a], [sum(col) for col in zip(*a)]
 

@@ -129,7 +129,9 @@ def _cmd_bvn(args, started: float) -> tuple[dict, int]:
         raise DsekitError(f"matrix is {n}-regular, expected {args.n}")
     result: dict = {"size": len(a), "n": n}
     if args.decompose:
-        perms = bvn_mod.decompose_bvn(a)
+        # a is validated above; the full sum check below also covers
+        # decompose_bvn's count of n permutations
+        perms = list(bvn_mod._permutations(a))
         total = [list(map(sum, zip(*rows))) for rows in zip(*perms)]
         check(total == a, "permutations do not sum to the matrix")
         result["permutations"] = perms

@@ -26,7 +26,7 @@ from .dse import DSE, distance, normalize_cover, symmetrize, validate
 from .errors import (AlreadyPerfect, InvalidPath, NotDoublyStochastic,
                      NotSymmetric, PreconditionViolated, UnsplittableDiagonal,
                      check)
-from .intervals import (EMPTY, IntervalSet, Step, positive_rat,
+from .intervals import (EMPTY, IntervalSet, Step, _fractions, positive_rat,
                         step_integral, step_where)
 from .maps import Atom, PartialMap
 from .multiset import GraphMultiset, _cells_sub
@@ -41,7 +41,7 @@ class Division:
     """An orientation H of a symmetric multiset G: H + flip(H) = G.
 
     What is read off the out-degree is computed once, on first use, from
-    the division's own oriented multiset.
+    the division's own oriented multiset, on its grid.
     """
 
     oriented: GraphMultiset
@@ -53,33 +53,40 @@ class Division:
             raise ValueError("oriented part plus its flip is not the base")
 
     @cached_property
+    def _degrees(self) -> Step:
+        """The out-degree of H as a step function of grid numerators."""
+        return self.oriented._degree(False)
+
+    @cached_property
     def degrees(self) -> Step:
         """The out-degree of H as a step function."""
-        return self.oriented.row_step()
+        return _fractions(self._degrees, self.oriented._d)
 
     @cached_property
     def error(self) -> Fraction:
         """Exact integral of |n - out-degree| over the interval."""
-        return step_integral(self.degrees, lambda v: abs(self.n - v))
+        return Fraction(step_integral(self._degrees, lambda v: abs(self.n - v)),
+                        self.oriented._d)
 
     @cached_property
     def p_plus(self) -> IntervalSet:
-        return step_where(self.degrees, lambda v: v > self.n)
+        return step_where(self._degrees, lambda v: v > self.n,
+                          self.oriented._d)
 
     @cached_property
     def p_minus(self) -> IntervalSet:
-        return step_where(self.degrees, lambda v: v < self.n)
+        return step_where(self._degrees, lambda v: v < self.n,
+                          self.oriented._d)
 
     @cached_property
     def maps(self) -> tuple[PartialMap, ...]:
         """H's families as partial maps, in canonical order."""
-        return tuple(self.oriented.family_map(key)
-                     for key, _ in self.oriented.families())
+        return tuple(map(self.oriented._family_map, self.oriented._fam))
 
 
 def _regular_degree(g: GraphMultiset) -> int:
     """The constant row mass of g, which must be even."""
-    masses = {v for _, _, v in g.row_step()}
+    masses = {v for _, _, v in g._degree(False)}
     if len(masses) != 1:
         raise NotDoublyStochastic("row mass is not constant")
     degree = masses.pop()
@@ -94,27 +101,33 @@ def initial_division(g: GraphMultiset) -> Division:
     Positive-offset translation families lie below the diagonal and are
     kept whole; reflection families are split at their fixed point; a
     family on the diagonal itself is its own flip, so its multiplicity
-    must be even and half of it is kept.
+    must be even and half of it is kept.  The division lives on twice the
+    grid of g, where every offset is even and its half, the pivot, exact.
     """
     if g.flip() != g:
         raise NotSymmetric("multiset differs from its flip")
+    g = g._lift(2 * g._d)
+    d = g._d
     entries: list[tuple[Atom, int]] = []
-    for (slope, offset), cells in g.families():
+    for (slope, offset), cells in g._fam.items():
         if slope == 1:
             if offset > 0:
-                entries.extend((Atom(lo, hi, 1, offset), m) for lo, hi, m in cells)
+                entries.extend((Atom._grid(lo, hi, 1, offset, d), m)
+                               for lo, hi, m in cells)
             elif offset == 0:
                 for lo, hi, m in cells:
                     if m % 2:
                         raise UnsplittableDiagonal(
-                            f"diagonal cell [{lo},{hi}) has odd multiplicity {m}")
-                    entries.append((Atom(lo, hi, 1, 0), m // 2))
+                            f"diagonal cell [{Fraction(lo, d)},{Fraction(hi, d)})"
+                            f" has odd multiplicity {m}")
+                    entries.append((Atom._grid(lo, hi, 1, 0, d), m // 2))
         else:
-            pivot = offset / 2
+            check(offset % 2 == 0, "reflection pivot leaves the grid")
+            pivot = offset // 2
             for lo, hi, m in cells:
                 cut = min(hi, max(lo, pivot))
                 if lo < cut:
-                    entries.append((Atom(lo, cut, -1, offset), m))
+                    entries.append((Atom._grid(lo, cut, -1, offset, d), m))
     return Division(GraphMultiset(entries), g, _regular_degree(g) // 2)
 
 
@@ -224,8 +237,8 @@ def _eliminate_short_paths(d: Division) -> Division:
     """Reverse every single edge family leading from P+ straight into P-."""
     while True:
         changed = False
-        for key, _ in list(d.oriented.families()):
-            fm = d.oriented.family_map(key)
+        for key in list(d.oriented._fam):
+            fm = d.oriented._family_map(key)
             src = fm.domain.intersect(d.p_plus).intersect(
                 fm.preimage_of(d.p_minus))
             if src.is_empty():

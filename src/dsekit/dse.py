@@ -13,24 +13,30 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (InvalidDSE, MultiplicityMismatch, NotDoublyStochastic,
                      check)
-from .intervals import ONE, ZERO, IntervalSet, Step, step_sum
+from .intervals import IntervalSet, Step, _fractions, step_sum
 from .maps import Atom, PartialMap, _inverse_key, _move
 from .multiset import GraphMultiset
 
 
 class DSE:
-    """A finite collection of partial isomorphisms with constant coverage."""
+    """A finite collection of partial isomorphisms with constant coverage.
 
-    __slots__ = ("maps", "multiplicity", "_matrix")
+    Its maps are lifted to one grid, ``_d``, the lcm of theirs.
+    """
+
+    __slots__ = ("maps", "multiplicity", "_matrix", "_d")
 
     def __init__(self, maps: Iterable[PartialMap], multiplicity: int):
         if multiplicity < 1:
             raise ValueError("multiplicity must be a positive integer")
-        self.maps = tuple(maps)
+        maps = tuple(maps)
+        self._d = lcm(*(m._d for m in maps))
+        self.maps = tuple(m._lift(self._d) for m in maps)
         self.multiplicity = multiplicity
         self._matrix = None
 
@@ -67,8 +73,10 @@ def validate(d: DSE, raise_on_fail: bool = True) -> CoverageReport:
     Returns the per-cell coverage counts; raises InvalidDSE listing every
     offending cell unless ``raise_on_fail`` is false.
     """
-    dom = step_sum((lo, hi, 1) for m in d.maps for lo, hi in m.domain)
-    img = step_sum((lo, hi, 1) for m in d.maps for lo, hi in m.image)
+    dom = _fractions(step_sum(((lo, hi, 1) for m in d.maps
+                               for lo, hi in m.domain._iv), d._d), d._d)
+    img = _fractions(step_sum(((lo, hi, 1) for m in d.maps
+                               for lo, hi in m.image._iv), d._d), d._d)
     bad_dom = tuple(c for c in dom if c[2] != d.multiplicity)
     bad_img = tuple(c for c in img if c[2] != d.multiplicity)
     ok = not bad_dom and not bad_img
@@ -127,8 +135,8 @@ def normalize_cover(m: GraphMultiset, n: int) -> DSE:
     interval's list is in family order.  That costs a sort of the cuts plus
     the atoms dealt.  _split_into_injective then splits every layer.
     """
-    row = m.row_step()
-    col = m.col_step()
+    row = m._degree(False)
+    col = m._degree(True)
     bad_rows = tuple(c for c in row if c[2] != n)
     bad_cols = tuple(c for c in col if c[2] != n)
     if bad_rows or bad_cols:
@@ -136,9 +144,9 @@ def normalize_cover(m: GraphMultiset, n: int) -> DSE:
             f"row/column mass is not constantly {n} "
             f"({len(bad_rows)} bad rows, {len(bad_cols)} bad columns)")
 
-    families = list(m.families())
+    families = list(m._fam.items())
     cuts = sorted({x for _, cells in families
-                   for lo, hi, _ in cells for x in (lo, hi)} | {ZERO, ONE})
+                   for lo, hi, _ in cells for x in (lo, hi)} | {0, m._d})
     dealt: list[list] = [[] for _ in range(len(cuts) - 1)]
     for key, cells in families:
         for lo, hi, mult in cells:
@@ -149,7 +157,8 @@ def normalize_cover(m: GraphMultiset, n: int) -> DSE:
         idx = 0
         for (slope, offset), mult in here:
             for _ in range(mult):
-                layers[idx].append(Atom(cuts[k], cuts[k + 1], slope, offset))
+                layers[idx].append(Atom._grid(cuts[k], cuts[k + 1], slope, offset,
+                                              m._d))
                 idx += 1
     maps: list[PartialMap] = []
     for layer in layers:
@@ -171,10 +180,11 @@ def _split_into_injective(atoms: Sequence[Atom]) -> list[PartialMap]:
     preimage would lie inside both sources and a layer's sources are
     disjoint.  So the midpoint order holds on the whole cell and no cell
     is cut at a crossing.  Cost: one sort, plus one per cell of its live
-    branches.
+    branches.  The atoms are lifted to one grid first.
     """
-    branches = sorted((a.image_lo, a.image_hi, a.slope, a.offset)
-                      for a in atoms)
+    d = lcm(*(a._d for a in atoms))
+    branches = sorted((a._ilo, a._ihi, a.slope, a._off)
+                      for a in (a._lift(d) for a in atoms))
     points = sorted({x for b in branches for x in b[:2]})
     ranks: dict[int, list[Atom]] = {}
     live: list[tuple] = []
@@ -184,10 +194,11 @@ def _split_into_injective(atoms: Sequence[Atom]) -> list[PartialMap]:
         while nxt < len(branches) and branches[nxt][0] == lo:
             live.append(branches[nxt])
             nxt += 1
-        mid = (lo + hi) / 2
-        # x -> s*x + o carries s*(mid - o) to mid
-        live.sort(key=lambda c, m=mid: c[2] * (m - c[3]))
+        # x -> s*x + o carries s*(mid - o) to the midpoint mid, and
+        # 2*s*(mid - o) = s*(lo + hi - 2*o) is a grid integer
+        live.sort(key=lambda c, m=lo + hi: c[2] * (m - 2 * c[3]))
         for r, (_, _, slope, off) in enumerate(live):
             ranks.setdefault(r, []).append(
-                Atom(*_move(*_inverse_key(slope, off), lo, hi), slope, off))
-    return [PartialMap(v) for _, v in sorted(ranks.items())]
+                Atom._grid(*_move(*_inverse_key(slope, off), lo, hi), slope, off,
+                           d))
+    return [PartialMap._grid(v, d) for _, v in sorted(ranks.items())]

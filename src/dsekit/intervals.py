@@ -4,8 +4,18 @@ Everything in this package lives on the half-open unit interval.  A set is
 a finite union of half-open intervals ``[a, b)`` with rational endpoints,
 stored canonically: sorted by left endpoint, pairwise disjoint, adjacent
 pieces merged.  Equality of canonical forms is equality of sets up to
-measure zero, and Lebesgue measure is an exact finite sum of ``Fraction``
-lengths.  No floating point appears anywhere.
+measure zero.  No floating point appears anywhere.
+
+Numbers live on a grid: every set, atom, map and multiset stores its
+values as ``int`` numerators over one denominator ``d`` that it carries,
+the lcm of the denominators of the rationals it was built from.  Results
+inherit ``d``; an operation on two grids first lifts both to the lcm of
+their denominators (``_align``), and the one halving in the package (the
+reflection pivot of ``division.initial_division``) works on twice the
+grid.  Sums, differences and comparisons are plain ``int`` arithmetic, and
+Lebesgue measure is an exact integer sum over ``d``.  ``Fraction`` appears
+only where values are read out: pairs, measures, atom endpoints and step
+cells.
 
 The binary operations ``union``, ``intersect`` and ``subtract`` work only
 on the window where the two operands can interact.  Both operands are cut
@@ -25,6 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -57,42 +68,85 @@ def rat_str(value) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _on_grid(*values: Fraction) -> tuple[int, list[int]]:
+    """The grid ``d``, the lcm of the values' denominators, and their
+    numerators over it."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _grid_str(k: int, d: int) -> str:
+    """``rat_str`` of k/d, reduced by one gcd."""
+    g = gcd(k, d)
+    return f"{k // g}/{d // g}"
+
+
+def _fractions(rows: Iterable[tuple], d: int) -> tuple:
+    """Rows (lo, hi, *rest) of grid numerators over d, read out as
+    Fraction endpoints; the rest is kept as it is."""
+    return tuple((Fraction(lo, d), Fraction(hi, d), *rest)
+                 for lo, hi, *rest in rows)
+
+
+def _align(x, y):
+    """x and y on one grid, the lcm of theirs; either may be lifted."""
+    if x._d == y._d:
+        return x, y
+    d = lcm(x._d, y._d)
+    return x._lift(d), y._lift(d)
+
+
 class IntervalSet:
     """Canonical finite union of half-open subintervals of [0, 1)."""
 
-    __slots__ = ("_iv",)
+    __slots__ = ("_iv", "_d")
 
     def __init__(self, pairs: Iterable[tuple[Fraction, Fraction]] = ()):
         cleaned = [(rat(lo), rat(hi)) for lo, hi in pairs]
         for lo, hi in cleaned:
             if lo < hi and (lo < ZERO or hi > ONE):
                 raise ValueError(f"interval [{lo},{hi}) leaves [0,1)")
-        self._iv = self._merge_pairs(cleaned)._iv
+        d, ends = _on_grid(*(x for p in cleaned for x in p))
+        self._iv = self._merge_pairs(zip(ends[::2], ends[1::2]), d)._iv
+        self._d = d
 
     @classmethod
-    def _raw(cls, canonical: tuple) -> "IntervalSet":
+    def _raw(cls, canonical: tuple, d: int) -> "IntervalSet":
         s = object.__new__(cls)
         s._iv = canonical
+        s._d = d
         return s
 
     @classmethod
-    def _merge_pairs(cls, pairs: Iterable) -> "IntervalSet":
-        """Canonicalize Fraction pairs: drop empty ones, sort and merge."""
+    def _merge_pairs(cls, pairs: Iterable, d: int) -> "IntervalSet":
+        """Canonicalize grid pairs over d: drop empty ones, sort and merge."""
         pairs = sorted(p for p in pairs if p[0] < p[1])
-        merged: list[list[Fraction]] = []
+        merged: list[list[int]] = []
         for lo, hi in pairs:
             if merged and lo <= merged[-1][1]:
                 if hi > merged[-1][1]:
                     merged[-1][1] = hi
             else:
                 merged.append([lo, hi])
-        return cls._raw(tuple((lo, hi) for lo, hi in merged))
+        return cls._raw(tuple((lo, hi) for lo, hi in merged), d)
 
-    def clip(self, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-        """Pairs of the intersection with the window [lo, hi); sorted."""
+    def _lift(self, d: int) -> "IntervalSet":
+        f = d // self._d
+        if f == 1:
+            return self
+        return self._raw(tuple((lo * f, hi * f) for lo, hi in self._iv), d)
+
+    def _clip(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """Grid pairs of the intersection with the window [lo, hi); sorted."""
         iv = self._iv
         window = iv[bisect_right(iv, lo, key=_HI):bisect_left(iv, hi, key=_LO)]
         return _meet(window, ((lo, hi),))
+
+    def clip(self, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+        """Pairs of the intersection with the window [lo, hi); sorted."""
+        lo, hi = rat(lo), rat(hi)
+        s = self._lift(lcm(self._d, lo.denominator, hi.denominator))
+        return list(_fractions(s._clip(int(lo * s._d), int(hi * s._d)), s._d))
 
     @classmethod
     def interval(cls, lo, hi) -> "IntervalSet":
@@ -100,15 +154,16 @@ class IntervalSet:
 
     @classmethod
     def union_all(cls, sets: Iterable["IntervalSet"]) -> "IntervalSet":
-        pairs = [p for s in sets for p in s._iv]
-        return cls(pairs)
+        sets = list(sets)
+        d = lcm(*(s._d for s in sets))
+        return cls._merge_pairs([p for s in sets for p in s._lift(d)._iv], d)
 
     @property
     def pairs(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return self._iv
+        return _fractions(self._iv, self._d)
 
     def __iter__(self) -> Iterator[tuple[Fraction, Fraction]]:
-        return iter(self._iv)
+        return iter(self.pairs)
 
     def __bool__(self) -> bool:
         return bool(self._iv)
@@ -116,42 +171,49 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self._iv
 
+    def _size(self) -> int:
+        """The measure times d."""
+        return sum(hi - lo for lo, hi in self._iv)
+
     def measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self._iv), ZERO)
+        return Fraction(self._size(), self._d)
 
     def contains(self, other: "IntervalSet") -> bool:
         """Set inclusion up to measure zero."""
         return other.subtract(self).is_empty()
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        a, b = self._iv, other._iv
-        if not a:
+        if not self._iv:
             return other
-        if not b:
+        if not other._iv:
             return self
+        x, y = _align(self, other)
+        a, b = x._iv, y._iv
         # Intervals that end before, or start after, the other operand's
         # span without touching it pass through; at most one side has any.
         a0 = bisect_left(a, b[0][0], key=_HI)
         a1 = bisect_right(a, b[-1][1], key=_LO)
         b0 = bisect_left(b, a[0][0], key=_HI)
         b1 = bisect_right(b, a[-1][1], key=_LO)
-        mid = self._merge_pairs(a[a0:a1] + b[b0:b1])._iv
-        return self._raw(a[:a0] + b[:b0] + mid + a[a1:] + b[b1:])
+        mid = self._merge_pairs(a[a0:a1] + b[b0:b1], x._d)._iv
+        return self._raw(a[:a0] + b[:b0] + mid + a[a1:] + b[b1:], x._d)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        a, b = self._iv, other._iv
-        if not a or not b:
+        if not self._iv or not other._iv:
             return EMPTY
+        x, y = _align(self, other)
+        a, b = x._iv, y._iv
         a0 = bisect_right(a, b[0][0], key=_HI)
         a1 = bisect_left(a, b[-1][1], key=_LO)
         b0 = bisect_right(b, a[0][0], key=_HI)
         b1 = bisect_left(b, a[-1][1], key=_LO)
-        return self._raw(tuple(_meet(a[a0:a1], b[b0:b1])))
+        return self._raw(tuple(_meet(a[a0:a1], b[b0:b1])), x._d)
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        a, b = self._iv, other._iv
-        if not a or not b:
+        if not self._iv or not other._iv:
             return self
+        x, y = _align(self, other)
+        a, b = x._iv, y._iv
         # Intervals of self clear of the other operand's span pass through.
         a0 = bisect_right(a, b[0][0], key=_HI)
         a1 = bisect_left(a, b[-1][1], key=_LO)
@@ -160,20 +222,23 @@ class IntervalSet:
         b0 = bisect_right(b, a[a0][0], key=_HI)
         b1 = bisect_left(b, a[a1 - 1][1], key=_LO)
         mid = _minus(a[a0:a1], b[b0:b1])
-        return self._raw(a[:a0] + tuple(mid) + a[a1:])
+        return self._raw(a[:a0] + tuple(mid) + a[a1:], x._d)
 
     def complement(self) -> "IntervalSet":
         """Complement relative to [0, 1)."""
         return FULL.subtract(self)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntervalSet) and self._iv == other._iv
+        if not isinstance(other, IntervalSet):
+            return False
+        x, y = _align(self, other)
+        return x._iv == y._iv
 
     def __hash__(self) -> int:
-        return hash(self._iv)
+        return hash(self.pairs)
 
     def __repr__(self) -> str:
-        body = " ".join(f"[{lo},{hi})" for lo, hi in self._iv)
+        body = " ".join(f"[{lo},{hi})" for lo, hi in self.pairs)
         return f"IntervalSet({body or 'empty'})"
 
 
@@ -239,15 +304,14 @@ Step = tuple[tuple[Fraction, Fraction, int], ...]
 
 
 def sweep(weighted: Iterable[tuple[Fraction, Fraction, int]],
-          cuts: Iterable[Fraction] = (), sparse: bool = False,
-          strict: bool = False) -> Step:
+          cuts: Iterable[Fraction] = (), sparse: bool = False) -> Step:
     """Cells (lo, hi, level) of the sum of w * indicator([lo, hi)).
 
     One pass files each w as +w at lo and -w at hi in a dict of endpoint
     deltas (``cuts`` adds cut points of delta zero); the sweep over the
     sorted cuts keeps the running level, and adjacent cells of equal level
-    are merged.  ``sparse`` drops the cells of level zero; ``strict``
-    raises ValueError where the level goes negative.
+    are merged.  ``sparse`` drops the cells of level zero.  Endpoints may
+    be Fractions or the grid numerators of one grid.
     """
     deltas = dict.fromkeys(cuts, 0)
     get = deltas.get
@@ -261,8 +325,6 @@ def sweep(weighted: Iterable[tuple[Fraction, Fraction, int]],
         level += deltas[cuts[k]]
         if sparse and not level:
             continue
-        if strict and level < 0:
-            raise ValueError(f"multiplicity goes negative at {cuts[k]}")
         lo, hi = cuts[k], cuts[k + 1]
         if out and out[-1][2] == level and out[-1][1] == lo:
             out[-1][1] = hi
@@ -271,19 +333,24 @@ def sweep(weighted: Iterable[tuple[Fraction, Fraction, int]],
     return tuple((lo, hi, v) for lo, hi, v in out)
 
 
-def step_sum(weighted: Iterable[tuple[Fraction, Fraction, int]]) -> Step:
-    """Step function for a finite sum of w * indicator([lo, hi))."""
-    s = sweep(weighted, cuts=(ZERO, ONE))
-    if s[0][0] < ZERO or s[-1][1] > ONE:
+def step_sum(weighted: Iterable[tuple[Fraction, Fraction, int]],
+             one=ONE) -> Step:
+    """Step function for a finite sum of w * indicator([lo, hi)); ``one``
+    is the right end of [0, 1), the grid denominator for grid numerators."""
+    s = sweep(weighted, cuts=(one - one, one))
+    if s[0][0] < 0 or s[-1][1] > one:
         raise ValueError("step support leaves [0,1)")
     return s
 
 
-def step_where(s: Step, predicate) -> IntervalSet:
-    """Interval set of the cells whose value satisfies the predicate."""
-    return IntervalSet((lo, hi) for lo, hi, v in s if predicate(v))
+def step_where(s: Step, predicate, d: int | None = None) -> IntervalSet:
+    """Interval set of the cells whose value satisfies the predicate; ``d``
+    is the grid of a step of grid numerators."""
+    pairs = [(lo, hi) for lo, hi, v in s if predicate(v)]
+    return IntervalSet(pairs) if d is None else IntervalSet._merge_pairs(pairs, d)
 
 
 def step_integral(s: Step, fn=lambda v: v) -> Fraction:
-    """Exact integral of fn(value) over [0, 1)."""
-    return sum(((hi - lo) * fn(v) for lo, hi, v in s), ZERO)
+    """Exact integral of fn(value) over [0, 1); on grid numerators, the
+    integral times d."""
+    return sum((hi - lo) * fn(v) for lo, hi, v in s)

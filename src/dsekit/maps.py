@@ -12,10 +12,11 @@ drops has measure zero.  ``_move`` is the one place this rule is written.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OverlapError
-from .intervals import FULL, ONE, ZERO, IntervalSet, rat
+from .intervals import FULL, ZERO, IntervalSet, _align, _on_grid, rat
 
 
 def _move(slope: int, offset: Fraction, lo: Fraction,
@@ -31,22 +32,53 @@ def _inverse_key(slope: int, offset: Fraction) -> tuple[int, Fraction]:
     return (1, -offset) if slope == 1 else (-1, offset)
 
 
-class Atom:
-    """One affine piece of a partial isomorphism."""
+def _readout(name: str) -> property:
+    """The grid numerator ``name`` of an atom, read out as a Fraction."""
+    return property(lambda a: Fraction(getattr(a, name), a._d))
 
-    __slots__ = ("lo", "hi", "slope", "offset", "image_lo", "image_hi")
+
+class Atom:
+    """One affine piece of a partial isomorphism.
+
+    Stores grid numerators over its ``_d``, the lcm of the denominators it
+    was built from; ``lo``, ``hi``, ``offset``, ``image_lo`` and
+    ``image_hi`` read them out as Fractions.
+    """
+
+    __slots__ = ("_lo", "_hi", "slope", "_off", "_ilo", "_ihi", "_d")
 
     def __init__(self, lo, hi, slope: int, offset):
-        lo, hi, offset = rat(lo), rat(hi), rat(offset)
+        d, (lo, hi, offset) = _on_grid(rat(lo), rat(hi), rat(offset))
+        self._set(lo, hi, slope, offset, d)
+
+    @classmethod
+    def _grid(cls, lo: int, hi: int, slope: int, off: int, d: int) -> "Atom":
+        """The atom of numerators already on the grid d; same checks."""
+        a = object.__new__(cls)
+        a._set(lo, hi, slope, off, d)
+        return a
+
+    def _set(self, lo: int, hi: int, slope: int, off: int, d: int) -> None:
         if slope not in (1, -1):
             raise ValueError("slope must be +1 or -1")
-        if not (ZERO <= lo < hi <= ONE):
-            raise ValueError(f"bad source [{lo},{hi})")
-        ilo, ihi = _move(slope, offset, lo, hi)
-        if ilo < ZERO or ihi > ONE:
-            raise ValueError(f"image [{ilo},{ihi}) leaves [0,1)")
-        self.lo, self.hi, self.slope, self.offset = lo, hi, slope, offset
-        self.image_lo, self.image_hi = ilo, ihi
+        if not (0 <= lo < hi <= d):
+            raise ValueError(f"bad source [{Fraction(lo, d)},{Fraction(hi, d)})")
+        ilo, ihi = _move(slope, off, lo, hi)
+        if ilo < 0 or ihi > d:
+            raise ValueError(f"image [{Fraction(ilo, d)},{Fraction(ihi, d)}) "
+                             "leaves [0,1)")
+        self._lo, self._hi, self.slope, self._off = lo, hi, slope, off
+        self._ilo, self._ihi, self._d = ilo, ihi, d
+
+    lo, hi, offset, image_lo, image_hi = map(
+        _readout, ("_lo", "_hi", "_off", "_ilo", "_ihi"))
+
+    def _lift(self, d: int) -> "Atom":
+        f = d // self._d
+        if f == 1:
+            return self
+        return Atom._grid(self._lo * f, self._hi * f, self.slope,
+                          self._off * f, d)
 
     def apply(self, x) -> Fraction | None:
         x = rat(x)
@@ -55,8 +87,8 @@ class Atom:
         return None
 
     def invert(self) -> "Atom":
-        return Atom(self.image_lo, self.image_hi,
-                    *_inverse_key(self.slope, self.offset))
+        return Atom._grid(self._ilo, self._ihi,
+                          *_inverse_key(self.slope, self._off), self._d)
 
     def key(self) -> tuple:
         return (self.slope, self.offset)
@@ -75,14 +107,15 @@ class Atom:
 
 
 def _canonical_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    """Sort by source and merge contiguous atoms of the same (slope, offset)."""
-    atoms = sorted(atoms, key=lambda a: a.lo)
+    """Sort by source and merge contiguous atoms of the same (slope, offset);
+    the atoms share one grid."""
+    atoms = sorted(atoms, key=lambda a: a._lo)
     merged: list[Atom] = []
     for a in atoms:
         if merged:
             p = merged[-1]
-            if p.key() == a.key() and p.hi == a.lo:
-                merged[-1] = Atom(p.lo, a.hi, a.slope, a.offset)
+            if p.slope == a.slope and p._off == a._off and p._hi == a._lo:
+                merged[-1] = Atom._grid(p._lo, a._hi, a.slope, a._off, a._d)
                 continue
         merged.append(a)
     return tuple(merged)
@@ -91,23 +124,41 @@ def _canonical_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
 class PartialMap:
     """Injective measure-preserving map between two subsets of [0, 1)."""
 
-    __slots__ = ("atoms", "domain", "image")
+    __slots__ = ("atoms", "domain", "image", "_d")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
+        atoms = list(atoms)
+        d = lcm(*(a._d for a in atoms))
+        self._set([a._lift(d) for a in atoms], d)
+
+    @classmethod
+    def _grid(cls, atoms: Iterable[Atom], d: int) -> "PartialMap":
+        """The map of atoms that are all on the grid d; same checks."""
+        m = object.__new__(cls)
+        m._set(atoms, d)
+        return m
+
+    def _set(self, atoms: Iterable[Atom], d: int) -> None:
         self.atoms = _canonical_atoms(atoms)
+        self._d = d
         dom_pairs = []
         img_pairs = []
         prev_hi = None
         for a in self.atoms:
-            if prev_hi is not None and a.lo < prev_hi:
+            if prev_hi is not None and a._lo < prev_hi:
                 raise OverlapError(f"sources overlap at {a.lo}")
-            prev_hi = a.hi
-            dom_pairs.append((a.lo, a.hi))
-            img_pairs.append((a.image_lo, a.image_hi))
-        self.domain = IntervalSet._merge_pairs(dom_pairs)
-        self.image = IntervalSet._merge_pairs(img_pairs)
-        if self.image.measure() != self.domain.measure():
+            prev_hi = a._hi
+            dom_pairs.append((a._lo, a._hi))
+            img_pairs.append((a._ilo, a._ihi))
+        self.domain = IntervalSet._merge_pairs(dom_pairs, d)
+        self.image = IntervalSet._merge_pairs(img_pairs, d)
+        if self.image._size() != self.domain._size():
             raise OverlapError("images overlap (injectivity violated)")
+
+    def _lift(self, d: int) -> "PartialMap":
+        if d == self._d:
+            return self
+        return PartialMap._grid([a._lift(d) for a in self.atoms], d)
 
     def is_empty(self) -> bool:
         return not self.atoms
@@ -122,39 +173,40 @@ class PartialMap:
     __call__ = apply
 
     def invert(self) -> "PartialMap":
-        return PartialMap(a.invert() for a in self.atoms)
+        return PartialMap._grid([a.invert() for a in self.atoms], self._d)
 
     def restrict(self, s: IntervalSet) -> "PartialMap":
         """Keep only the graph over s (restriction by source)."""
-        out = []
-        for a in self.atoms:
-            for lo, hi in s.clip(a.lo, a.hi):
-                out.append(Atom(lo, hi, a.slope, a.offset))
-        return PartialMap(out)
+        m, s = _align(self, s)
+        return PartialMap._grid([Atom._grid(lo, hi, a.slope, a._off, m._d)
+                                 for a in m.atoms
+                                 for lo, hi in s._clip(a._lo, a._hi)], m._d)
 
     def restrict_image(self, s: IntervalSet) -> "PartialMap":
         """Keep only the graph whose image lies in s."""
+        m, s = _align(self, s)
         out = []
-        for a in self.atoms:
-            back = _inverse_key(a.slope, a.offset)
-            for lo, hi in s.clip(a.image_lo, a.image_hi):
-                out.append(Atom(*_move(*back, lo, hi), a.slope, a.offset))
-        return PartialMap(out)
+        for a in m.atoms:
+            back = _inverse_key(a.slope, a._off)
+            for lo, hi in s._clip(a._ilo, a._ihi):
+                out.append(Atom._grid(*_move(*back, lo, hi), a.slope, a._off,
+                                      m._d))
+        return PartialMap._grid(out, m._d)
 
     def image_of(self, s: IntervalSet) -> IntervalSet:
-        pieces = []
-        for a in self.atoms:
-            for lo, hi in s.clip(a.lo, a.hi):
-                pieces.append(_move(a.slope, a.offset, lo, hi))
-        return IntervalSet._merge_pairs(pieces)
+        m, s = _align(self, s)
+        return IntervalSet._merge_pairs(
+            [_move(a.slope, a._off, lo, hi)
+             for a in m.atoms for lo, hi in s._clip(a._lo, a._hi)], m._d)
 
     def preimage_of(self, s: IntervalSet) -> IntervalSet:
+        m, s = _align(self, s)
         pieces = []
-        for a in self.atoms:
-            back = _inverse_key(a.slope, a.offset)
-            for lo, hi in s.clip(a.image_lo, a.image_hi):
+        for a in m.atoms:
+            back = _inverse_key(a.slope, a._off)
+            for lo, hi in s._clip(a._ilo, a._ihi):
                 pieces.append(_move(*back, lo, hi))
-        return IntervalSet._merge_pairs(pieces)
+        return IntervalSet._merge_pairs(pieces, m._d)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PartialMap) and self.atoms == other.atoms
@@ -175,15 +227,16 @@ def identity_map(on: IntervalSet = FULL) -> PartialMap:
 
 def compose(f: PartialMap, g: PartialMap) -> PartialMap:
     """f after g, defined on g^{-1}(domain(f)); slopes multiply, exact."""
+    f, g = _align(f, g)
     out = []
     for ag in g.atoms:
-        back = _inverse_key(ag.slope, ag.offset)
+        back = _inverse_key(ag.slope, ag._off)
         for af in f.atoms:
-            lo, hi = max(ag.image_lo, af.lo), min(ag.image_hi, af.hi)
+            lo, hi = max(ag._ilo, af._lo), min(ag._ihi, af._hi)
             if lo < hi:
-                out.append(Atom(*_move(*back, lo, hi), af.slope * ag.slope,
-                                af.slope * ag.offset + af.offset))
-    return PartialMap(out)
+                out.append(Atom._grid(*_move(*back, lo, hi), af.slope * ag.slope,
+                                      af.slope * ag._off + af._off, f._d))
+    return PartialMap._grid(out, f._d)
 
 
 def glue(maps: Sequence[PartialMap]) -> PartialMap:
@@ -200,14 +253,15 @@ def graph_intersect(f: PartialMap, g: PartialMap) -> PartialMap:
     Atoms agree in positive measure only when their (slope, offset) pairs
     coincide; everything else meets in at most one point and is dropped.
     """
+    f, g = _align(f, g)
     out = []
     for af in f.atoms:
         for ag in g.atoms:
-            if af.key() == ag.key():
-                lo, hi = max(af.lo, ag.lo), min(af.hi, ag.hi)
+            if (af.slope, af._off) == (ag.slope, ag._off):
+                lo, hi = max(af._lo, ag._lo), min(af._hi, ag._hi)
                 if lo < hi:
-                    out.append(Atom(lo, hi, af.slope, af.offset))
-    return PartialMap(out)
+                    out.append(Atom._grid(lo, hi, af.slope, af._off, f._d))
+    return PartialMap._grid(out, f._d)
 
 
 def pair_chunks(src: Sequence[tuple[Fraction, Fraction]],
@@ -243,7 +297,8 @@ def monotone_pairing(src: IntervalSet, dst: IntervalSet) -> PartialMap:
     Both sets must have equal measure; the pieces are paired by one
     ``pair_chunks`` sweep.
     """
-    if src.measure() != dst.measure():
+    src, dst = _align(src, dst)
+    if src._size() != dst._size():
         raise ValueError("monotone pairing needs equal measures")
-    return PartialMap(Atom(lo, hi, 1, shift)
-                      for lo, hi, shift in pair_chunks(src.pairs, dst.pairs))
+    return PartialMap._grid([Atom._grid(lo, hi, 1, shift, src._d) for lo, hi, shift
+                             in pair_chunks(src._iv, dst._iv)], src._d)

@@ -6,14 +6,18 @@ atoms: entries are grouped by (slope, offset) families, and within a family
 the source line carries an integer multiplicity step.  Two entries of equal
 (slope, offset) always have disjoint sources (canonical refinement), so the
 counting measure, row/column masses and L1 distance are exact sums.
+Offsets and cells are grid numerators over the multiset's ``_d``;
+``families``, the steps, ``mass`` and ``l1_distance`` read them out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator
 
-from .intervals import ZERO, IntervalSet, Step, step_sum, sweep
+from .intervals import (IntervalSet, Step, _align, _fractions, rat,
+                        step_sum, sweep)
 from .maps import Atom, PartialMap, _inverse_key, _move
 
 Key = tuple[int, Fraction]
@@ -22,41 +26,55 @@ Cells = tuple[tuple[Fraction, Fraction, int], ...]
 
 def overlay_cells(raw: Iterable[tuple[Fraction, Fraction, int]]) -> Cells:
     """Overlay possibly-overlapping weighted intervals into sparse cells."""
-    return sweep(raw, sparse=True, strict=True)
+    return sweep(raw, sparse=True)
 
 
-def _cells_sub(a: Cells, b: Cells, strict: bool) -> Cells:
-    return sweep((*a, *((lo, hi, -w) for lo, hi, w in b)), sparse=True,
-                 strict=strict)
+def _cells_sub(a: Cells, b: Cells, strict: bool, d: int = 1) -> Cells:
+    """The sparse cells of a - b; with ``strict``, ValueError where a
+    multiplicity goes negative (the point is read out over d)."""
+    cells = sweep((*a, *((lo, hi, -w) for lo, hi, w in b)), sparse=True)
+    for lo, _, v in cells if strict else ():
+        if v < 0:
+            raise ValueError(f"multiplicity goes negative at {Fraction(lo, d)}")
+    return cells
 
 
 class GraphMultiset:
     """Multiset of graph atoms with integer multiplicities (the matrix M)."""
 
-    __slots__ = ("_fam", "_support_cache")
+    __slots__ = ("_fam", "_d", "_support_cache")
 
     def __init__(self, entries: Iterable[tuple[Atom, int]] = ()):
-        grouped: dict[Key, list] = {}
+        entries = list(entries)
+        d = lcm(*(atom._d for atom, _ in entries))
+        grouped: dict[tuple[int, int], list] = {}
         for atom, mult in entries:
             if mult < 0:
                 raise ValueError("negative multiplicity")
             if mult == 0:
                 continue
-            grouped.setdefault(atom.key(), []).append((atom.lo, atom.hi, mult))
-        fam = {}
-        for key, raw in grouped.items():
-            cells = overlay_cells(raw)
-            if cells:
-                fam[key] = cells
-        self._fam = dict(sorted(fam.items()))
-        self._support_cache: dict[Key, IntervalSet] = {}
+            a = atom._lift(d)
+            grouped.setdefault((a.slope, a._off), []).append((a._lo, a._hi, mult))
+        self._set({key: overlay_cells(raw) for key, raw in grouped.items()}, d)
 
     @classmethod
-    def _raw(cls, fam: dict) -> "GraphMultiset":
+    def _raw(cls, fam: dict, d: int) -> "GraphMultiset":
         m = object.__new__(cls)
-        m._fam = dict(sorted((k, v) for k, v in fam.items() if v))
-        m._support_cache = {}
+        m._set(fam, d)
         return m
+
+    def _set(self, fam: dict, d: int) -> None:
+        self._fam = dict(sorted((k, v) for k, v in fam.items() if v))
+        self._d = d
+        self._support_cache: dict[tuple[int, int], IntervalSet] = {}
+
+    def _lift(self, d: int) -> "GraphMultiset":
+        f = d // self._d
+        if f == 1:
+            return self
+        return self._raw({(s, o * f): tuple((lo * f, hi * f, m)
+                                            for lo, hi, m in cells)
+                          for (s, o), cells in self._fam.items()}, d)
 
     @classmethod
     def from_maps(cls, maps: Iterable[PartialMap]) -> "GraphMultiset":
@@ -65,69 +83,92 @@ class GraphMultiset:
     # -- inspection ---------------------------------------------------------
 
     def families(self) -> Iterator[tuple[Key, Cells]]:
-        return iter(self._fam.items())
+        d = self._d
+        return (((s, Fraction(o, d)), _fractions(cells, d))
+                for (s, o), cells in self._fam.items())
+
+    def _key(self, key: Key) -> tuple:
+        """key with its offset over the grid; an offset off the grid stays
+        a Fraction, which no family has."""
+        off = rat(key[1]) * self._d
+        return key[0], off.numerator if off.denominator == 1 else off
 
     def support(self, key: Key) -> IntervalSet:
-        cached = self._support_cache.get(key)
-        if cached is None:
-            cached = IntervalSet._merge_pairs(
-                [(lo, hi) for lo, hi, _ in self._fam.get(key, ())])
-            self._support_cache[key] = cached
-        return cached
+        return self._support(self._key(key))
 
     def family_map(self, key: Key) -> PartialMap:
         """The support of one family as a partial map (multiplicity ignored)."""
-        slope, offset = key
-        return PartialMap(Atom(lo, hi, slope, offset)
-                          for lo, hi, _ in self._fam.get(key, ()))
+        return self._family_map(self._key(key))
+
+    def _support(self, key: tuple[int, int]) -> IntervalSet:
+        """``support`` of a key with its offset on the grid, cached."""
+        cached = self._support_cache.get(key)
+        if cached is None:
+            cached = IntervalSet._merge_pairs(
+                [(lo, hi) for lo, hi, _ in self._fam.get(key, ())], self._d)
+            self._support_cache[key] = cached
+        return cached
+
+    def _family_map(self, key: tuple[int, int]) -> PartialMap:
+        """``family_map`` of a key with its offset on the grid."""
+        return PartialMap._grid([Atom._grid(lo, hi, *key, self._d)
+                                 for lo, hi, _ in self._fam.get(key, ())],
+                                self._d)
 
     def is_empty(self) -> bool:
         return not self._fam
 
     def mass(self) -> Fraction:
         """Counting measure: total multiplicity-weighted source length."""
-        return sum(((hi - lo) * m for cells in self._fam.values()
-                    for lo, hi, m in cells), ZERO)
+        return Fraction(sum((hi - lo) * m for cells in self._fam.values()
+                            for lo, hi, m in cells), self._d)
+
+    def _degree(self, image: bool) -> Step:
+        """The row mass (the column mass, with image) as a step function of
+        grid numerators."""
+        return step_sum(((*_move(s, o, lo, hi), m) if image else (lo, hi, m)
+                         for (s, o), cells in self._fam.items()
+                         for lo, hi, m in cells), self._d)
 
     def row_step(self) -> Step:
-        return step_sum((lo, hi, m) for cells in self._fam.values()
-                        for lo, hi, m in cells)
+        return _fractions(self._degree(False), self._d)
 
     def col_step(self) -> Step:
-        return step_sum((*_move(slope, offset, lo, hi), m)
-                        for (slope, offset), cells in self._fam.items()
-                        for lo, hi, m in cells)
+        return _fractions(self._degree(True), self._d)
 
     def contains_graph(self, m: PartialMap) -> bool:
         """True when every atom of m lies inside the matching family support."""
-        return all(self.support(a.key()).clip(a.lo, a.hi) == [(a.lo, a.hi)]
-                   for a in m.atoms)
+        g, m = _align(self, m)
+        return all(g._support((a.slope, a._off))._clip(a._lo, a._hi)
+                   == [(a._lo, a._hi)] for a in m.atoms)
 
     def clip_to_support(self, m: PartialMap) -> PartialMap:
         """Restrict m to the part of its graph inside this multiset's support."""
-        out = []
-        for a in m.atoms:
-            for lo, hi in self.support(a.key()).clip(a.lo, a.hi):
-                out.append(Atom(lo, hi, a.slope, a.offset))
-        return PartialMap(out)
+        g, m = _align(self, m)
+        return PartialMap._grid(
+            [Atom._grid(lo, hi, a.slope, a._off, g._d) for a in m.atoms
+             for lo, hi in g._support((a.slope, a._off))._clip(a._lo, a._hi)],
+            g._d)
 
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, other: "GraphMultiset") -> "GraphMultiset":
-        fam = dict(self._fam)
-        for key, cells in other._fam.items():
+        a, b = _align(self, other)
+        fam = dict(a._fam)
+        for key, cells in b._fam.items():
             if key in fam:
                 fam[key] = overlay_cells(list(fam[key]) + list(cells))
             else:
                 fam[key] = cells
-        return self._raw(fam)
+        return self._raw(fam, a._d)
 
     def subtract(self, other: "GraphMultiset") -> "GraphMultiset":
         """Exact multiset difference; raises if any multiplicity goes negative."""
-        fam = dict(self._fam)
-        for key, cells in other._fam.items():
-            fam[key] = _cells_sub(fam.get(key, ()), cells, strict=True)
-        return self._raw(fam)
+        a, b = _align(self, other)
+        fam = dict(a._fam)
+        for key, cells in b._fam.items():
+            fam[key] = _cells_sub(fam.get(key, ()), cells, True, a._d)
+        return self._raw(fam, a._d)
 
     def add_maps(self, maps: Iterable[PartialMap]) -> "GraphMultiset":
         return self.add(GraphMultiset.from_maps(maps))
@@ -137,26 +178,29 @@ class GraphMultiset:
 
     def flip(self) -> "GraphMultiset":
         """Transpose: each atom family is replaced by its inverse family."""
-        fam: dict[Key, list] = {}
+        fam: dict[tuple[int, int], list] = {}
         for (slope, offset), cells in self._fam.items():
             fam.setdefault(_inverse_key(slope, offset), []).extend(
                 (*_move(slope, offset, lo, hi), m) for lo, hi, m in cells)
-        return self._raw({k: overlay_cells(v) for k, v in fam.items()})
+        return self._raw({k: overlay_cells(v) for k, v in fam.items()}, self._d)
 
     def l1_distance(self, other: "GraphMultiset") -> Fraction:
         """Integral of |self - other| against the counting measure."""
-        total = ZERO
-        for key in set(self._fam) | set(other._fam):
-            diff = _cells_sub(self._fam.get(key, ()),
-                              other._fam.get(key, ()), strict=False)
-            total += sum(((hi - lo) * abs(v) for lo, hi, v in diff), ZERO)
-        return total
+        a, b = _align(self, other)
+        total = 0
+        for key in set(a._fam) | set(b._fam):
+            diff = _cells_sub(a._fam.get(key, ()), b._fam.get(key, ()), False)
+            total += sum((hi - lo) * abs(v) for lo, hi, v in diff)
+        return Fraction(total, a._d)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GraphMultiset) and self._fam == other._fam
+        if not isinstance(other, GraphMultiset):
+            return False
+        a, b = _align(self, other)
+        return a._fam == b._fam
 
     def __hash__(self) -> int:
-        return hash(tuple((k, v) for k, v in self._fam.items()))
+        return hash(tuple(self.families()))
 
     def __repr__(self) -> str:
         return f"GraphMultiset<{len(self._fam)} families, mass {self.mass()}>"

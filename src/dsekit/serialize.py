@@ -4,9 +4,11 @@ Rationals cross the boundary as "p/q" strings in lowest terms, and the
 readers take no other string form; intervals as ["a","b"] endpoint pairs;
 atoms as {"src","slope","offset"} objects.
 Matrices are JSON lists of integer rows, or CSV with one comma-separated
-row per line and no header.  The readers take exactly these shapes: an
+row per line and no header, each cell ASCII digits with an optional minus
+sign and spaces around them.  The readers take exactly these shapes: an
 integer must be a JSON integer (not a float or a bool), and a value of
-another kind or length raises ValueError.
+another kind or length raises ValueError.  The writers read each "p/q"
+off the grid numerators of the value, with one gcd.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ import re
 from fractions import Fraction
 
 from .dse import CoverageReport, DSE
-from .intervals import positive_rat, rat, rat_str
+from .intervals import _grid_str, positive_rat, rat, rat_str
 from .maps import Atom, PartialMap
 from .multiset import GraphMultiset
 
 # the rational pattern of dse.schema.json; [0-9], as \d takes other digits
 _RATIONAL = re.compile(r"^-?[0-9]+/[0-9]+$")
+# one CSV row of such integers, spaces around each allowed
+_CSV_ROW = re.compile(r" *-?[0-9]+ *(?:, *-?[0-9]+ *)*")
 
 
 def parse_eps(text: str) -> Fraction:
@@ -46,8 +50,8 @@ def _rat(value) -> Fraction:
 
 
 def atom_to_json(a: Atom) -> dict:
-    return {"src": [rat_str(a.lo), rat_str(a.hi)],
-            "slope": a.slope, "offset": rat_str(a.offset)}
+    return {"src": [_grid_str(a._lo, a._d), _grid_str(a._hi, a._d)],
+            "slope": a.slope, "offset": _grid_str(a._off, a._d)}
 
 
 def atom_from_json(data) -> Atom:
@@ -78,8 +82,9 @@ def dse_from_json(data) -> DSE:
 def multiset_to_json(g: GraphMultiset) -> dict:
     """Entries are atom objects with a "multiplicity" key."""
     return {"entries": [
-        {**atom_to_json(Atom(lo, hi, slope, offset)), "multiplicity": mult}
-        for (slope, offset), cells in g.families() for lo, hi, mult in cells]}
+        {**atom_to_json(Atom._grid(lo, hi, slope, offset, g._d)),
+         "multiplicity": mult}
+        for (slope, offset), cells in g._fam.items() for lo, hi, mult in cells]}
 
 
 def multiset_from_json(data) -> GraphMultiset:
@@ -99,7 +104,9 @@ def matrix_from_csv(text: str) -> list[list[int]]:
     rows = []
     for line in text.strip().splitlines():
         if line.strip():
-            rows.append([int(x) for x in line.split(",")])
+            if not _CSV_ROW.fullmatch(line):
+                raise ValueError("CSV rows must be comma-separated integers")
+            rows.append(list(map(int, line.split(","))))
     return rows
 
 

@@ -461,3 +461,37 @@ def test_main_reports_every_fuzzed_input(run):
     lines = out.getvalue().splitlines()
     assert len(lines) == 1
     jsonschema.validate(json.loads(lines[0]), REPORT_SCHEMA)
+
+
+@pytest.mark.parametrize("cell", ["1_0", "١٠"],
+                         ids=["underscore", "arabic-indic-digits"])
+def test_bvn_csv_takes_only_ascii_digit_cells(cell, tmp_path, capsys):
+    # int() reads both cells as 10; the CSV reader takes [0-9] digits only
+    f = tmp_path / "m.csv"
+    f.write_text(f"{cell},0\n0,{cell}\n", encoding="utf-8")
+    code, report = run(capsys, "bvn", "--in", str(f), "--n", "10")
+    assert code == 1
+    assert report["error_type"] == "ValueError"
+    f.write_text(" 10 , 0\n0,10 \n")
+    code, report = run(capsys, "bvn", "--in", str(f), "--n", "10")
+    assert code == 0
+
+
+def test_bvn_validates_the_matrix_once(tmp_path, capsys, monkeypatch):
+    import dsekit.bvn
+
+    calls = []
+    check_square = dsekit.bvn._check_square
+
+    def counting(a):
+        calls.append(a)
+        return check_square(a)
+
+    monkeypatch.setattr(dsekit.bvn, "_check_square", counting)
+    f = tmp_path / "m.csv"
+    f.write_text("1,1,0\n0,1,1\n1,0,1\n")
+    code, report = run(capsys, "bvn", "--in", str(f), "--n", "2",
+                       "--decompose")
+    assert code == 0
+    assert len(report["result"]["permutations"]) == 2
+    assert len(calls) == 1

@@ -264,3 +264,41 @@ def test_apply_better_path_names_the_broken_invariant(pieces, message):
     with pytest.raises(InvalidPath) as exc:
         apply_better_path(div, Chain(pieces))
     assert str(exc.value) == message
+
+
+def fold(c) -> DSE:
+    """x -> c - x on [0, c) and the identity on [c, 1), symmetrized."""
+    return symmetrize(DSE([PartialMap([Atom(0, c, -1, c), Atom(c, 1, 1, 0)])],
+                          1))
+
+
+def test_initial_division_halves_the_pivot_exactly():
+    # the reflection's fixed point 1/6 has a denominator the input lacks
+    div = initial_division(fold(F(1, 3)).matrix)
+    families = dict(div.oriented.families())
+    assert families[(-1, F(1, 3))] == ((F(0), F(1, 6), 2),)
+    assert families[(1, F(0))] == ((F(1, 3), F(1), 1),)
+    psi = fold(F(1, 3))
+    phi = symmetric_split(psi, F(1, 16))
+    validate(phi)
+    assert distance(psi, symmetrize(phi)) < F(1, 16)
+
+
+@pytest.mark.parametrize("c", [F(3, 4), "3/4", F(1, 5), F(7, 12)])
+def test_fold_with_an_odd_offset_numerator_splits(c):
+    # the offset numerator of c over its own grid is odd
+    psi = fold(c)
+    families = dict(initial_division(psi.matrix).oriented.families())
+    assert families[(-1, F(c))] == ((F(0), F(c) / 2, 2),)
+    phi = symmetric_split(psi, F(1, 16))
+    validate(phi)
+    assert distance(psi, symmetrize(phi)) < F(1, 16)
+
+
+def test_initial_division_pivot_check_catches_a_missing_lift(monkeypatch):
+    # the division halves on twice the grid; without that lift the offset
+    # 1/3 is the odd numerator 1 over 3, and the check fires, also under -O
+    g = fold(F(1, 3)).matrix
+    monkeypatch.setattr(GraphMultiset, "_lift", lambda self, d: self)
+    with pytest.raises(BoundViolated, match="pivot leaves the grid"):
+        initial_division(g)

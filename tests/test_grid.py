@@ -1,0 +1,161 @@
+"""Operands on different grids against the Fraction membership oracle.
+
+Every set and map stores grid numerators over its own denominator, and an
+operation on two grids lifts both to the lcm.  These tests draw operands
+whose denominators come from {2^k, 3, 5, 7, 12}, so most pairs disagree,
+and check each operation point by point at the midpoints of the common
+grid, where membership and map values are unambiguous.
+"""
+
+import random
+from fractions import Fraction as F
+from math import lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dsekit import (Atom, GraphMultiset, IntervalSet, PartialMap, compose,
+                    glue)
+
+DENOMINATORS = (2, 4, 8, 16, 3, 5, 7, 12)
+
+denominators = st.sampled_from(DENOMINATORS)
+
+
+@st.composite
+def grid_sets(draw):
+    """A set of random cells of one grid 1/q."""
+    q = draw(denominators)
+    cells = draw(st.lists(st.booleans(), min_size=q, max_size=q))
+    return q, IntervalSet((F(k, q), F(k + 1, q))
+                          for k, on in enumerate(cells) if on)
+
+
+@st.composite
+def grid_maps(draw):
+    """A partial permutation of the cells of one grid 1/q, some of them
+    reflected."""
+    q = draw(denominators)
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    targets = list(range(q))
+    rng.shuffle(targets)
+    atoms = []
+    for j, i in enumerate(targets):
+        if rng.random() < 0.3:
+            continue
+        if rng.random() < 0.3:
+            atoms.append(Atom(F(j, q), F(j + 1, q), -1, F(i + j + 1, q)))
+        else:
+            atoms.append(Atom(F(j, q), F(j + 1, q), 1, F(i - j, q)))
+    return q, PartialMap(atoms)
+
+
+def midpoints(*qs):
+    n = lcm(*qs)
+    return [F(2 * k + 1, 2 * n) for k in range(n)]
+
+
+def member(s: IntervalSet, x) -> bool:
+    return any(lo <= x < hi for lo, hi in s.pairs)
+
+
+def assert_canonical(s: IntervalSet):
+    pairs = s.pairs
+    for lo, hi in pairs:
+        assert 0 <= lo < hi <= 1
+    for (_, prev_hi), (lo, _) in zip(pairs, pairs[1:]):
+        assert prev_hi < lo
+
+
+def assert_same_on_a_fresh_grid(x):
+    """x equals, and hashes like, its copy rebuilt from its read-outs, which
+    sits on the grid of its own endpoints."""
+    if isinstance(x, IntervalSet):
+        copy = IntervalSet(x.pairs)
+    else:
+        copy = PartialMap(Atom(a.lo, a.hi, a.slope, a.offset) for a in x.atoms)
+    assert copy == x and x == copy
+    assert hash(copy) == hash(x)
+
+
+@settings(max_examples=120, deadline=None)
+@given(grid_sets(), grid_sets())
+def test_set_ops_on_two_grids_match_membership_oracle(a, b):
+    (qa, a), (qb, b) = a, b
+    union, inter, diff = a.union(b), a.intersect(b), a.subtract(b)
+    for s in (union, inter, diff):
+        assert_canonical(s)
+        assert_same_on_a_fresh_grid(s)
+    points = midpoints(qa, qb)
+    for x in points:
+        pa, pb = member(a, x), member(b, x)
+        assert member(union, x) == (pa or pb)
+        assert member(inter, x) == (pa and pb)
+        assert member(diff, x) == (pa and not pb)
+    width = F(1, 2 * lcm(qa, qb))
+    assert inter.measure() == width * 2 * sum(member(inter, x) for x in points)
+    assert a.contains(b) == all(member(a, x) for x in points if member(b, x))
+    lo, hi = F(1, qa), 1 - F(1, qb)
+    if lo < hi:
+        clipped = IntervalSet(a.clip(lo, hi))
+        assert clipped == a.intersect(IntervalSet.interval(lo, hi))
+
+
+@settings(max_examples=120, deadline=None)
+@given(grid_maps(), grid_maps(), grid_sets())
+def test_map_ops_on_three_grids_match_membership_oracle(f, g, s):
+    (qf, f), (qg, g), (qs, s) = f, g, s
+    restricted = f.restrict(s)
+    pre, img = f.preimage_of(s), f.image_of(s)
+    fg = compose(f, g)
+    for x in (restricted, pre, img, fg):
+        assert_same_on_a_fresh_grid(x)
+    for x in midpoints(qf, qg, qs):
+        fx = f(x)
+        assert restricted(x) == (fx if member(s, x) else None)
+        assert member(pre, x) == (fx is not None and member(s, fx))
+        back = f.invert()(x)
+        assert member(img, x) == (back is not None and member(s, back))
+        gx = g(x)
+        assert fg(x) == (None if gx is None else f(gx))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_maps(), grid_maps())
+def test_multisets_on_two_grids_compare_by_value(f, g):
+    (_, f), (_, g) = f, g
+    m = GraphMultiset.from_maps([f, g])
+    rebuilt = GraphMultiset((Atom(lo, hi, *key), mult)
+                            for key, cells in m.families()
+                            for lo, hi, mult in cells)
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+    assert m.subtract(GraphMultiset.from_maps([g])) == \
+        GraphMultiset.from_maps([f])
+    assert m.mass() == f.domain.measure() + g.domain.measure()
+    assert glue([f]) == f
+
+
+def test_public_constructors_take_no_grid():
+    # numerators over a grid are read only by the private constructors, so
+    # a public caller cannot pass values that are off the grid they name
+    with pytest.raises(TypeError):
+        Atom(0, F(1, 2), 1, 0, 3)
+    with pytest.raises(TypeError):
+        PartialMap([Atom(0, F(1, 2), 1, 0)], 3)
+    f = PartialMap([Atom(0, F(1, 2), 1, 0), Atom(F(2, 3), F(5, 6), 1, F(1, 7))])
+    assert f.domain.pairs == ((0, F(1, 2)), (F(2, 3), F(5, 6)))
+    assert [(a.lo, a.hi, a.offset) for a in f.atoms] == [
+        (0, F(1, 2), 0), (F(2, 3), F(5, 6), F(1, 7))]
+
+
+def test_readers_take_keys_and_windows_off_the_grid():
+    m = GraphMultiset([(Atom(0, F(1, 2), 1, F(1, 4)), 2)])
+    assert m.support((1, F(1, 4))) == IntervalSet.interval(0, F(1, 2))
+    assert m.family_map((1, "1/4")) == PartialMap([Atom(0, F(1, 2), 1, F(1, 4))])
+    assert m.support((1, F(1, 3))).is_empty()
+    assert m.family_map((1, F(1, 3))).is_empty()
+    s = IntervalSet.interval(F(1, 4), F(3, 4))
+    assert s.clip(F(1, 3), 2) == [(F(1, 3), F(3, 4))]
+    assert s.clip(-1, F(2, 7)) == [(F(1, 4), F(2, 7))]
+    assert s.clip(F(4, 5), F(9, 10)) == []
