@@ -11,7 +11,6 @@ the exact interval pipeline.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import repeat
 
 from .dse import DSE
@@ -155,31 +154,28 @@ def discretize(d: DSE, level: int) -> Matrix:
     if level < 0:
         raise ValueError("level must be nonnegative")
     m = 2 ** level
-    unit = Fraction(1, m)
     bad = [a for pm in d.maps for a in pm.atoms
-           if (a.lo % unit or a.hi % unit or a.offset % unit)]
+           if (a._lo * m % a._d or a._hi * m % a._d or a._off * m % a._d)]
     if bad:
         raise NotCellAligned(
             f"{len(bad)} atoms are not aligned to the 1/{m} grid", bad)
     out = [[0] * m for _ in range(m)]
     for pm in d.maps:
         for a in pm.atoms:
-            for j in range(int(a.lo / unit), int(a.hi / unit)):
-                tgt_lo, _ = _move(a.slope, a.offset, j * unit, (j + 1) * unit)
-                out[int(tgt_lo / unit)][j] += 1
+            off = a._off * m // a._d
+            for j in range(a._lo * m // a._d, a._hi * m // a._d):
+                out[_move(a.slope, off, j, j + 1)[0]][j] += 1
     return out
 
 
 def lift(perms: list[Matrix], level: int) -> DSE:
     """Cell-translation automorphisms realizing the given permutations."""
     m = 2 ** level
-    unit = Fraction(1, m)
     maps = []
     for p in perms:
         if len(p) != m or not is_permutation(p):
             raise NotPermutation(f"expected a permutation matrix of size {m}")
         row_of = {row.index(1): i for i, row in enumerate(p)}
-        maps.append(PartialMap(
-            Atom(j * unit, (j + 1) * unit, 1, (row_of[j] - j) * unit)
-            for j in range(m)))
+        maps.append(PartialMap._new(
+            [Atom._new(j, j + 1, 1, row_of[j] - j, m) for j in range(m)], m))
     return DSE(maps, len(perms))

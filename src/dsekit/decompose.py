@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .dse import DSE, distance, normalize_cover, validate
 from .errors import PreconditionViolated, check
-from .intervals import EMPTY, FULL, IntervalSet, positive_rat
+from .intervals import EMPTY, FULL, IntervalSet, Step, _align, positive_rat
 from .maps import Atom, PartialMap, glue, monotone_pairing, pair_chunks
-from .multiset import Cells, overlay_cells
+from .multiset import GraphMultiset
 from .pieces import greedy_maximal_map, near_full_piece
 
 
@@ -54,18 +54,19 @@ def complete_to_automorphism(piece: PartialMap) -> PartialMap:
     return glue([piece, monotone_pairing(rest_dom, piece.image.complement())])
 
 
-def pair_profiles(src: Cells, dst: Cells) -> list[PartialMap]:
+def pair_profiles(src: Step, dst: Step, d: int) -> list[PartialMap]:
     """Translation maps whose source/target multiplicity profiles are given.
 
-    Both profiles are sparse integer cell lists of equal total mass.  They
-    are peeled into layers (the k-th layer is where the profile is >= k)
-    and the layered interval lists are paired by the ``pair_chunks`` sweep
-    of ``monotone_pairing``; every matched chunk becomes its own single-atom
+    Both profiles are integer cells of grid numerators over d, of equal
+    total mass; cells of level zero or below carry nothing.  They are
+    peeled into layers (the k-th layer is where the profile is >= k) and
+    the layered interval lists are paired by the ``pair_chunks`` sweep of
+    ``monotone_pairing``; every matched chunk becomes its own single-atom
     map, so each emitted map is trivially injective while the sums of
     indicator functions reproduce the profiles exactly.
     """
 
-    def expand(cells: Cells) -> list[tuple[Fraction, Fraction]]:
+    def expand(cells: Step) -> list[tuple[int, int]]:
         out = []
         for layer in range(1, max((m for _, _, m in cells), default=0) + 1):
             out.extend((lo, hi) for lo, hi, m in cells if m >= layer)
@@ -73,10 +74,9 @@ def pair_profiles(src: Cells, dst: Cells) -> list[PartialMap]:
 
     src_q = expand(src)
     dst_q = expand(dst)
-    total = sum((hi - lo for lo, hi in src_q), Fraction(0))
-    if total != sum((hi - lo for lo, hi in dst_q), Fraction(0)):
+    if sum(hi - lo for lo, hi in src_q) != sum(hi - lo for lo, hi in dst_q):
         raise ValueError("profiles carry different total mass")
-    return [PartialMap([Atom(lo, hi, 1, shift)])
+    return [PartialMap._new([Atom._new(lo, hi, 1, shift, d)], d)
             for lo, hi, shift in pair_chunks(src_q, dst_q)]
 
 
@@ -127,11 +127,11 @@ def peel(d: DSE, eps, diagnostics: dict | None = None,
         # images partitioning b_comp: cover it with the inverses, invert back
         inverses = [m.invert() for m in d.maps]
         psis = [m.invert() for m in _cover(inverses, b_comp)]
-        resid = resid.subtract_maps(phis).subtract_maps(psis)
-        deltas = pair_profiles(
-            overlay_cells((lo, hi, 1) for m in psis for lo, hi in m.domain),
-            overlay_cells((lo, hi, 1) for m in phis for lo, hi in m.image))
-        resid = resid.add_maps(deltas)
+        g_phi, g_psi = _align(GraphMultiset.from_maps(phis),
+                              GraphMultiset.from_maps(psis))
+        resid = resid.subtract(g_phi).subtract(g_psi)
+        resid = resid.add_maps(pair_profiles(
+            g_psi._degree(False), g_phi._degree(True), g_psi._d))
     rest = normalize_cover(resid, n - 1)
 
     bound = 4 * a_comp.measure()

@@ -26,8 +26,8 @@ from .dse import DSE, distance, normalize_cover, symmetrize, validate
 from .errors import (AlreadyPerfect, InvalidPath, NotDoublyStochastic,
                      NotSymmetric, PreconditionViolated, UnsplittableDiagonal,
                      check)
-from .intervals import (EMPTY, IntervalSet, Step, _fractions, positive_rat,
-                        step_integral, step_where)
+from .intervals import (EMPTY, IntervalSet, Step, positive_rat, step_integral,
+                        step_where)
 from .maps import Atom, PartialMap
 from .multiset import GraphMultiset, _cells_sub
 from .decompose import pair_profiles
@@ -56,11 +56,6 @@ class Division:
     def _degrees(self) -> Step:
         """The out-degree of H as a step function of grid numerators."""
         return self.oriented._degree(False)
-
-    @cached_property
-    def degrees(self) -> Step:
-        """The out-degree of H as a step function."""
-        return _fractions(self._degrees, self.oriented._d)
 
     @cached_property
     def error(self) -> Fraction:
@@ -112,7 +107,7 @@ def initial_division(g: GraphMultiset) -> Division:
     for (slope, offset), cells in g._fam.items():
         if slope == 1:
             if offset > 0:
-                entries.extend((Atom._grid(lo, hi, 1, offset, d), m)
+                entries.extend((Atom._new(lo, hi, 1, offset, d), m)
                                for lo, hi, m in cells)
             elif offset == 0:
                 for lo, hi, m in cells:
@@ -120,14 +115,14 @@ def initial_division(g: GraphMultiset) -> Division:
                         raise UnsplittableDiagonal(
                             f"diagonal cell [{Fraction(lo, d)},{Fraction(hi, d)})"
                             f" has odd multiplicity {m}")
-                    entries.append((Atom._grid(lo, hi, 1, 0, d), m // 2))
+                    entries.append((Atom._new(lo, hi, 1, 0, d), m // 2))
         else:
             check(offset % 2 == 0, "reflection pivot leaves the grid")
             pivot = offset // 2
             for lo, hi, m in cells:
                 cut = min(hi, max(lo, pivot))
                 if lo < cut:
-                    entries.append((Atom._grid(lo, cut, -1, offset, d), m))
+                    entries.append((Atom._new(lo, cut, -1, offset, d), m))
     return Division(GraphMultiset(entries), g, _regular_degree(g) // 2)
 
 
@@ -250,23 +245,23 @@ def _eliminate_short_paths(d: Division) -> Division:
 
 
 def _take_by_rows(h: GraphMultiset, need: Step) -> GraphMultiset:
-    """A sub-multiset of h whose row profile equals the positive part of need.
+    """A sub-multiset of h whose row profile equals the positive part of
+    need, a step of grid numerators over h's grid, on which it is built.
 
     Families are taken in canonical order, each pointwise as much as is
     still needed: what is left after a family is the positive part of
     left - cells, and the family gives left - rest.
     """
-    taken: list[tuple[Atom, int]] = []
+    taken = {}
     left = _sparse(need)
-    for (slope, offset), cells in h.families():
+    for key, cells in h._fam.items():
         if not left:
             break
         rest = _sparse(_cells_sub(left, cells, strict=False))
-        taken.extend((Atom(lo, hi, slope, offset), m)
-                     for lo, hi, m in _cells_sub(left, rest, strict=True))
+        taken[key] = _cells_sub(left, rest, True, h._d)
         left = rest
     check(not left, "row selection could not satisfy the profile")
-    return GraphMultiset(taken)
+    return GraphMultiset._new(taken, h._d)
 
 
 def _sparse(step: Step) -> tuple:
@@ -293,18 +288,17 @@ def symmetric_split(psi: DSE, eps) -> DSE:
     div = near_perfect_division(psi.matrix, eps / 4)
     div = _eliminate_short_paths(div)
 
-    excess_out = tuple((lo, hi, v - n) for lo, hi, v in div.degrees if v > n)
-    excess_in = tuple((lo, hi, n - v) for lo, hi, v in div.degrees if v < n)
-    h2 = div.oriented
+    h = h2 = div.oriented
+    excess_out = tuple((lo, hi, v - n) for lo, hi, v in div._degrees if v > n)
+    excess_in = tuple((lo, hi, n - v) for lo, hi, v in div._degrees if v < n)
     if excess_out or excess_in:
-        r_out = _take_by_rows(div.oriented, excess_out)
-        r_in = _take_by_rows(div.oriented.flip(), excess_in).flip()
+        # both selections are on h's grid, as are the profiles paired here
+        r_out = _take_by_rows(h, excess_out)
+        r_in = _take_by_rows(h.flip(), excess_in).flip()
         h2 = h2.subtract(r_out).subtract(r_in)
-        theta_maps = pair_profiles(_sparse(r_in.row_step()),
-                                   _sparse(r_out.col_step()))
-        delta_maps = pair_profiles(_sparse(r_in.col_step()),
-                                   _sparse(r_out.row_step()))
-        h2 = h2.add_maps(theta_maps + delta_maps)
+        theta = pair_profiles(r_in._degree(False), r_out._degree(True), h._d)
+        delta = pair_profiles(r_in._degree(True), r_out._degree(False), h._d)
+        h2 = h2.add_maps(theta + delta)
     phi = normalize_cover(h2, n)
     achieved = distance(psi, symmetrize(phi))
     check(achieved < eps, f"split distance {achieved} is not below {eps}")

@@ -157,8 +157,8 @@ def normalize_cover(m: GraphMultiset, n: int) -> DSE:
         idx = 0
         for (slope, offset), mult in here:
             for _ in range(mult):
-                layers[idx].append(Atom._grid(cuts[k], cuts[k + 1], slope, offset,
-                                              m._d))
+                layers[idx].append(Atom._new(cuts[k], cuts[k + 1], slope, offset,
+                                             m._d))
                 idx += 1
     maps: list[PartialMap] = []
     for layer in layers:
@@ -199,6 +199,6 @@ def _split_into_injective(atoms: Sequence[Atom]) -> list[PartialMap]:
         live.sort(key=lambda c, m=lo + hi: c[2] * (m - 2 * c[3]))
         for r, (_, _, slope, off) in enumerate(live):
             ranks.setdefault(r, []).append(
-                Atom._grid(*_move(*_inverse_key(slope, off), lo, hi), slope, off,
-                           d))
-    return [PartialMap._grid(v, d) for _, v in sorted(ranks.items())]
+                Atom._new(*_move(*_inverse_key(slope, off), lo, hi), slope, off,
+                          d))
+    return [PartialMap._new(v, d) for _, v in sorted(ranks.items())]

@@ -6,16 +6,16 @@ stored canonically: sorted by left endpoint, pairwise disjoint, adjacent
 pieces merged.  Equality of canonical forms is equality of sets up to
 measure zero.  No floating point appears anywhere.
 
-Numbers live on a grid: every set, atom, map and multiset stores its
-values as ``int`` numerators over one denominator ``d`` that it carries,
-the lcm of the denominators of the rationals it was built from.  Results
-inherit ``d``; an operation on two grids first lifts both to the lcm of
-their denominators (``_align``), and the one halving in the package (the
-reflection pivot of ``division.initial_division``) works on twice the
-grid.  Sums, differences and comparisons are plain ``int`` arithmetic, and
-Lebesgue measure is an exact integer sum over ``d``.  ``Fraction`` appears
-only where values are read out: pairs, measures, atom endpoints and step
-cells.
+Numbers live on a grid: every set, atom, map and multiset is a ``_Grid``
+that stores its values as ``int`` numerators over one denominator ``d``
+that it carries, the lcm of the denominators it was built from
+(``_on_grid``).  Results inherit ``d``; an operation on two grids first
+lifts both to the lcm of theirs (``_align``), and the one halving in the
+package (the reflection pivot of ``division.initial_division``) works on
+twice the grid.  Sums, differences and comparisons are plain ``int``
+arithmetic, and Lebesgue measure is an exact integer sum over ``d``.
+``Fraction`` appears only in the public constructors, in read-outs
+(pairs, measures, atom endpoints, step cells) and in the bound checks.
 
 The binary operations ``union``, ``intersect`` and ``subtract`` work only
 on the window where the two operands can interact.  Both operands are cut
@@ -68,11 +68,11 @@ def rat_str(value) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _on_grid(*values: Fraction) -> tuple[int, list[int]]:
-    """The grid ``d``, the lcm of the values' denominators, and their
-    numerators over it."""
-    d = lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
+def _on_grid(*ratios: tuple[int, int]) -> tuple[int, list[int]]:
+    """The grid ``d``, the lcm of the denominators of the (numerator,
+    denominator) ratios, and their numerators over it."""
+    d = lcm(*(q for _, q in ratios))
+    return d, [p * (d // q) for p, q in ratios]
 
 
 def _grid_str(k: int, d: int) -> str:
@@ -96,26 +96,42 @@ def _align(x, y):
     return x._lift(d), y._lift(d)
 
 
-class IntervalSet:
+class _Grid:
+    """A value of ``int`` numerators over the grid ``_d``.  A subclass
+    writes and checks its fields in ``_set(fields)``, a tuple ending in d,
+    and scales them by f onto the grid d in ``_scaled(f, d)``.  ``_set``
+    takes the tuple whole: CPython does not specialize a ``*fields`` call."""
+
+    __slots__ = ("_d",)
+
+    @classmethod
+    def _new(cls, *fields):
+        """The value of fields already on a grid; every check of ``_set``."""
+        x = object.__new__(cls)
+        x._set(fields)
+        return x
+
+    def _lift(self, d: int):
+        """This value on the grid d, a multiple of its own."""
+        f = d // self._d
+        return self if f == 1 else self._scaled(f, d)
+
+
+class IntervalSet(_Grid):
     """Canonical finite union of half-open subintervals of [0, 1)."""
 
-    __slots__ = ("_iv", "_d")
+    __slots__ = ("_iv",)
 
     def __init__(self, pairs: Iterable[tuple[Fraction, Fraction]] = ()):
         cleaned = [(rat(lo), rat(hi)) for lo, hi in pairs]
         for lo, hi in cleaned:
             if lo < hi and (lo < ZERO or hi > ONE):
                 raise ValueError(f"interval [{lo},{hi}) leaves [0,1)")
-        d, ends = _on_grid(*(x for p in cleaned for x in p))
-        self._iv = self._merge_pairs(zip(ends[::2], ends[1::2]), d)._iv
-        self._d = d
+        d, ends = _on_grid(*(x.as_integer_ratio() for p in cleaned for x in p))
+        self._set((self._merge_pairs(zip(ends[::2], ends[1::2]), d)._iv, d))
 
-    @classmethod
-    def _raw(cls, canonical: tuple, d: int) -> "IntervalSet":
-        s = object.__new__(cls)
-        s._iv = canonical
-        s._d = d
-        return s
+    def _set(self, fields: tuple[tuple, int]) -> None:
+        self._iv, self._d = fields
 
     @classmethod
     def _merge_pairs(cls, pairs: Iterable, d: int) -> "IntervalSet":
@@ -128,13 +144,10 @@ class IntervalSet:
                     merged[-1][1] = hi
             else:
                 merged.append([lo, hi])
-        return cls._raw(tuple((lo, hi) for lo, hi in merged), d)
+        return cls._new(tuple((lo, hi) for lo, hi in merged), d)
 
-    def _lift(self, d: int) -> "IntervalSet":
-        f = d // self._d
-        if f == 1:
-            return self
-        return self._raw(tuple((lo * f, hi * f) for lo, hi in self._iv), d)
+    def _scaled(self, f: int, d: int) -> "IntervalSet":
+        return self._new(tuple((lo * f, hi * f) for lo, hi in self._iv), d)
 
     def _clip(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """Grid pairs of the intersection with the window [lo, hi); sorted."""
@@ -196,7 +209,7 @@ class IntervalSet:
         b0 = bisect_left(b, a[0][0], key=_HI)
         b1 = bisect_right(b, a[-1][1], key=_LO)
         mid = self._merge_pairs(a[a0:a1] + b[b0:b1], x._d)._iv
-        return self._raw(a[:a0] + b[:b0] + mid + a[a1:] + b[b1:], x._d)
+        return self._new(a[:a0] + b[:b0] + mid + a[a1:] + b[b1:], x._d)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         if not self._iv or not other._iv:
@@ -207,7 +220,7 @@ class IntervalSet:
         a1 = bisect_left(a, b[-1][1], key=_LO)
         b0 = bisect_right(b, a[0][0], key=_HI)
         b1 = bisect_left(b, a[-1][1], key=_LO)
-        return self._raw(tuple(_meet(a[a0:a1], b[b0:b1])), x._d)
+        return self._new(tuple(_meet(a[a0:a1], b[b0:b1])), x._d)
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
         if not self._iv or not other._iv:
@@ -222,7 +235,7 @@ class IntervalSet:
         b0 = bisect_right(b, a[a0][0], key=_HI)
         b1 = bisect_left(b, a[a1 - 1][1], key=_LO)
         mid = _minus(a[a0:a1], b[b0:b1])
-        return self._raw(a[:a0] + tuple(mid) + a[a1:], x._d)
+        return self._new(a[:a0] + tuple(mid) + a[a1:], x._d)
 
     def complement(self) -> "IntervalSet":
         """Complement relative to [0, 1)."""
@@ -288,8 +301,8 @@ def _minus(a, b) -> list:
     return out
 
 
-EMPTY = IntervalSet()
-FULL = IntervalSet(((ZERO, ONE),))
+EMPTY = IntervalSet._new((), 1)
+FULL = IntervalSet._new(((0, 1),), 1)
 
 
 # -- integer step functions over [0, 1) --------------------------------------
@@ -303,15 +316,15 @@ FULL = IntervalSet(((ZERO, ONE),))
 Step = tuple[tuple[Fraction, Fraction, int], ...]
 
 
-def sweep(weighted: Iterable[tuple[Fraction, Fraction, int]],
-          cuts: Iterable[Fraction] = (), sparse: bool = False) -> Step:
+def sweep(weighted: Iterable[tuple[int, int, int]],
+          cuts: Iterable[int] = (), sparse: bool = False) -> Step:
     """Cells (lo, hi, level) of the sum of w * indicator([lo, hi)).
 
     One pass files each w as +w at lo and -w at hi in a dict of endpoint
     deltas (``cuts`` adds cut points of delta zero); the sweep over the
     sorted cuts keeps the running level, and adjacent cells of equal level
-    are merged.  ``sparse`` drops the cells of level zero.  Endpoints may
-    be Fractions or the grid numerators of one grid.
+    are merged.  ``sparse`` drops the cells of level zero.  Endpoints are
+    the grid numerators of one grid.
     """
     deltas = dict.fromkeys(cuts, 0)
     get = deltas.get
@@ -333,24 +346,23 @@ def sweep(weighted: Iterable[tuple[Fraction, Fraction, int]],
     return tuple((lo, hi, v) for lo, hi, v in out)
 
 
-def step_sum(weighted: Iterable[tuple[Fraction, Fraction, int]],
-             one=ONE) -> Step:
-    """Step function for a finite sum of w * indicator([lo, hi)); ``one``
-    is the right end of [0, 1), the grid denominator for grid numerators."""
-    s = sweep(weighted, cuts=(one - one, one))
-    if s[0][0] < 0 or s[-1][1] > one:
+def step_sum(weighted: Iterable[tuple[int, int, int]], d: int) -> Step:
+    """Step function for a finite sum of w * indicator([lo, hi)) on the
+    grid d, which is the right end of [0, 1) there."""
+    s = sweep(weighted, cuts=(0, d))
+    if s[0][0] < 0 or s[-1][1] > d:
         raise ValueError("step support leaves [0,1)")
     return s
 
 
-def step_where(s: Step, predicate, d: int | None = None) -> IntervalSet:
-    """Interval set of the cells whose value satisfies the predicate; ``d``
-    is the grid of a step of grid numerators."""
-    pairs = [(lo, hi) for lo, hi, v in s if predicate(v)]
-    return IntervalSet(pairs) if d is None else IntervalSet._merge_pairs(pairs, d)
+def step_where(s: Step, predicate, d: int) -> IntervalSet:
+    """Interval set of the cells whose value satisfies the predicate, for
+    a step of grid numerators over d."""
+    return IntervalSet._merge_pairs(
+        [(lo, hi) for lo, hi, v in s if predicate(v)], d)
 
 
-def step_integral(s: Step, fn=lambda v: v) -> Fraction:
-    """Exact integral of fn(value) over [0, 1); on grid numerators, the
-    integral times d."""
+def step_integral(s: Step, fn=lambda v: v) -> int:
+    """Exact integral of fn(value) over [0, 1), times the grid d of the
+    step's numerators."""
     return sum((hi - lo) * fn(v) for lo, hi, v in s)

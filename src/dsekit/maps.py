@@ -16,18 +16,17 @@ from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OverlapError
-from .intervals import FULL, ZERO, IntervalSet, _align, _on_grid, rat
+from .intervals import FULL, IntervalSet, _align, _Grid, _on_grid, rat
 
 
-def _move(slope: int, offset: Fraction, lo: Fraction,
-          hi: Fraction) -> tuple[Fraction, Fraction]:
+def _move(slope: int, offset: int, lo: int, hi: int) -> tuple[int, int]:
     """Image of [lo, hi) under x -> slope*x + offset, taken half-open."""
     if slope == 1:
         return lo + offset, hi + offset
     return offset - hi, offset - lo
 
 
-def _inverse_key(slope: int, offset: Fraction) -> tuple[int, Fraction]:
+def _inverse_key(slope: int, offset: int) -> tuple[int, int]:
     """(slope, offset) of the inverse of x -> slope*x + offset."""
     return (1, -offset) if slope == 1 else (-1, offset)
 
@@ -37,7 +36,7 @@ def _readout(name: str) -> property:
     return property(lambda a: Fraction(getattr(a, name), a._d))
 
 
-class Atom:
+class Atom(_Grid):
     """One affine piece of a partial isomorphism.
 
     Stores grid numerators over its ``_d``, the lcm of the denominators it
@@ -45,20 +44,15 @@ class Atom:
     ``image_hi`` read them out as Fractions.
     """
 
-    __slots__ = ("_lo", "_hi", "slope", "_off", "_ilo", "_ihi", "_d")
+    __slots__ = ("_lo", "_hi", "slope", "_off", "_ilo", "_ihi")
 
     def __init__(self, lo, hi, slope: int, offset):
-        d, (lo, hi, offset) = _on_grid(rat(lo), rat(hi), rat(offset))
-        self._set(lo, hi, slope, offset, d)
+        d, (lo, hi, offset) = _on_grid(
+            *(rat(v).as_integer_ratio() for v in (lo, hi, offset)))
+        self._set((lo, hi, slope, offset, d))
 
-    @classmethod
-    def _grid(cls, lo: int, hi: int, slope: int, off: int, d: int) -> "Atom":
-        """The atom of numerators already on the grid d; same checks."""
-        a = object.__new__(cls)
-        a._set(lo, hi, slope, off, d)
-        return a
-
-    def _set(self, lo: int, hi: int, slope: int, off: int, d: int) -> None:
+    def _set(self, fields: tuple[int, int, int, int, int]) -> None:
+        lo, hi, slope, off, d = fields
         if slope not in (1, -1):
             raise ValueError("slope must be +1 or -1")
         if not (0 <= lo < hi <= d):
@@ -73,12 +67,9 @@ class Atom:
     lo, hi, offset, image_lo, image_hi = map(
         _readout, ("_lo", "_hi", "_off", "_ilo", "_ihi"))
 
-    def _lift(self, d: int) -> "Atom":
-        f = d // self._d
-        if f == 1:
-            return self
-        return Atom._grid(self._lo * f, self._hi * f, self.slope,
-                          self._off * f, d)
+    def _scaled(self, f: int, d: int) -> "Atom":
+        return Atom._new(self._lo * f, self._hi * f, self.slope,
+                         self._off * f, d)
 
     def apply(self, x) -> Fraction | None:
         x = rat(x)
@@ -87,8 +78,8 @@ class Atom:
         return None
 
     def invert(self) -> "Atom":
-        return Atom._grid(self._ilo, self._ihi,
-                          *_inverse_key(self.slope, self._off), self._d)
+        return Atom._new(self._ilo, self._ihi,
+                         *_inverse_key(self.slope, self._off), self._d)
 
     def key(self) -> tuple:
         return (self.slope, self.offset)
@@ -115,30 +106,24 @@ def _canonical_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
         if merged:
             p = merged[-1]
             if p.slope == a.slope and p._off == a._off and p._hi == a._lo:
-                merged[-1] = Atom._grid(p._lo, a._hi, a.slope, a._off, a._d)
+                merged[-1] = Atom._new(p._lo, a._hi, a.slope, a._off, a._d)
                 continue
         merged.append(a)
     return tuple(merged)
 
 
-class PartialMap:
+class PartialMap(_Grid):
     """Injective measure-preserving map between two subsets of [0, 1)."""
 
-    __slots__ = ("atoms", "domain", "image", "_d")
+    __slots__ = ("atoms", "domain", "image")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         atoms = list(atoms)
         d = lcm(*(a._d for a in atoms))
-        self._set([a._lift(d) for a in atoms], d)
+        self._set(([a._lift(d) for a in atoms], d))
 
-    @classmethod
-    def _grid(cls, atoms: Iterable[Atom], d: int) -> "PartialMap":
-        """The map of atoms that are all on the grid d; same checks."""
-        m = object.__new__(cls)
-        m._set(atoms, d)
-        return m
-
-    def _set(self, atoms: Iterable[Atom], d: int) -> None:
+    def _set(self, fields: tuple[Iterable[Atom], int]) -> None:
+        atoms, d = fields
         self.atoms = _canonical_atoms(atoms)
         self._d = d
         dom_pairs = []
@@ -155,10 +140,8 @@ class PartialMap:
         if self.image._size() != self.domain._size():
             raise OverlapError("images overlap (injectivity violated)")
 
-    def _lift(self, d: int) -> "PartialMap":
-        if d == self._d:
-            return self
-        return PartialMap._grid([a._lift(d) for a in self.atoms], d)
+    def _scaled(self, f: int, d: int) -> "PartialMap":
+        return PartialMap._new([a._lift(d) for a in self.atoms], d)
 
     def is_empty(self) -> bool:
         return not self.atoms
@@ -173,14 +156,14 @@ class PartialMap:
     __call__ = apply
 
     def invert(self) -> "PartialMap":
-        return PartialMap._grid([a.invert() for a in self.atoms], self._d)
+        return PartialMap._new([a.invert() for a in self.atoms], self._d)
 
     def restrict(self, s: IntervalSet) -> "PartialMap":
         """Keep only the graph over s (restriction by source)."""
         m, s = _align(self, s)
-        return PartialMap._grid([Atom._grid(lo, hi, a.slope, a._off, m._d)
-                                 for a in m.atoms
-                                 for lo, hi in s._clip(a._lo, a._hi)], m._d)
+        return PartialMap._new([Atom._new(lo, hi, a.slope, a._off, m._d)
+                                for a in m.atoms
+                                for lo, hi in s._clip(a._lo, a._hi)], m._d)
 
     def restrict_image(self, s: IntervalSet) -> "PartialMap":
         """Keep only the graph whose image lies in s."""
@@ -189,9 +172,9 @@ class PartialMap:
         for a in m.atoms:
             back = _inverse_key(a.slope, a._off)
             for lo, hi in s._clip(a._ilo, a._ihi):
-                out.append(Atom._grid(*_move(*back, lo, hi), a.slope, a._off,
-                                      m._d))
-        return PartialMap._grid(out, m._d)
+                out.append(Atom._new(*_move(*back, lo, hi), a.slope, a._off,
+                                     m._d))
+        return PartialMap._new(out, m._d)
 
     def image_of(self, s: IntervalSet) -> IntervalSet:
         m, s = _align(self, s)
@@ -222,7 +205,8 @@ EMPTY_MAP = PartialMap()
 
 
 def identity_map(on: IntervalSet = FULL) -> PartialMap:
-    return PartialMap(Atom(lo, hi, 1, ZERO) for lo, hi in on)
+    return PartialMap._new([Atom._new(lo, hi, 1, 0, on._d)
+                            for lo, hi in on._iv], on._d)
 
 
 def compose(f: PartialMap, g: PartialMap) -> PartialMap:
@@ -234,9 +218,9 @@ def compose(f: PartialMap, g: PartialMap) -> PartialMap:
         for af in f.atoms:
             lo, hi = max(ag._ilo, af._lo), min(ag._ihi, af._hi)
             if lo < hi:
-                out.append(Atom._grid(*_move(*back, lo, hi), af.slope * ag.slope,
-                                      af.slope * ag._off + af._off, f._d))
-    return PartialMap._grid(out, f._d)
+                out.append(Atom._new(*_move(*back, lo, hi), af.slope * ag.slope,
+                                     af.slope * ag._off + af._off, f._d))
+    return PartialMap._new(out, f._d)
 
 
 def glue(maps: Sequence[PartialMap]) -> PartialMap:
@@ -260,13 +244,12 @@ def graph_intersect(f: PartialMap, g: PartialMap) -> PartialMap:
             if (af.slope, af._off) == (ag.slope, ag._off):
                 lo, hi = max(af._lo, ag._lo), min(af._hi, ag._hi)
                 if lo < hi:
-                    out.append(Atom._grid(lo, hi, af.slope, af._off, f._d))
-    return PartialMap._grid(out, f._d)
+                    out.append(Atom._new(lo, hi, af.slope, af._off, f._d))
+    return PartialMap._new(out, f._d)
 
 
-def pair_chunks(src: Sequence[tuple[Fraction, Fraction]],
-                dst: Sequence[tuple[Fraction, Fraction]],
-                ) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
+def pair_chunks(src: Sequence[tuple[int, int]], dst: Sequence[tuple[int, int]],
+                ) -> Iterator[tuple[int, int, int]]:
     """Pair two interval lists of equal total length in one left-to-right
     sweep, splitting intervals where lengths differ.
 
@@ -300,5 +283,5 @@ def monotone_pairing(src: IntervalSet, dst: IntervalSet) -> PartialMap:
     src, dst = _align(src, dst)
     if src._size() != dst._size():
         raise ValueError("monotone pairing needs equal measures")
-    return PartialMap._grid([Atom._grid(lo, hi, 1, shift, src._d) for lo, hi, shift
-                             in pair_chunks(src._iv, dst._iv)], src._d)
+    return PartialMap._new([Atom._new(lo, hi, 1, shift, src._d) for lo, hi, shift
+                            in pair_chunks(src._iv, dst._iv)], src._d)

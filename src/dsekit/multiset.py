@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator
 
-from .intervals import (IntervalSet, Step, _align, _fractions, rat,
+from .intervals import (IntervalSet, Step, _align, _fractions, _Grid, rat,
                         step_sum, sweep)
 from .maps import Atom, PartialMap, _inverse_key, _move
 
@@ -39,10 +39,10 @@ def _cells_sub(a: Cells, b: Cells, strict: bool, d: int = 1) -> Cells:
     return cells
 
 
-class GraphMultiset:
+class GraphMultiset(_Grid):
     """Multiset of graph atoms with integer multiplicities (the matrix M)."""
 
-    __slots__ = ("_fam", "_d", "_support_cache")
+    __slots__ = ("_fam", "_support_cache")
 
     def __init__(self, entries: Iterable[tuple[Atom, int]] = ()):
         entries = list(entries)
@@ -55,24 +55,16 @@ class GraphMultiset:
                 continue
             a = atom._lift(d)
             grouped.setdefault((a.slope, a._off), []).append((a._lo, a._hi, mult))
-        self._set({key: overlay_cells(raw) for key, raw in grouped.items()}, d)
+        self._set(({key: overlay_cells(raw) for key, raw in grouped.items()}, d))
 
-    @classmethod
-    def _raw(cls, fam: dict, d: int) -> "GraphMultiset":
-        m = object.__new__(cls)
-        m._set(fam, d)
-        return m
-
-    def _set(self, fam: dict, d: int) -> None:
+    def _set(self, fields: tuple[dict, int]) -> None:
+        fam, d = fields
         self._fam = dict(sorted((k, v) for k, v in fam.items() if v))
         self._d = d
         self._support_cache: dict[tuple[int, int], IntervalSet] = {}
 
-    def _lift(self, d: int) -> "GraphMultiset":
-        f = d // self._d
-        if f == 1:
-            return self
-        return self._raw({(s, o * f): tuple((lo * f, hi * f, m)
+    def _scaled(self, f: int, d: int) -> "GraphMultiset":
+        return self._new({(s, o * f): tuple((lo * f, hi * f, m)
                                             for lo, hi, m in cells)
                           for (s, o), cells in self._fam.items()}, d)
 
@@ -111,9 +103,9 @@ class GraphMultiset:
 
     def _family_map(self, key: tuple[int, int]) -> PartialMap:
         """``family_map`` of a key with its offset on the grid."""
-        return PartialMap._grid([Atom._grid(lo, hi, *key, self._d)
-                                 for lo, hi, _ in self._fam.get(key, ())],
-                                self._d)
+        return PartialMap._new([Atom._new(lo, hi, *key, self._d)
+                                for lo, hi, _ in self._fam.get(key, ())],
+                               self._d)
 
     def is_empty(self) -> bool:
         return not self._fam
@@ -145,8 +137,8 @@ class GraphMultiset:
     def clip_to_support(self, m: PartialMap) -> PartialMap:
         """Restrict m to the part of its graph inside this multiset's support."""
         g, m = _align(self, m)
-        return PartialMap._grid(
-            [Atom._grid(lo, hi, a.slope, a._off, g._d) for a in m.atoms
+        return PartialMap._new(
+            [Atom._new(lo, hi, a.slope, a._off, g._d) for a in m.atoms
              for lo, hi in g._support((a.slope, a._off))._clip(a._lo, a._hi)],
             g._d)
 
@@ -160,7 +152,7 @@ class GraphMultiset:
                 fam[key] = overlay_cells(list(fam[key]) + list(cells))
             else:
                 fam[key] = cells
-        return self._raw(fam, a._d)
+        return self._new(fam, a._d)
 
     def subtract(self, other: "GraphMultiset") -> "GraphMultiset":
         """Exact multiset difference; raises if any multiplicity goes negative."""
@@ -168,7 +160,7 @@ class GraphMultiset:
         fam = dict(a._fam)
         for key, cells in b._fam.items():
             fam[key] = _cells_sub(fam.get(key, ()), cells, True, a._d)
-        return self._raw(fam, a._d)
+        return self._new(fam, a._d)
 
     def add_maps(self, maps: Iterable[PartialMap]) -> "GraphMultiset":
         return self.add(GraphMultiset.from_maps(maps))
@@ -182,7 +174,7 @@ class GraphMultiset:
         for (slope, offset), cells in self._fam.items():
             fam.setdefault(_inverse_key(slope, offset), []).extend(
                 (*_move(slope, offset, lo, hi), m) for lo, hi, m in cells)
-        return self._raw({k: overlay_cells(v) for k, v in fam.items()}, self._d)
+        return self._new({k: overlay_cells(v) for k, v in fam.items()}, self._d)
 
     def l1_distance(self, other: "GraphMultiset") -> Fraction:
         """Integral of |self - other| against the counting measure."""

@@ -7,8 +7,11 @@ Matrices are JSON lists of integer rows, or CSV with one comma-separated
 row per line and no header, each cell ASCII digits with an optional minus
 sign and spaces around them.  The readers take exactly these shapes: an
 integer must be a JSON integer (not a float or a bool), and a value of
-another kind or length raises ValueError.  The writers read each "p/q"
-off the grid numerators of the value, with one gcd.
+another kind or length raises ValueError (a zero denominator,
+ZeroDivisionError).  Each rational is read to integers (p, q) and each
+atom built on the lcm of its denominators, with no ``Fraction``; only
+``parse_eps`` returns one.  The writers read each "p/q" off the grid
+numerators of the value, with one gcd.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import re
 from fractions import Fraction
 
 from .dse import CoverageReport, DSE
-from .intervals import _grid_str, positive_rat, rat, rat_str
+from .intervals import _grid_str, _on_grid, positive_rat, rat_str
 from .maps import Atom, PartialMap
 from .multiset import GraphMultiset
 
@@ -29,7 +32,7 @@ _CSV_ROW = re.compile(r" *-?[0-9]+ *(?:, *-?[0-9]+ *)*")
 
 def parse_eps(text: str) -> Fraction:
     """Tolerance flags: a positive "p/q" rational, spaces around it allowed."""
-    return positive_rat(_rat(text.strip()))
+    return positive_rat(Fraction(*_ratio(text.strip())))
 
 
 def _expect(value, kind: type):
@@ -40,13 +43,16 @@ def _expect(value, kind: type):
     return value
 
 
-def _rat(value) -> Fraction:
-    """A JSON rational: a "p/q" string or an integer."""
+def _ratio(value) -> tuple[int, int]:
+    """A JSON rational, a "p/q" string or an integer, as integers (p, q)."""
     if not isinstance(value, str):
-        return rat(_expect(value, int))
+        return _expect(value, int), 1
     if not _RATIONAL.fullmatch(value):
         raise ValueError(f"expected a 'p/q' rational, got {value!r}")
-    return rat(value)
+    p, q = map(int, value.split("/"))
+    if not q:
+        raise ZeroDivisionError(f"zero denominator in {value!r}")
+    return p, q
 
 
 def atom_to_json(a: Atom) -> dict:
@@ -56,8 +62,9 @@ def atom_to_json(a: Atom) -> dict:
 
 def atom_from_json(data) -> Atom:
     lo, hi = _expect(_expect(data, dict)["src"], list)
-    return Atom(_rat(lo), _rat(hi), _expect(data["slope"], int),
-                _rat(data["offset"]))
+    lo, hi, slope = _ratio(lo), _ratio(hi), _expect(data["slope"], int)
+    d, (lo, hi, off) = _on_grid(lo, hi, _ratio(data["offset"]))
+    return Atom._new(lo, hi, slope, off, d)
 
 
 def map_to_json(m: PartialMap) -> list:
@@ -82,7 +89,7 @@ def dse_from_json(data) -> DSE:
 def multiset_to_json(g: GraphMultiset) -> dict:
     """Entries are atom objects with a "multiplicity" key."""
     return {"entries": [
-        {**atom_to_json(Atom._grid(lo, hi, slope, offset, g._d)),
+        {**atom_to_json(Atom._new(lo, hi, slope, offset, g._d)),
          "multiplicity": mult}
         for (slope, offset), cells in g._fam.items() for lo, hi, mult in cells]}
 

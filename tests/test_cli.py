@@ -1,4 +1,5 @@
 import contextlib
+import fractions
 import io
 import json
 import os
@@ -148,7 +149,7 @@ IDENTITY = split_identity("1/2")
 
 # Each edit (key path, new value) of the identity element is malformed and
 # must be a JSON parse error (exit 1), neither a traceback nor silently
-# truncated.  The rational strings are read by Fraction() as the value
+# truncated.  Fraction() would read the rational strings as the value
 # they replace, but they do not match the "p/q" pattern of the schema.
 MALFORMED = {
     "float-endpoints": (("maps", 0, 0, "src"), [0.0, 1.0]),
@@ -190,6 +191,47 @@ def test_exponent_rational_is_rejected_before_it_is_built(tmp_path, capsys):
     assert time.monotonic() - started < 1
     assert code == 1
     assert report["error"] == "expected a 'p/q' rational, got '1e-3000000'"
+
+
+@pytest.mark.parametrize("value", ["1/0", "0/0"])
+@pytest.mark.parametrize("path", [("maps", 0, 0, "src", 0),
+                                  ("maps", 0, 1, "src", 1)],
+                         ids=["src-lo", "src-hi"])
+def test_zero_denominator_endpoint_is_parse_error(path, value, tmp_path,
+                                                  capsys):
+    f = tmp_path / "zero.json"
+    f.write_text(json.dumps(replaced(IDENTITY, path, value)))
+    code, report = run(capsys, "validate", "--in", str(f))
+    assert code == 1
+    assert report["error_type"] == "ZeroDivisionError"
+
+
+def test_unreduced_rationals_read_as_the_reduced_element():
+    read = ser.dse_from_json({"multiplicity": 1, "maps": [[
+        {"src": [0, "2/4"], "slope": 1, "offset": "3/6"},
+        {"src": ["3/6", 1], "slope": 1, "offset": "-2/4"}]]})
+    reduced = DSE([half_shift()], 1)
+    assert read == reduced and hash(read) == hash(reduced)
+    assert read.maps == reduced.maps
+    assert hash(read.maps) == hash(reduced.maps)
+    assert json.dumps(ser.dse_to_json(read)) == \
+        json.dumps(ser.dse_to_json(reduced))
+
+
+def test_element_reader_builds_no_fraction(monkeypatch):
+    data = ser.dse_to_json(counterexample(6))
+    built = []
+    new = fractions.Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counted))
+    d = ser.dse_from_json(data)
+    monkeypatch.undo()
+    assert built == []
+    assert d == counterexample(6)
 
 
 def test_zero_eps_flag_reads_as_the_library_tolerance_rule(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -207,7 +208,7 @@ def test_regular_graph_odd_regularity_is_precondition_violation():
 def test_take_by_rows_shortfall_raises_bound_violated():
     h = GraphMultiset([(Atom(0, F(1, 2), 1, F(1, 2)), 1)])
     with pytest.raises(BoundViolated, match="row selection"):
-        _take_by_rows(h, ((F(0), F(1), 1),))
+        _take_by_rows(h, ((0, h._d, 1),))
 
 
 def _selection(take, h, need):
@@ -229,7 +230,9 @@ def test_take_by_rows_matches_reference(level, n, need_level, seed):
     need = tuple((F(i, cells), F(i + 1, cells), rng.randint(-1, n + 1))
                  for i in range(cells))
     want = _selection(reference_take_by_rows, h, need)
-    assert _selection(_take_by_rows, h, need) == want
+    g = h._lift(lcm(h._d, cells))
+    on_grid = tuple((int(lo * g._d), int(hi * g._d), v) for lo, hi, v in need)
+    assert _selection(_take_by_rows, g, on_grid) == want
 
 
 # The initial division of sym(ce(2)) has P+ = [0,1/2), P- = [1/2,1) and

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from dsekit import (Atom, GraphMultiset, IntervalSet, PartialMap, compose,
                     glue)
+from dsekit.errors import OverlapError
 
 DENOMINATORS = (2, 4, 8, 16, 3, 5, 7, 12)
 
@@ -68,15 +69,28 @@ def assert_canonical(s: IntervalSet):
         assert prev_hi < lo
 
 
+def assert_lifts(x):
+    """x lifted to a multiple of its grid equals, and hashes like, x; on
+    its own grid it is x itself."""
+    assert x._lift(x._d) is x
+    for k in (2, 3):
+        y = x._lift(k * x._d)
+        assert y._d == k * x._d
+        assert y == x and x == y and hash(y) == hash(x)
+
+
 def assert_same_on_a_fresh_grid(x):
     """x equals, and hashes like, its copy rebuilt from its read-outs, which
-    sits on the grid of its own endpoints."""
+    sits on the grid of its own endpoints; x and its atoms lift."""
     if isinstance(x, IntervalSet):
         copy = IntervalSet(x.pairs)
     else:
         copy = PartialMap(Atom(a.lo, a.hi, a.slope, a.offset) for a in x.atoms)
+        for a in x.atoms:
+            assert_lifts(a)
     assert copy == x and x == copy
     assert hash(copy) == hash(x)
+    assert_lifts(x)
 
 
 @settings(max_examples=120, deadline=None)
@@ -130,6 +144,7 @@ def test_multisets_on_two_grids_compare_by_value(f, g):
                             for key, cells in m.families()
                             for lo, hi, mult in cells)
     assert rebuilt == m and hash(rebuilt) == hash(m)
+    assert_lifts(m)
     assert m.subtract(GraphMultiset.from_maps([g])) == \
         GraphMultiset.from_maps([f])
     assert m.mass() == f.domain.measure() + g.domain.measure()
@@ -147,6 +162,15 @@ def test_public_constructors_take_no_grid():
     assert f.domain.pairs == ((0, F(1, 2)), (F(2, 3), F(5, 6)))
     assert [(a.lo, a.hi, a.offset) for a in f.atoms] == [
         (0, F(1, 2), 0), (F(2, 3), F(5, 6), F(1, 7))]
+    # the grid constructors reject what the public ones reject
+    with pytest.raises(ValueError, match="leaves"):
+        Atom(F(1, 2), 1, 1, F(1, 4))
+    with pytest.raises(ValueError, match="leaves"):
+        Atom._new(2, 4, 1, 1, 4)
+    with pytest.raises(OverlapError, match="sources overlap"):
+        PartialMap([Atom(0, F(1, 2), 1, 0), Atom(F(1, 4), F(3, 4), 1, 0)])
+    with pytest.raises(OverlapError, match="sources overlap"):
+        PartialMap._new([Atom._new(0, 2, 1, 0, 4), Atom._new(1, 3, 1, 0, 4)], 4)
 
 
 def test_readers_take_keys_and_windows_off_the_grid():

@@ -178,8 +178,10 @@ def test_set_ops_match_membership_oracle(name, keep, a, b):
 
 
 def test_step_sum_and_integral():
-    s = step_sum([(F(0), F(1, 2), 1), (F(1, 4), F(3, 4), 2)])
-    assert s == ((F(0), F(1, 4), 1), (F(1, 4), F(1, 2), 3),
-                 (F(1, 2), F(3, 4), 2), (F(3, 4), F(1), 0))
-    assert step_integral(s) == F(1, 2) + F(1)
-    assert step_where(s, lambda v: v >= 2) == iv(F(1, 4), F(3, 4))
+    # grid numerators over d = 4: [0, 1/2) once and [1/4, 3/4) twice
+    s = step_sum([(0, 2, 1), (1, 3, 2)], 4)
+    assert s == ((0, 1, 1), (1, 2, 3), (2, 3, 2), (3, 4, 0))
+    assert step_integral(s) == 4 * (F(1, 2) + F(1))
+    assert step_where(s, lambda v: v >= 2, 4) == iv(F(1, 4), F(3, 4))
+    with pytest.raises(ValueError, match="leaves"):
+        step_sum([(0, 5, 1)], 4)
