@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .dse import DSE, distance, normalize_cover, validate
 from .errors import PreconditionViolated, check
-from .intervals import EMPTY, FULL, IntervalSet, Step, _align, positive_rat
+from .intervals import FULL, IntervalSet, Step, _align, positive_rat
 from .maps import Atom, PartialMap, glue, monotone_pairing, pair_chunks
 from .multiset import GraphMultiset
 from .pieces import greedy_maximal_map, near_full_piece
@@ -82,14 +82,13 @@ def pair_profiles(src: Step, dst: Step, d: int) -> list[PartialMap]:
 
 def _cover(maps, region: IntervalSet) -> list[PartialMap]:
     """Restrictions of the maps whose domains partition the region."""
-    out = []
-    covered = EMPTY
+    out, left = [], region
     for m in maps:
-        part = region.subtract(covered).intersect(m.domain)
+        part = left.intersect(m.domain)
         if not part.is_empty():
             out.append(m.restrict(part))
-            covered = covered.union(part)
-    check(covered == region, "element does not cover the region")
+            left = left.subtract(part)
+    check(left.is_empty(), "element does not cover the region")
     return out
 
 

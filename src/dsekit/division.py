@@ -234,8 +234,7 @@ def _eliminate_short_paths(d: Division) -> Division:
         changed = False
         for key in list(d.oriented._fam):
             fm = d.oriented._family_map(key)
-            src = fm.domain.intersect(d.p_plus).intersect(
-                fm.preimage_of(d.p_minus))
+            src = d.p_plus.intersect(fm.preimage_of(d.p_minus))
             if src.is_empty():
                 continue
             d = apply_better_path(d, Chain((fm.restrict(src),)))

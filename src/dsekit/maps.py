@@ -7,16 +7,22 @@ composition, which is all the calculus downstream needs.  Reflection atoms
 reorient their image half-open: the image of ``[a, b)`` under
 ``x -> o - x`` is taken to be ``[o - b, o - a)``; the single endpoint this
 drops has measure zero.  ``_move`` is the one place this rule is written.
+
+The map operations walk only the atoms that meet a set (``_cut``), in
+O(log k) plus the atoms and intervals met: by source, or by image through
+an index a map builds on first use and keeps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OverlapError
-from .intervals import FULL, IntervalSet, _align, _Grid, _on_grid, rat
+from .intervals import FULL, IntervalSet, _align, _Grid, _HI, _on_grid, rat
 
 
 def _move(slope: int, offset: int, lo: int, hi: int) -> tuple[int, int]:
@@ -97,6 +103,9 @@ class Atom(_Grid):
         return f"Atom([{self.lo},{self.hi}) {sign}+({self.offset}))"
 
 
+_SLO, _SHI, _ILO, _IHI = map(attrgetter, ("_lo", "_hi", "_ilo", "_ihi"))
+
+
 def _canonical_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     """Sort by source and merge contiguous atoms of the same (slope, offset);
     the atoms share one grid."""
@@ -115,7 +124,7 @@ def _canonical_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
 class PartialMap(_Grid):
     """Injective measure-preserving map between two subsets of [0, 1)."""
 
-    __slots__ = ("atoms", "domain", "image")
+    __slots__ = ("atoms", "domain", "image", "_image_order")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         atoms = list(atoms)
@@ -126,6 +135,7 @@ class PartialMap(_Grid):
         atoms, d = fields
         self.atoms = _canonical_atoms(atoms)
         self._d = d
+        self._image_order = None
         dom_pairs = []
         img_pairs = []
         prev_hi = None
@@ -158,38 +168,54 @@ class PartialMap(_Grid):
     def invert(self) -> "PartialMap":
         return PartialMap._new([a.invert() for a in self.atoms], self._d)
 
+    def _cut(self, s: IntervalSet, image: bool = False) -> tuple[int, list]:
+        """The grid d of the map and s, and (atom, lo, hi) for each piece
+        [lo, hi) where an atom's source (image, with ``image``) meets s, by
+        bisection to their common window and a two-pointer merge there."""
+        m, s = _align(self, s)
+        atoms, iv, lo_of, hi_of = m.atoms, s._iv, _SLO, _SHI
+        if image:
+            if m._image_order is None:
+                m._image_order = sorted(atoms, key=_ILO)
+            atoms, lo_of, hi_of = m._image_order, _ILO, _IHI
+        if not iv:
+            return m._d, []
+        i = bisect_right(atoms, iv[0][0], key=hi_of)
+        n = bisect_left(atoms, iv[-1][1], key=lo_of)
+        j = bisect_right(iv, lo_of(atoms[i]), key=_HI) if i < n else 0
+        out = []
+        while i < n and j < len(iv):
+            a, (blo, bhi) = atoms[i], iv[j]
+            alo, ahi = lo_of(a), hi_of(a)
+            lo, hi = alo if alo > blo else blo, ahi if ahi < bhi else bhi
+            if lo < hi:
+                out.append((a, lo, hi))
+            if ahi < bhi:
+                i += 1
+            else:
+                j += 1
+        return m._d, out
+
     def restrict(self, s: IntervalSet) -> "PartialMap":
         """Keep only the graph over s (restriction by source)."""
-        m, s = _align(self, s)
-        return PartialMap._new([Atom._new(lo, hi, a.slope, a._off, m._d)
-                                for a in m.atoms
-                                for lo, hi in s._clip(a._lo, a._hi)], m._d)
+        d, cut = self._cut(s)
+        return PartialMap._new([Atom._new(lo, hi, a.slope, a._off, d)
+                                for a, lo, hi in cut], d)
 
     def restrict_image(self, s: IntervalSet) -> "PartialMap":
         """Keep only the graph whose image lies in s."""
-        m, s = _align(self, s)
-        out = []
-        for a in m.atoms:
-            back = _inverse_key(a.slope, a._off)
-            for lo, hi in s._clip(a._ilo, a._ihi):
-                out.append(Atom._new(*_move(*back, lo, hi), a.slope, a._off,
-                                     m._d))
-        return PartialMap._new(out, m._d)
+        return self.restrict(self.preimage_of(s))
 
     def image_of(self, s: IntervalSet) -> IntervalSet:
-        m, s = _align(self, s)
+        d, cut = self._cut(s)
         return IntervalSet._merge_pairs(
-            [_move(a.slope, a._off, lo, hi)
-             for a in m.atoms for lo, hi in s._clip(a._lo, a._hi)], m._d)
+            [_move(a.slope, a._off, lo, hi) for a, lo, hi in cut], d)
 
     def preimage_of(self, s: IntervalSet) -> IntervalSet:
-        m, s = _align(self, s)
-        pieces = []
-        for a in m.atoms:
-            back = _inverse_key(a.slope, a._off)
-            for lo, hi in s._clip(a._ilo, a._ihi):
-                pieces.append(_move(*back, lo, hi))
-        return IntervalSet._merge_pairs(pieces, m._d)
+        d, cut = self._cut(s, image=True)
+        return IntervalSet._merge_pairs(
+            [_move(*_inverse_key(a.slope, a._off), lo, hi)
+             for a, lo, hi in cut], d)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PartialMap) and self.atoms == other.atoms
@@ -209,18 +235,18 @@ def identity_map(on: IntervalSet = FULL) -> PartialMap:
                             for lo, hi in on._iv], on._d)
 
 
+def _source(a: Atom) -> IntervalSet:
+    return IntervalSet._new(((a._lo, a._hi),), a._d)
+
+
 def compose(f: PartialMap, g: PartialMap) -> PartialMap:
     """f after g, defined on g^{-1}(domain(f)); slopes multiply, exact."""
     f, g = _align(f, g)
-    out = []
-    for ag in g.atoms:
-        back = _inverse_key(ag.slope, ag._off)
-        for af in f.atoms:
-            lo, hi = max(ag._ilo, af._lo), min(ag._ihi, af._hi)
-            if lo < hi:
-                out.append(Atom._new(*_move(*back, lo, hi), af.slope * ag.slope,
-                                     af.slope * ag._off + af._off, f._d))
-    return PartialMap._new(out, f._d)
+    return PartialMap._new(
+        [Atom._new(*_move(*_inverse_key(ag.slope, ag._off), lo, hi),
+                   af.slope * ag.slope, af.slope * ag._off + af._off, f._d)
+         for af in f.atoms for ag, lo, hi in g._cut(_source(af), True)[1]],
+        f._d)
 
 
 def glue(maps: Sequence[PartialMap]) -> PartialMap:
@@ -238,14 +264,11 @@ def graph_intersect(f: PartialMap, g: PartialMap) -> PartialMap:
     coincide; everything else meets in at most one point and is dropped.
     """
     f, g = _align(f, g)
-    out = []
-    for af in f.atoms:
-        for ag in g.atoms:
-            if (af.slope, af._off) == (ag.slope, ag._off):
-                lo, hi = max(af._lo, ag._lo), min(af._hi, ag._hi)
-                if lo < hi:
-                    out.append(Atom._new(lo, hi, af.slope, af._off, f._d))
-    return PartialMap._new(out, f._d)
+    return PartialMap._new([Atom._new(lo, hi, af.slope, af._off, f._d)
+                            for af in f.atoms
+                            for ag, lo, hi in g._cut(_source(af))[1]
+                            if (ag.slope, ag._off) == (af.slope, af._off)],
+                           f._d)
 
 
 def pair_chunks(src: Sequence[tuple[int, int]], dst: Sequence[tuple[int, int]],

@@ -94,23 +94,20 @@ def greedy_maximal_map(maps: Sequence[PartialMap], allowed: IntervalSet,
     Each step absorbs the whole currently-available source set of the map
     whose image stays clear of the forbidden set and of what was already
     taken.  Domains and images only grow, so a single pass leaves no
-    zero-depth enlargement.
+    zero-depth enlargement.  A step works on sets first: ``good`` is the
+    map's image of the untaken allowed sources ``left``, less the taken and
+    forbidden images, and the part taken is the map on the preimage of
+    ``good`` (the map itself when that is its whole domain).
     """
-    dom = EMPTY
-    img = forbidden
-    parts = []
+    left, img, parts = allowed, forbidden, []
     for pm in maps:
-        avail = allowed.subtract(dom).intersect(pm.domain)
-        if avail.is_empty():
-            continue
-        cand = pm.restrict(avail)
-        good = cand.image.subtract(img)
+        good = pm.image_of(left).subtract(img)
         if good.is_empty():
             continue
-        cand = cand.restrict_image(good)
-        parts.append(cand)
-        dom = dom.union(cand.domain)
-        img = img.union(cand.image)
+        src = pm.preimage_of(good)
+        parts.append(pm if src == pm.domain else pm.restrict(src))
+        left = left.subtract(src)
+        img = img.union(good)
     return glue(parts)
 
 

@@ -8,19 +8,21 @@ row per line and no header, each cell ASCII digits with an optional minus
 sign and spaces around them.  The readers take exactly these shapes: an
 integer must be a JSON integer (not a float or a bool), and a value of
 another kind or length raises ValueError (a zero denominator,
-ZeroDivisionError).  Each rational is read to integers (p, q) and each
-atom built on the lcm of its denominators, with no ``Fraction``; only
-``parse_eps`` returns one.  The writers read each "p/q" off the grid
-numerators of the value, with one gcd.
+ZeroDivisionError).  Each rational is read to integers (p, q), with no
+``Fraction`` (only ``parse_eps`` returns one), and every atom and map of
+a value is built once, on the lcm of all the value's denominators.  The
+writers read each "p/q" off the grid numerators of the value, with one
+gcd.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .dse import CoverageReport, DSE
-from .intervals import _grid_str, _on_grid, positive_rat, rat_str
+from .intervals import _grid_str, positive_rat, rat_str
 from .maps import Atom, PartialMap
 from .multiset import GraphMultiset
 
@@ -60,11 +62,20 @@ def atom_to_json(a: Atom) -> dict:
             "slope": a.slope, "offset": _grid_str(a._off, a._d)}
 
 
-def atom_from_json(data) -> Atom:
+def _read_atom(data) -> tuple:
+    """An atom object as its ratios (lo, hi, offset) and its slope."""
     lo, hi = _expect(_expect(data, dict)["src"], list)
     lo, hi, slope = _ratio(lo), _ratio(hi), _expect(data["slope"], int)
-    d, (lo, hi, off) = _on_grid(lo, hi, _ratio(data["offset"]))
-    return Atom._new(lo, hi, slope, off, d)
+    return lo, hi, _ratio(data["offset"]), slope
+
+
+def _atom_lists(lists: list) -> list[tuple[list[Atom], int]]:
+    """JSON atom lists as (atoms, d): every atom is built once, on the lcm
+    d of all the denominators of all the lists."""
+    rows = [[_read_atom(a) for a in _expect(m, list)] for m in lists]
+    d = lcm(*(q for m in rows for row in m for _, q in row[:3]))
+    return [([Atom._new(lo * (d // q), hi * (d // r), slope, off * (d // t), d)
+              for (lo, q), (hi, r), (off, t), slope in m], d) for m in rows]
 
 
 def map_to_json(m: PartialMap) -> list:
@@ -72,7 +83,7 @@ def map_to_json(m: PartialMap) -> list:
 
 
 def map_from_json(data) -> PartialMap:
-    return PartialMap(atom_from_json(a) for a in _expect(data, list))
+    return PartialMap._new(*_atom_lists([data])[0])
 
 
 def dse_to_json(d: DSE) -> dict:
@@ -82,8 +93,8 @@ def dse_to_json(d: DSE) -> dict:
 
 def dse_from_json(data) -> DSE:
     data = _expect(data, dict)
-    return DSE((map_from_json(m) for m in _expect(data["maps"], list)),
-               _expect(data["multiplicity"], int))
+    maps, n = _expect(data["maps"], list), _expect(data["multiplicity"], int)
+    return DSE((PartialMap._new(*f) for f in _atom_lists(maps)), n)
 
 
 def multiset_to_json(g: GraphMultiset) -> dict:
@@ -95,9 +106,10 @@ def multiset_to_json(g: GraphMultiset) -> dict:
 
 
 def multiset_from_json(data) -> GraphMultiset:
-    return GraphMultiset(
-        (atom_from_json(e), _expect(e["multiplicity"], int))
-        for e in _expect(_expect(data, dict)["entries"], list))
+    entries = _expect(_expect(data, dict)["entries"], list)
+    ((atoms, _),) = _atom_lists([entries])
+    return GraphMultiset(zip(atoms, (_expect(e["multiplicity"], int)
+                                     for e in entries)))
 
 
 def coverage_report_to_json(r: CoverageReport) -> dict:

@@ -387,3 +387,100 @@ def reference_decompose_bvn(a):
     check(all(x == 0 for row in work for x in row),
           "permutations do not sum to the matrix")
     return perms
+
+
+# -- map operations by clipping every atom -----------------------------------
+#
+# The map operations as they stood before the windowed walk: every atom of
+# the map is clipped against the set, whatever the set's span.  They work on
+# the public Fraction read-outs, not on grid numerators.
+
+
+def _reference_move(slope, offset, lo, hi):
+    """Image of [lo, hi) under x -> slope*x + offset, taken half-open."""
+    return (lo + offset, hi + offset) if slope == 1 else (offset - hi,
+                                                          offset - lo)
+
+
+def _reference_back(a, lo, hi):
+    """The source of the image part [lo, hi) of the atom a."""
+    return _reference_move(a.slope, -a.offset if a.slope == 1 else a.offset,
+                           lo, hi)
+
+
+def reference_restrict(m, s):
+    from dsekit.maps import Atom, PartialMap
+
+    return PartialMap(Atom(lo, hi, a.slope, a.offset)
+                      for a in m.atoms for lo, hi in s.clip(a.lo, a.hi))
+
+
+def reference_image_of(m, s):
+    from dsekit.intervals import IntervalSet
+
+    return IntervalSet(_reference_move(a.slope, a.offset, lo, hi)
+                       for a in m.atoms for lo, hi in s.clip(a.lo, a.hi))
+
+
+def reference_preimage_of(m, s):
+    from dsekit.intervals import IntervalSet
+
+    return IntervalSet(_reference_back(a, lo, hi) for a in m.atoms
+                       for lo, hi in s.clip(a.image_lo, a.image_hi))
+
+
+def reference_restrict_image(m, s):
+    from dsekit.maps import Atom, PartialMap
+
+    return PartialMap(Atom(*_reference_back(a, lo, hi), a.slope, a.offset)
+                      for a in m.atoms
+                      for lo, hi in s.clip(a.image_lo, a.image_hi))
+
+
+def reference_greedy_maximal_map(maps, allowed, forbidden):
+    """The greedy pass as it stood before the set-level step: restrict each
+    map to the allowed sources not yet taken, then to the images clear of
+    the forbidden and taken targets, and subtract the whole taken domain
+    from ``allowed`` at every step."""
+    from dsekit.intervals import EMPTY
+    from dsekit.maps import glue
+
+    dom, img, parts = EMPTY, forbidden, []
+    for pm in maps:
+        avail = allowed.subtract(dom).intersect(pm.domain)
+        if avail.is_empty():
+            continue
+        cand = reference_restrict(pm, avail)
+        good = cand.image.subtract(img)
+        if good.is_empty():
+            continue
+        cand = reference_restrict_image(cand, good)
+        parts.append(cand)
+        dom = dom.union(cand.domain)
+        img = img.union(cand.image)
+    return glue(parts)
+
+
+def reference_compose(f, g):
+    """f after g by meeting every atom of g's image with every atom of f."""
+    from dsekit.maps import Atom, PartialMap
+
+    out = []
+    for ag in g.atoms:
+        for af in f.atoms:
+            lo, hi = max(ag.image_lo, af.lo), min(ag.image_hi, af.hi)
+            if lo < hi:
+                out.append(Atom(*_reference_back(ag, lo, hi),
+                                af.slope * ag.slope,
+                                af.slope * ag.offset + af.offset))
+    return PartialMap(out)
+
+
+def reference_graph_intersect(f, g):
+    """The common graph by meeting every atom of f with every atom of g."""
+    from dsekit.maps import Atom, PartialMap
+
+    return PartialMap(
+        Atom(max(af.lo, ag.lo), min(af.hi, ag.hi), af.slope, af.offset)
+        for af in f.atoms for ag in g.atoms
+        if af.key() == ag.key() and max(af.lo, ag.lo) < min(af.hi, ag.hi))

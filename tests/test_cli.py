@@ -234,6 +234,25 @@ def test_element_reader_builds_no_fraction(monkeypatch):
     assert d == counterexample(6)
 
 
+def test_element_reader_builds_each_map_once(monkeypatch):
+    """Every atom and map of an element is built once, on the lcm of all
+    its denominators; each build still runs its class's checks."""
+    from dsekit.intervals import IntervalSet
+
+    data = ser.dse_to_json(counterexample(6))
+    calls = {Atom: 0, PartialMap: 0, IntervalSet: 0}
+    for cls in calls:
+        def counted(self, fields, _set=cls._set, _cls=cls):
+            calls[_cls] += 1
+            return _set(self, fields)
+        monkeypatch.setattr(cls, "_set", counted)
+    d = ser.dse_from_json(data)
+    monkeypatch.undo()
+    assert sum(len(m.atoms) for m in d.maps) == 16
+    assert list(calls.values()) == [16, 16, 32]
+    assert d == counterexample(6)
+
+
 def test_zero_eps_flag_reads_as_the_library_tolerance_rule(tmp_path, capsys):
     f = write_dse(tmp_path / "ce.json", counterexample(1))
     code, report = run(capsys, "decompose", "--in", f, "--eps", "0/1",

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from dsekit import (DSE, FULL, Atom, IntervalSet, PartialMap, almost_decompose,
                     complete_to_automorphism, distance, equivalent,
                     identity_map, peel, validate)
 from dsekit import decompose as decompose_mod
+from dsekit import serialize as ser
 from dsekit.decompose import Automorphism, pair_profiles
 from dsekit.errors import BoundViolated, InvalidDSE, PreconditionViolated
 from dsekit.gallery import amplification, counterexample
@@ -174,3 +177,15 @@ def test_many_peels_do_not_hit_the_recursion_limit():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# sha256 of the sorted-key JSON of almost_decompose(counterexample(32), 1/16),
+# taken before the map operations were windowed
+CE32_AUTOMORPHISMS_SHA256 = (
+    "e63f56077e98312d132efe1004afe90a65d06284796244f43343dbf17ee8b72e")
+
+
+def test_counterexample_32_automorphisms_are_pinned():
+    result = almost_decompose(counterexample(32), F(1, 16))
+    blob = json.dumps(ser.dse_to_json(result.as_dse()), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == CE32_AUTOMORPHISMS_SHA256

@@ -9,6 +9,10 @@ from dsekit import (Atom, EMPTY_MAP, IntervalSet, PartialMap, compose, glue,
 from dsekit.errors import OverlapError
 from dsekit.gallery import counterexample, forest_example
 
+from oracles import (reference_compose, reference_graph_intersect,
+                     reference_image_of, reference_preimage_of,
+                     reference_restrict)
+
 iv = IntervalSet.interval
 
 
@@ -196,3 +200,73 @@ def test_transport_rule(m, s):
         assert (b.lo, b.hi) == (a.image_lo, a.image_hi)
         assert (b.image_lo, b.image_hi) == (a.lo, a.hi)
         assert b.invert() == a
+
+
+# -- the windowed operations against the clip-every-atom oracle ---------------
+
+
+@st.composite
+def spread_sets(draw):
+    """Up to four intervals on a grid of 2..30 cells, the empty set
+    included, so they fall before, after, between and across the atoms."""
+    cells = draw(st.integers(2, 30))
+    ends = draw(st.lists(st.integers(0, cells), max_size=8, unique=True))
+    ends.sort()
+    return IntervalSet((F(lo, cells), F(hi, cells))
+                       for lo, hi in zip(ends[::2], ends[1::2]))
+
+
+def assert_windowed_ops_match_oracle(m, s):
+    restricted = m.restrict(s)
+    expected = reference_restrict(m, s)
+    assert restricted.atoms == expected.atoms
+    assert (restricted.domain, restricted.image) == (expected.domain,
+                                                     expected.image)
+    assert m.image_of(s) == reference_image_of(m, s)
+    assert m.preimage_of(s) == reference_preimage_of(m, s)
+
+
+@settings(max_examples=150)
+@given(partial_maps(), spread_sets())
+def test_windowed_ops_match_clipping_every_atom(m, s):
+    assert_windowed_ops_match_oracle(m, s)
+
+
+@settings(max_examples=40)
+@given(cell_maps(), spread_sets())
+def test_windowed_ops_match_oracle_on_dyadic_cells(m, s):
+    assert_windowed_ops_match_oracle(m, s)
+
+
+@pytest.mark.parametrize("s", [
+    IntervalSet(), iv(0, F(1, 8)), iv(F(7, 8), 1), iv(F(3, 8), F(5, 8)),
+    IntervalSet([(0, F(1, 16)), (F(3, 8), F(1, 2)), (F(15, 16), 1)]),
+    iv(F(1, 4), F(3, 4)), iv(0, 1),
+], ids=["empty", "before", "after", "between", "three-gaps", "across",
+        "full"])
+def test_windowed_ops_on_sets_around_the_atoms(s):
+    """Atoms on [1/4, 3/8) and [5/8, 3/4), one reversed: the sets miss them,
+    touch their ends or cover them."""
+    m = PartialMap([Atom(F(1, 4), F(3, 8), -1, F(7, 8)),
+                    Atom(F(5, 8), F(3, 4), 1, F(1, 8))])
+    assert_windowed_ops_match_oracle(m, s)
+    assert_windowed_ops_match_oracle(m.invert(), s)
+
+
+@settings(max_examples=80)
+@given(partial_maps(), partial_maps())
+def test_compose_and_graph_intersect_match_all_pairs(f, g):
+    assert compose(f, g) == reference_compose(f, g)
+    assert graph_intersect(f, g) == reference_graph_intersect(f, g)
+    assert graph_intersect(f, f) == f
+
+
+@settings(max_examples=40)
+@given(partial_maps(), spread_sets())
+def test_image_index_leaves_equality_and_hash(m, s):
+    twin = PartialMap(m.atoms)
+    before = hash(m)
+    m.preimage_of(s)
+    m.restrict_image(s)
+    assert m == twin and twin == m
+    assert hash(m) == before == hash(twin)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,10 +10,11 @@ from dsekit import (DSE, EMPTY, FULL, Atom, EMPTY_MAP, IntervalSet,
                     symmetrize, validate)
 from dsekit.errors import AlreadyFull, InvalidExtension, PreconditionViolated
 from dsekit import pieces
-from dsekit.gallery import counterexample
-from dsekit.pieces import Chain, validate_extension
+from dsekit.gallery import amplification, counterexample, forest_example
+from dsekit.pieces import Chain, greedy_maximal_map, validate_extension
 
-from conftest import half_shift, shift
+from conftest import half_shift, random_cell_dse, shift
+from oracles import reference_greedy_maximal_map
 
 iv = IntervalSet.interval
 
@@ -238,3 +240,42 @@ def test_validate_extension_names_the_broken_invariant(ce2, chain, message):
     with pytest.raises(InvalidExtension) as exc:
         validate_extension(theta, Chain(chain))
     assert str(exc.value) == message
+
+
+# -- the set-level greedy step against the old restrict route -----------------
+
+
+def _greedy_elements():
+    rng = random.Random(20261018)
+    yield "ce2", counterexample(2)
+    yield "ce8", counterexample(8)
+    yield "forest3", DSE(forest_example(3), 2)
+    yield "amplification2", amplification(2)[0]
+    for k in range(4):
+        yield f"cells{k}", random_cell_dse(rng, 3 + k % 2, 2 + k,
+                                           reflections=True)
+
+
+GREEDY_CONSTRAINTS = [
+    (FULL, EMPTY), (EMPTY, EMPTY), (FULL, FULL), (EMPTY, FULL),
+    (iv(F(1, 3), F(5, 7)), iv(0, F(1, 4))),
+    (IntervalSet([(0, F(1, 5)), (F(2, 5), F(3, 5)), (F(4, 5), 1)]),
+     IntervalSet([(F(1, 9), F(2, 9)), (F(1, 2), F(5, 6))])),
+]
+
+
+@pytest.mark.parametrize("name, d", [pytest.param(*e, id=e[0])
+                                     for e in _greedy_elements()])
+def test_greedy_step_matches_the_restrict_route(name, d):
+    pairs = list(GREEDY_CONSTRAINTS)
+    rng = random.Random(name)
+    for _ in range(4):
+        pairs.append(tuple(
+            IntervalSet((F(i, 12), F(i + 1, 12))
+                        for i in range(12) if rng.random() < 0.5)
+            for _ in range(2)))
+    for allowed, forbidden in pairs:
+        got = greedy_maximal_map(d.maps, allowed, forbidden)
+        want = reference_greedy_maximal_map(d.maps, allowed, forbidden)
+        assert got == want
+        assert (got.domain, got.image) == (want.domain, want.image)
