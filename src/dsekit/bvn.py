@@ -11,7 +11,7 @@ the exact interval pipeline.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import repeat
+from itertools import compress, repeat
 
 from .dse import DSE
 from .errors import (Infeasible, NotCellAligned, NotDoublyStochastic,
@@ -19,24 +19,41 @@ from .errors import (Infeasible, NotCellAligned, NotDoublyStochastic,
 from .maps import Atom, PartialMap, _move
 
 Matrix = list[list[int]]
+# the checks and the matching work on rows of column -> nonzero entry, in
+# ascending column order
+Rows = list[dict[int, int]]
 
 
-def _check_square(a: Matrix) -> tuple[list[int], list[int]]:
-    """Row and column sums of a square nonnegative integer matrix."""
+def _check_square(a: Matrix) -> tuple[Rows, list[int]]:
+    """The sparse rows and the widths of a dense matrix, which must be
+    square with integer entries."""
     if not a or any(len(row) != len(a) for row in a):
         raise ValueError("matrix must be square and non-empty")
-    # map and min run the per-entry loops in C
-    if not all(all(map(isinstance, row, repeat(int))) and min(row) >= 0
-               for row in a):
+    # map and compress run the per-entry loops in C
+    if not all(all(map(isinstance, row, repeat(int))) for row in a):
         raise ValueError("entries must be nonnegative integers")
-    return [sum(row) for row in a], [sum(col) for col in zip(*a)]
+    return [dict(compress(enumerate(row), row)) for row in a], list(map(len, a))
 
 
-def regularity(a: Matrix) -> int:
-    """The common row/column sum, or raise NotDoublyStochastic."""
-    rows, cols = _check_square(a)
-    n = rows[0]
-    for i, r in enumerate(rows):
+def _line_sums(rows: Rows, widths: list[int]) -> tuple[list[int], list[int]]:
+    """Row and column sums of a square nonnegative sparse matrix."""
+    m = len(rows)
+    if not m or widths.count(m) != m:
+        raise ValueError("matrix must be square and non-empty")
+    if any(min(row.values(), default=0) < 0 for row in rows):
+        raise ValueError("entries must be nonnegative integers")
+    cols = [0] * m
+    for row in rows:
+        for j, x in row.items():
+            cols[j] += x
+    return [sum(row.values()) for row in rows], cols
+
+
+def _regular(rows: Rows, widths: list[int]) -> int:
+    """The common line sum of a sparse matrix: the check of every input."""
+    sums, cols = _line_sums(rows, widths)
+    n = sums[0]
+    for i, r in enumerate(sums):
         if r != n:
             raise NotDoublyStochastic(f"row {i} sums to {r}, expected {n}")
     for j, c in enumerate(cols):
@@ -47,18 +64,24 @@ def regularity(a: Matrix) -> int:
     return n
 
 
-def _permutations(a: Matrix) -> Iterator[Matrix]:
-    """Permutation matrices below a, one per round, until a is used up.
+def regularity(a: Matrix) -> int:
+    """The common row/column sum, or raise NotDoublyStochastic."""
+    return _regular(*_check_square(a))
 
-    The work matrix holds one dict per row, column -> remaining
+
+def _permutations(rows: Rows) -> Iterator[list[int]]:
+    """Permutations below the sparse rows, one per round, until they are
+    used up; each as the column it takes in each row.
+
+    The work matrix holds a copy of each row, column -> remaining
     multiplicity, in ascending column order, which deleting keys keeps.  A
     round matches rows in index order, each by a depth-first search for an
     augmenting path over the row's columns in that order, then subtracts
     the permutation in O(m).  The path lives on an explicit stack, so its
     length is not bounded by the interpreter's recursion limit.
     """
-    m = len(a)
-    work = [{j: x for j, x in enumerate(row) if x} for row in a]
+    m = len(rows)
+    work = [row.copy() for row in rows]
     while any(work):
         # match[j] = row matched to column j; seen[j] = last root through j
         match: list[int | None] = [None] * m
@@ -84,25 +107,32 @@ def _permutations(a: Matrix) -> Iterator[Matrix]:
                 path.append((match[j], iter(work[match[j]])))
             else:
                 raise NotDoublyStochastic(f"no perfect matching covers row {root}")
-        p = [[0] * m for _ in range(m)]
+        cols = [0] * m
         for j, i in enumerate(match):
-            p[i][j] = 1
+            cols[i] = j
             work[i][j] -= 1
             if not work[i][j]:
                 del work[i][j]
-        yield p
+        yield cols
+
+
+def _dense(cols: list[int]) -> Matrix:
+    """The permutation matrix with a 1 at column cols[i] of each row i."""
+    return [[0] * j + [1] + [0] * (len(cols) - j - 1) for j in cols]
 
 
 def extract_permutation(a: Matrix) -> Matrix:
     """A permutation matrix p with p <= a entrywise, via augmenting paths."""
-    regularity(a)
-    return next(_permutations(a))
+    rows, widths = _check_square(a)
+    _regular(rows, widths)
+    return _dense(next(_permutations(rows)))
 
 
 def decompose_bvn(a: Matrix) -> list[Matrix]:
     """Write a as a sum of exactly n permutation matrices."""
-    n = regularity(a)
-    perms = list(_permutations(a))
+    rows, widths = _check_square(a)
+    n = _regular(rows, widths)
+    perms = list(map(_dense, _permutations(rows)))
     check(len(perms) == n, "permutations do not sum to the matrix")
     return perms
 
@@ -117,7 +147,7 @@ def is_permutation(p: Matrix) -> bool:
 def pad_to_doubly_stochastic(y: Matrix, n: int) -> Matrix:
     """A nonnegative z with y + z regular of degree n, by greedy matching
     of deficient rows with deficient columns."""
-    rows, cols = _check_square(y)
+    rows, cols = _line_sums(*_check_square(y))
     m = len(y)
     row_def = [n - r for r in rows]
     col_def = [n - c for c in cols]

@@ -29,10 +29,11 @@ def _read_json(path: str):
     return json.loads(Path(path).read_text())
 
 
-def _read_matrix(path: str) -> list[list[int]]:
+def _read_matrix(path: str) -> tuple[bvn_mod.Rows, list[int]]:
+    """A matrix file as its sparse rows and row widths."""
     text = Path(path).read_text()
     if path.endswith(".json"):
-        return ser.matrix_from_json(json.loads(text))
+        return bvn_mod._check_square(ser.matrix_from_json(json.loads(text)))
     return ser.matrix_from_csv(text)
 
 
@@ -122,22 +123,33 @@ def _cmd_artifact(args, started: float) -> tuple[dict, int]:
     return out, 0
 
 
-def _cmd_bvn(args, started: float) -> tuple[dict, int]:
-    a = _read_matrix(args.infile)
-    n = bvn_mod.regularity(a)
+def _cmd_bvn(args, started: float) -> tuple[str, int]:
+    rows, widths = _read_matrix(args.infile)
+    n = bvn_mod._regular(rows, widths)
     if n != args.n:
         raise DsekitError(f"matrix is {n}-regular, expected {args.n}")
-    result: dict = {"size": len(a), "n": n}
+    m, text = len(rows), ""
+    result: dict = {"size": m, "n": n}
     if args.decompose:
-        # a is validated above; the full sum check below also covers
-        # decompose_bvn's count of n permutations
-        perms = list(bvn_mod._permutations(a))
-        total = [list(map(sum, zip(*rows))) for rows in zip(*perms)]
-        check(total == a, "permutations do not sum to the matrix")
-        result["permutations"] = perms
-    out = _report("bvn", {"in": args.infile, "n": args.n}, {}, {},
-                  result, started)
-    return out, 0
+        perms = list(bvn_mod._permutations(rows))
+        # recount the emitted permutations: bijections whose entries sum
+        # to the matrix, which also covers decompose_bvn's count of n
+        check(all(len(set(cols)) == m for cols in perms),
+              "a permutation is not a bijection")
+        total: bvn_mod.Rows = [{} for _ in range(m)]
+        for cols in perms:
+            for i, j in enumerate(cols):
+                total[i][j] = total[i].get(j, 0) + 1
+        check(total == rows, "permutations do not sum to the matrix")
+        # their one-hot rows as JSON text, put in place of a NUL, which
+        # json.dumps writes as "\u0000" and no path that was read holds
+        text = "[" + ", ".join("[" + ", ".join(
+            "[" + "0, " * j + "1" + ", 0" * (m - j - 1) + "]" for j in cols)
+            + "]" for cols in perms) + "]"
+        result["permutations"] = "\0"
+    out = json.dumps(_report("bvn", {"in": args.infile, "n": args.n}, {}, {},
+                             result, started))
+    return out.replace('"\\u0000"', text, 1), 0
 
 
 _DEMOS = {
@@ -221,7 +233,8 @@ def main(argv=None) -> int:
     except (argparse.ArgumentError, OSError, ValueError, KeyError,
             ZeroDivisionError) as exc:
         report, code = _error(argv, exc), 1
-    print(json.dumps(report))
+    # bvn returns its report as text, with the permutations rendered
+    print(report if isinstance(report, str) else json.dumps(report))
     return code
 
 

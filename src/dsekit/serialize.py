@@ -21,6 +21,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
+from .bvn import Rows
 from .dse import CoverageReport, DSE
 from .intervals import _grid_str, positive_rat, rat_str
 from .maps import Atom, PartialMap
@@ -28,8 +29,10 @@ from .multiset import GraphMultiset
 
 # the rational pattern of dse.schema.json; [0-9], as \d takes other digits
 _RATIONAL = re.compile(r"^-?[0-9]+/[0-9]+$")
-# one CSV row of such integers, spaces around each allowed
-_CSV_ROW = re.compile(r" *-?[0-9]+ *(?:, *-?[0-9]+ *)*")
+# translate deletes the characters of a CSV matrix row, and marks "x" the
+# nonzero digits
+_CSV_CHARS = str.maketrans(dict.fromkeys("0123456789 -,"))
+_CSV_MARKS = str.maketrans(dict.fromkeys("123456789", "x"))
 
 
 def parse_eps(text: str) -> Fraction:
@@ -119,14 +122,38 @@ def coverage_report_to_json(r: CoverageReport) -> dict:
             "image_cells": cells(r.image_cells)}
 
 
-def matrix_from_csv(text: str) -> list[list[int]]:
-    rows = []
+def matrix_from_csv(text: str) -> tuple[Rows, list[int]]:
+    """Sparse rows (column -> nonzero entry, ascending) and row widths.
+
+    No dense row is built: a find walks each row from one cell with a
+    nonzero digit (marked by translate) to the next, and splits the stretch
+    between two into cells only when it is not "0" cells alone, so ``int``
+    runs on the cells other than "0" alone.
+    """
+    rows, widths = [], []
     for line in text.strip().splitlines():
-        if line.strip():
-            if not _CSV_ROW.fullmatch(line):
-                raise ValueError("CSV rows must be comma-separated integers")
-            rows.append(list(map(int, line.split(","))))
-    return rows
+        if not line.strip():
+            continue
+        s = f",{line},"
+        # the "x" past the end stops the walk there
+        marks, cells, col, end = s.translate(_CSV_MARKS) + "x", {}, -1, 0
+        while True:
+            stop = marks.find("x", end)
+            start = s.rindex(",", end, stop) + 1
+            if s[end:start] != ",0" * ((start - end) // 2) + ",":
+                cells.update((j, c) for j, c in enumerate(
+                    s[end + 1:start - 1].split(","), col + 1) if c != "0")
+            col += s.count(",", end, start)
+            if stop == len(s):
+                break
+            end = s.index(",", stop)
+            cells[col] = s[start:end]
+        if line.translate(_CSV_CHARS) or not all(c.strip(" ").removeprefix(
+                "-").isdigit() for c in cells.values()):
+            raise ValueError("CSV rows must be comma-separated integers")
+        rows.append({j: x for j, c in cells.items() if (x := int(c))})
+        widths.append(line.count(",") + 1)
+    return rows, widths
 
 
 def matrix_from_json(data) -> list[list[int]]:

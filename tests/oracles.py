@@ -389,6 +389,21 @@ def reference_decompose_bvn(a):
     return perms
 
 
+def reference_matrix_from_csv(text):
+    """The regex CSV reader: a dense row per line that is not blank, each
+    line matched whole against one pattern of spaced integer cells."""
+    import re
+
+    row = re.compile(r" *-?[0-9]+ *(?:, *-?[0-9]+ *)*")
+    rows = []
+    for line in text.strip().splitlines():
+        if line.strip():
+            if not row.fullmatch(line):
+                raise ValueError("CSV rows must be comma-separated integers")
+            rows.append(list(map(int, line.split(","))))
+    return rows
+
+
 # -- map operations by clipping every atom -----------------------------------
 #
 # The map operations as they stood before the windowed walk: every atom of

@@ -2,18 +2,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsekit import (DSE, Atom, PartialMap, decompose_bvn, discretize,
                     distance, extract_permutation, identity_map, lift,
                     pad_to_doubly_stochastic, symmetrize, validate)
 import dsekit.bvn
+from dsekit import serialize as ser
 from dsekit.bvn import is_permutation, regularity
 from dsekit.errors import (Infeasible, NotCellAligned, NotDoublyStochastic,
                            NotPermutation)
 from dsekit.gallery import counterexample
 
 from conftest import half_shift
-from oracles import reference_decompose_bvn
+from oracles import reference_decompose_bvn, reference_matrix_from_csv
 
 
 def random_regular_matrix(rng: random.Random, m: int, n: int) -> list[list[int]]:
@@ -106,15 +109,85 @@ def test_decompose_matches_dense_reference(rng):
 
 def test_decompose_bvn_validates_once(monkeypatch):
     calls = []
+    line_sums = dsekit.bvn._line_sums
 
-    def counting(a):
-        calls.append(a)
-        return regularity(a)
+    def counting(rows, widths):
+        calls.append((rows, widths))
+        return line_sums(rows, widths)
 
-    monkeypatch.setattr(dsekit.bvn, "regularity", counting)
+    monkeypatch.setattr(dsekit.bvn, "_line_sums", counting)
     a = random_regular_matrix(random.Random(3), 32, 5)
     assert len(decompose_bvn(a)) == 5
-    assert calls == [a]
+    assert calls == [dsekit.bvn._check_square(a)]
+
+
+# -- the CSV reader against the regex reader it replaced ----------------------
+
+CSV_PIECES = st.sampled_from(
+    ["0", "0", "0,", "0,", "1", "7", "12", ",", " ", "-", "+", "_", "\t",
+     "\n", "\r\n", "\x1c", "\u0661", "00", "-0", ",,", "\n\n", " 0 ",
+     "9" * 4301, "0" * 4301])
+# rows of cells, most of them valid, on any line break
+CSV_CELLS = st.sampled_from(
+    ["0", "0", "0", "0", "1", "2", "12", "00", "-0", " 0 ", " 3", "-1", "007",
+     "9" * 4301, "0" * 4301, "", " ", "1_0", "+1", "\u0661", "1\t", "--1",
+     "1 2", "0-"])
+CSV_TEXTS = st.one_of(
+    st.lists(CSV_PIECES, max_size=16).map("".join),
+    st.tuples(st.lists(st.lists(CSV_CELLS, min_size=1, max_size=6)
+                       .map(",".join), max_size=5),
+              st.sampled_from(["\n", "\r\n", "\x1c", "\n\n", "\n \n"]))
+    .map(lambda rows_sep: rows_sep[1].join(rows_sep[0])))
+
+
+def outcome(call, *args):
+    """What call returns, or the type and message of the error it raises."""
+    try:
+        return "value", call(*args)
+    except (ValueError, NotDoublyStochastic) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def read_both(text):
+    """The outcomes of the CSV reader, densified, and of the regex reader."""
+    got = outcome(ser.matrix_from_csv, text)
+    if got[0] == "value":
+        rows, widths = got[1]
+        assert all(list(row) == sorted(row) and all(row.values())
+                   for row in rows)
+        got = "value", [[row.get(j, 0) for j in range(w)]
+                        for row, w in zip(rows, widths)]
+    return got, outcome(reference_matrix_from_csv, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(CSV_TEXTS, st.sampled_from(["", ",", "\n"]),
+       st.sampled_from(["", ",", "\n"]))
+def test_csv_reader_matches_the_regex_reader(body, before, after):
+    text = before + body + after
+    got, expected = read_both(text)
+    assert got == expected
+    if expected[0] == "value":
+        # the same checks, and the same sparse form, after _check_square
+        sparse = outcome(dsekit.bvn._check_square, expected[1])
+        if sparse[0] == "value":
+            assert ser.matrix_from_csv(text) == sparse[1]
+        assert (outcome(dsekit.bvn._regular, *ser.matrix_from_csv(text))
+                == outcome(regularity, expected[1]))
+
+
+@pytest.mark.parametrize("text", [
+    "1,0\n0,1", "0 , 1\n 1,0 \n", "00,1\n1,-0", "1,0,0\n0,1\n",
+    ",1\n1,0", "1,,0\n", "1,0,\n0,1,", "1\n\n\n", "\u0661,0",
+    "0" * 4301 + ",1\n1,0", "1,0\n" + "0" * 4301, "9" * 4301 + ",1 2",
+    "1, 2 3", "--1,0"], ids=[
+    "identity", "spaces", "zero-forms", "ragged", "leading-comma",
+    "empty-cell", "trailing-comma", "blank-lines", "arabic-indic-digit",
+    "long-zeros", "long-zeros-last", "long-digits-before-bad-cell",
+    "inner-space", "double-minus"])
+def test_csv_reader_fixed_cases(text):
+    got, expected = read_both(text)
+    assert got == expected
 
 
 BAD_ENTRIES = [[[1, "x"], [0, 1]], [[None]], [[1, None], [None, 1]]]

@@ -14,12 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit import Atom, DSE, PartialMap, distance, identity_map, symmetrize
+from dsekit import (Atom, DSE, PartialMap, discretize, distance,
+                    identity_map, symmetrize)
 from dsekit.cli import main
-from dsekit.gallery import counterexample
+from dsekit.gallery import amplification, counterexample
 from dsekit import serialize as ser
 
+import golden
 from conftest import half_shift, random_cell_dse, shift
+from oracles import reference_decompose_bvn
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "dsekit" / "schemas"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report.schema.json").read_text())
@@ -542,17 +545,83 @@ def test_bvn_validates_the_matrix_once(tmp_path, capsys, monkeypatch):
     import dsekit.bvn
 
     calls = []
-    check_square = dsekit.bvn._check_square
+    line_sums = dsekit.bvn._line_sums
 
-    def counting(a):
-        calls.append(a)
-        return check_square(a)
+    def counting(rows, widths):
+        calls.append((rows, widths))
+        return line_sums(rows, widths)
 
-    monkeypatch.setattr(dsekit.bvn, "_check_square", counting)
+    monkeypatch.setattr(dsekit.bvn, "_line_sums", counting)
+    for name, text in (("m.csv", "1,1,0\n0,1,1\n1,0,1\n"),
+                       ("m.json", json.dumps(MATRIX))):
+        calls.clear()
+        f = tmp_path / name
+        f.write_text(text)
+        code, report = run(capsys, "bvn", "--in", str(f), "--n", "2",
+                           "--decompose")
+        assert code == 0
+        assert len(report["result"]["permutations"]) == 2
+        assert calls == [dsekit.bvn._check_square(MATRIX)]
+
+
+# (name, matrix, n): golden's two bvn inputs, a 1x1 and a 2-regular 3x3
+BVN_INPUTS = [("perm-sum-64", golden._permutation_sum(64), 3),
+              ("amp3-level6", discretize(amplification(3)[0], 6), 2),
+              ("one", [[1]], 1),
+              ("three", MATRIX, 2)]
+
+
+@pytest.mark.parametrize("name, a, n", BVN_INPUTS,
+                         ids=[name for name, _, _ in BVN_INPUTS])
+def test_bvn_report_bytes_match_json_dumps(name, a, n, tmp_path, capsys):
+    """The rendered permutations give json.dumps's bytes, with the dense
+    reference permutations in the report."""
+    f = tmp_path / f"{name}.csv"
+    f.write_text("\n".join(",".join(map(str, row)) for row in a) + "\n")
+    assert main(["bvn", "--in", str(f), "--n", str(n), "--decompose"]) == 0
+    out = capsys.readouterr().out
+    head, sep, tail = out.rpartition(', "wall_time_seconds": ')
+    assert sep and tail.endswith("}\n") and float(tail[:-2]) >= 0
+    expected = {"command": "bvn", "inputs": {"in": str(f), "n": n},
+                "outputs": {}, "bounds": {},
+                "result": {"size": len(a), "n": n,
+                           "permutations": reference_decompose_bvn(a)}}
+    assert head + "}" == json.dumps(expected)
+
+
+# (name, CSV text, --n, exit code, error_type, error) as the regex reader
+# and the dense checks gave them; the last two cases succeed
+BVN_ERRORS = [
+    ("empty", "", "2", 1, "ValueError", "matrix must be square and non-empty"),
+    ("ragged", "1,1\n1,1,0\n", "2", 1, "ValueError",
+     "matrix must be square and non-empty"),
+    ("non-square", "1,0,0\n0,1,0\n", "1", 1, "ValueError",
+     "matrix must be square and non-empty"),
+    ("negative", "2,-1\n-1,2\n", "1", 1, "ValueError",
+     "entries must be nonnegative integers"),
+    ("irregular-row", "1,1\n0,1\n", "2", 2, "NotDoublyStochastic",
+     "row 1 sums to 1, expected 2"),
+    ("irregular-column", "2,0\n2,0\n", "2", 2, "NotDoublyStochastic",
+     "column 0 sums to 4, expected 2"),
+    ("wrong-n", "1,0\n0,1\n", "3", 2, "DsekitError",
+     "matrix is 1-regular, expected 3"),
+    ("underscore", "1_0,0\n0,1_0\n", "10", 1, "ValueError",
+     "CSV rows must be comma-separated integers"),
+    ("crlf", "1,1\r\n1,1\r\n", "2", 0, None, None),
+    ("blank-lines", "1,1\n\n  \n1,1\n", "2", 0, None, None),
+]
+
+
+@pytest.mark.parametrize("name, text, n, code, error_type, error", BVN_ERRORS,
+                         ids=[case[0] for case in BVN_ERRORS])
+def test_bvn_errors_are_unchanged(name, text, n, code, error_type, error,
+                                  tmp_path, capsys):
     f = tmp_path / "m.csv"
-    f.write_text("1,1,0\n0,1,1\n1,0,1\n")
-    code, report = run(capsys, "bvn", "--in", str(f), "--n", "2",
-                       "--decompose")
-    assert code == 0
-    assert len(report["result"]["permutations"]) == 2
-    assert len(calls) == 1
+    f.write_bytes(text.encode())
+    got, report = run(capsys, "bvn", "--in", str(f), "--n", n, "--decompose")
+    assert got == code
+    assert report.get("error_type") == error_type
+    assert report.get("error") == error
+    if not code:
+        assert report["result"]["permutations"] == [[[0, 1], [1, 0]],
+                                                    [[1, 0], [0, 1]]]
