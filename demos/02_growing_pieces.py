@@ -9,8 +9,9 @@ stuck, one augmenting extension rerouting it, and the full growth loop.
 
 from fractions import Fraction as F
 
-from dsekit import (EMPTY, FULL, apply_extension, find_extension,
-                    maximal_piece, near_full_piece, neighbor_set)
+from dsekit import (EMPTY, FULL, apply_extension, enlarge_piece,
+                    find_extension, maximal_piece, near_full_piece,
+                    neighbor_set)
 from dsekit.gallery import counterexample
 
 ce = counterexample(4)
@@ -33,8 +34,16 @@ bigger = apply_extension(piece, ext)
 print("after applying it the piece covers", bigger.measure())
 
 print()
-trace = []
-full = near_full_piece(ce, F(1, 32), trace=trace)
-print(f"growth loop reached measure {full.measure()} in {len(trace)} rounds:")
-for before, after, bound in trace:
-    print(f"  {before} -> {after}   (guaranteed gain {bound})")
+print("growth loop from the greedy piece up to measure 1 - 1/32:")
+rounds = 0
+while 1 - piece.measure() >= F(1, 32):
+    gap = 1 - piece.measure()
+    grown = enlarge_piece(ce, piece)
+    bound = (gap / (7 * ce.multiplicity + gap)) ** 2
+    assert grown.measure() >= piece.measure() + bound
+    print(f"  {piece.measure()} -> {grown.measure()}   "
+          f"(guaranteed gain {bound})")
+    piece, rounds = grown, rounds + 1
+print(f"reached measure {piece.measure()} in {rounds} rounds; "
+      f"near_full_piece(ce, 1/32) runs the same loop and reaches "
+      f"{near_full_piece(ce, F(1, 32)).measure()}")

@@ -14,13 +14,11 @@ from dsekit.gallery import amplification, counterexample
 
 ce = counterexample(5)
 print("peeling one automorphism off counterexample(5):")
-diag = {}
-auto, rest, bound = peel(ce, F(1, 8), diagnostics=diag)
+auto, rest, bound = peel(ce, F(1, 8))
 print("  automorphism with", len(auto.map.atoms), "atoms")
 print("  residual multiplicity:", rest.multiplicity,
       "(valid:", validate(rest).ok, ")")
 print("  guaranteed distance bound:", bound)
-print("  top-up pass fired:", diag["top_up_fired"])
 
 print()
 dec = almost_decompose(ce, F(1, 16))

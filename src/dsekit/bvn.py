@@ -25,10 +25,8 @@ Rows = list[dict[int, int]]
 
 
 def _check_square(a: Matrix) -> tuple[Rows, list[int]]:
-    """The sparse rows and the widths of a dense matrix, which must be
-    square with integer entries."""
-    if not a or any(len(row) != len(a) for row in a):
-        raise ValueError("matrix must be square and non-empty")
+    """The sparse rows and the widths of a dense matrix with integer
+    entries; ``_line_sums`` checks that it is square."""
     # map and compress run the per-entry loops in C
     if not all(all(map(isinstance, row, repeat(int))) for row in a):
         raise ValueError("entries must be nonnegative integers")
@@ -116,6 +114,21 @@ def _permutations(rows: Rows) -> Iterator[list[int]]:
         yield cols
 
 
+def _decompose(rows: Rows) -> list[list[int]]:
+    """The permutations of ``_permutations``, recounted: bijections that
+    sum to the rows, so there are as many as the line sum."""
+    m = len(rows)
+    perms = list(_permutations(rows))
+    check(all(len(set(cols)) == m for cols in perms),
+          "a permutation is not a bijection")
+    total: Rows = [{} for _ in range(m)]
+    for cols in perms:
+        for i, j in enumerate(cols):
+            total[i][j] = total[i].get(j, 0) + 1
+    check(total == rows, "permutations do not sum to the matrix")
+    return perms
+
+
 def _dense(cols: list[int]) -> Matrix:
     """The permutation matrix with a 1 at column cols[i] of each row i."""
     return [[0] * j + [1] + [0] * (len(cols) - j - 1) for j in cols]
@@ -131,10 +144,8 @@ def extract_permutation(a: Matrix) -> Matrix:
 def decompose_bvn(a: Matrix) -> list[Matrix]:
     """Write a as a sum of exactly n permutation matrices."""
     rows, widths = _check_square(a)
-    n = _regular(rows, widths)
-    perms = list(map(_dense, _permutations(rows)))
-    check(len(perms) == n, "permutations do not sum to the matrix")
-    return perms
+    _regular(rows, widths)
+    return list(map(_dense, _decompose(rows)))
 
 
 def is_permutation(p: Matrix) -> bool:

@@ -20,7 +20,7 @@ from . import serialize as ser
 from .decompose import almost_decompose
 from .division import Division, near_perfect_division, symmetric_split
 from .dse import DSE, distance, symmetrize, validate
-from .errors import DsekitError, check
+from .errors import DsekitError
 from .gallery import amplification, counterexample, forest_example
 from .intervals import rat_str
 
@@ -88,7 +88,7 @@ def _run_divide(d: DSE, eps, emit) -> tuple[dict, dict]:
                       ser.multiset_from_json(emitted["base"]),
                       int(emitted["degree"]))
     return ({"error": rat_str(redone.error)},
-            {"families": len(list(redone.oriented.families()))})
+            {"families": len(redone.oriented._fam)})
 
 
 def _run_split(d: DSE, eps, emit) -> tuple[dict, dict]:
@@ -131,16 +131,7 @@ def _cmd_bvn(args, started: float) -> tuple[str, int]:
     m, text = len(rows), ""
     result: dict = {"size": m, "n": n}
     if args.decompose:
-        perms = list(bvn_mod._permutations(rows))
-        # recount the emitted permutations: bijections whose entries sum
-        # to the matrix, which also covers decompose_bvn's count of n
-        check(all(len(set(cols)) == m for cols in perms),
-              "a permutation is not a bijection")
-        total: bvn_mod.Rows = [{} for _ in range(m)]
-        for cols in perms:
-            for i, j in enumerate(cols):
-                total[i][j] = total[i].get(j, 0) + 1
-        check(total == rows, "permutations do not sum to the matrix")
+        perms = bvn_mod._decompose(rows)
         # their one-hot rows as JSON text, put in place of a NUL, which
         # json.dumps writes as "\u0000" and no path that was read holds
         text = "[" + ", ".join("[" + ", ".join(

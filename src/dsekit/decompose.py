@@ -92,8 +92,7 @@ def _cover(maps, region: IntervalSet) -> list[PartialMap]:
     return out
 
 
-def peel(d: DSE, eps, diagnostics: dict | None = None,
-         ) -> tuple[Automorphism, DSE, Fraction]:
+def peel(d: DSE, eps) -> tuple[Automorphism, DSE, Fraction]:
     """Split off one automorphism within distance 4*mu(A^c) < eps/2.
 
     A piece with domain measure above 1 - eps/8 is grown, topped up so that
@@ -101,8 +100,7 @@ def peel(d: DSE, eps, diagnostics: dict | None = None,
     and completed to an automorphism.  The leftover matrix mass is then
     rebalanced: covers of the two complements are removed and correction
     maps with matching mass profiles are added back, leaving an exactly
-    doubly stochastic residual of multiplicity n - 1.  Pass a dict as
-    ``diagnostics`` to learn whether the top-up pass found anything.
+    doubly stochastic residual of multiplicity n - 1.
     """
     eps = positive_rat(eps)
     n = d.multiplicity
@@ -112,9 +110,6 @@ def peel(d: DSE, eps, diagnostics: dict | None = None,
     theta = near_full_piece(d, eps / 8)
     top_up = greedy_maximal_map(d.maps, theta.domain.complement(), theta.image)
     tmap = glue([theta.map, top_up]) if not top_up.is_empty() else theta.map
-    if diagnostics is not None:
-        diagnostics["top_up_fired"] = not top_up.is_empty()
-        diagnostics["top_up_mass"] = top_up.domain.measure()
 
     a_comp = tmap.domain.complement()
     b_comp = tmap.image.complement()

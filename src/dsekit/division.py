@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 from .dse import DSE, distance, normalize_cover, symmetrize, validate
@@ -31,9 +31,8 @@ from .intervals import (EMPTY, IntervalSet, Step, positive_rat, step_integral,
 from .maps import Atom, PartialMap
 from .multiset import GraphMultiset, _cells_sub
 from .decompose import pair_profiles
-from .pieces import Chain, _chain_search, greedy_maximal_map, near_full_piece
-
-_PATH_CAP = 100_000
+from .pieces import (Chain, _chain_search, _disjoint, _harvest,
+                     greedy_maximal_map, near_full_piece)
 
 
 @dataclass(frozen=True)
@@ -152,8 +151,6 @@ def find_better_path(d: Division, max_length: int,
     for max_length steps certifies that the consumed family already
     carries the measure the improvement bound needs.
     """
-    if d.p_plus.is_empty():
-        return None
     n = d.n
     start = _smain_piece(d.maps, n, d.p_plus.subtract(consumed), EMPTY,
                          consumed)
@@ -173,11 +170,8 @@ def apply_better_path(d: Division, p: Chain) -> Division:
         raise InvalidPath("path does not start inside P+")
     if not d.p_minus.contains(sets[-1]):
         raise InvalidPath("path does not end inside P-")
-    union = EMPTY
-    for s in sets:
-        if not union.intersect(s).is_empty():
-            raise InvalidPath("path sets overlap")
-        union = union.union(s)
+    if not _disjoint(sets):
+        raise InvalidPath("path sets overlap")
     if p.targets[:-1] != p.sources[1:]:
         raise InvalidPath("piece endpoints disagree with the path sets")
     reversal = GraphMultiset.from_maps(p.pieces)
@@ -199,19 +193,12 @@ def improve_division(d: Division) -> Division:
     if err == 0:
         raise AlreadyPerfect("division already balanced")
     max_length = int(Fraction(7 * d.n ** 2) / d.p_plus.measure())
-    consumed = EMPTY
-    paths: list[Chain] = []
-    while True:
-        p = find_better_path(d, max_length, consumed)
-        if p is None:
-            break
-        paths.append(p)
-        consumed = consumed.union(
-            IntervalSet.union_all(p.sources + p.targets[-1:]))
-        check(len(paths) <= _PATH_CAP, "better-path family did not exhaust")
-    out = d
-    for p in paths:
-        out = apply_better_path(out, p)
+    paths = _harvest(
+        lambda consumed: find_better_path(d, max_length, consumed),
+        lambda consumed, p: consumed.union(
+            IntervalSet.union_all(p.sources + p.targets[-1:])),
+        EMPTY, "better-path")
+    out = reduce(apply_better_path, paths, d)
     bound = (err / (7 * d.n ** 3 + err)) ** 2
     after = out.error
     check(after <= err - bound,

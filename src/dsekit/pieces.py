@@ -12,17 +12,17 @@ an image meets an exit set, and is then backtracked through the smallest
 usable index into a genuine chain.  The two searches differ only in their
 step, their exit and their *link*, which turns a chain image into the
 sources it opens for the next step: theta^-1 for an extension of the
-piece theta, the identity for a better path.  The growth loop below
-harvests maximal disjoint families of depth-bounded extensions until the
-piece covers all but an arbitrarily small part of the space.  Every
-inequality claimed here is checked in exact rational arithmetic.
+piece theta, the identity for a better path.  One loop, ``_harvest``,
+collects both maximal disjoint families; the growth loop below applies
+families of depth-bounded extensions until the piece covers all but an
+arbitrarily small part of the space.  Every inequality is checked exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 from .dse import DSE
@@ -229,6 +229,26 @@ def _backtrack(chain: list[PartialMap], opened_at: list[IntervalSet],
     return Chain(tuple(pieces))
 
 
+def _disjoint(sets: Sequence[IntervalSet]) -> bool:
+    """Whether the sets are pairwise disjoint: exactly when the measure of
+    their union is the sum of their measures."""
+    return (IntervalSet.union_all(sets).measure()
+            == sum(s.measure() for s in sets))
+
+
+def _harvest(find, occupy, occupied, kind: str) -> list[Chain]:
+    """A maximal disjoint family of chains: ``find(occupied)`` until it
+    returns None, where ``occupy(occupied, chain)`` grows the occupied sets
+    by each chain found; more than _FAMILY_CAP chains is a BoundViolated."""
+    family: list[Chain] = []
+    while (chain := find(occupied)) is not None:
+        family.append(chain)
+        occupied = occupy(occupied, chain)
+        check(len(family) <= _FAMILY_CAP, f"{kind} family did not exhaust; "
+              "measure progress is pathologically slow")
+    return family
+
+
 def validate_extension(piece: Piece, ext: Chain) -> None:
     """Check every extension invariant against the piece; exact."""
     theta = piece.map
@@ -239,11 +259,8 @@ def validate_extension(piece: Piece, ext: Chain) -> None:
         raise InvalidExtension("S_0 leaves the domain complement")
     if not b_set.complement().contains(ext.targets[-1]):
         raise InvalidExtension("final target leaves the image complement")
-    union = EMPTY
-    for s in ext.sources:
-        if not union.intersect(s).is_empty():
-            raise InvalidExtension("sources of the chain overlap")
-        union = union.union(s)
+    if not _disjoint(ext.sources):
+        raise InvalidExtension("sources of the chain overlap")
     for i in range(1, ext.length):
         if not a_set.contains(ext.sources[i]):
             raise InvalidExtension(f"S_{i} leaves the domain")
@@ -277,20 +294,12 @@ def enlarge_piece(d: DSE, piece: Piece) -> Piece:
         raise AlreadyFull("piece already covers the whole space")
     n = d.multiplicity
     depth_cap = int(Fraction(7 * n) / gap)
-    occ_src, occ_tgt = EMPTY, EMPTY
-    family: list[Chain] = []
-    while True:
-        ext = find_extension(d, piece, depth_cap, (occ_src, occ_tgt))
-        if ext is None:
-            break
-        family.append(ext)
-        occ_src = occ_src.union(IntervalSet.union_all(ext.sources))
-        occ_tgt = occ_tgt.union(IntervalSet.union_all(ext.targets))
-        check(len(family) <= _FAMILY_CAP, "extension family did not exhaust; "
-              "measure progress is pathologically slow")
-    grown = piece
-    for ext in family:
-        grown = apply_extension(grown, ext)
+    family = _harvest(
+        lambda occ: find_extension(d, piece, depth_cap, occ),
+        lambda occ, ext: (occ[0].union(IntervalSet.union_all(ext.sources)),
+                          occ[1].union(IntervalSet.union_all(ext.targets))),
+        (EMPTY, EMPTY), "extension")
+    grown = reduce(apply_extension, family, piece)
     bound = (gap / (7 * n + gap)) ** 2
     check(grown.measure() >= piece.measure() + bound,
           f"growth bound violated: {grown.measure()} < "
@@ -298,21 +307,15 @@ def enlarge_piece(d: DSE, piece: Piece) -> Piece:
     return grown
 
 
-def near_full_piece(d: DSE, eps, trace: list | None = None) -> Piece:
+def near_full_piece(d: DSE, eps) -> Piece:
     """A piece whose domain has measure strictly above 1 - eps.
 
     Starts from the greedy maximal piece and applies enlarge_piece until
-    the threshold is crossed; the growth bound of every round forces the
-    domain measures toward one, so the loop terminates for any eps > 0.
-    Pass a list as ``trace`` to record (before, after, bound) per round.
+    the threshold is crossed; the growth bound that it checks in every
+    round forces the measures toward one, so the loop ends for any eps > 0.
     """
     eps = positive_rat(eps)
     piece = maximal_piece(d, FULL, EMPTY)
     while FULL.measure() - piece.measure() >= eps:
-        before = piece.measure()
-        gap = FULL.measure() - before
         piece = enlarge_piece(d, piece)
-        if trace is not None:
-            trace.append((before, piece.measure(),
-                          (gap / (7 * d.multiplicity + gap)) ** 2))
     return piece

@@ -4,15 +4,15 @@ Rationals cross the boundary as "p/q" strings in lowest terms, and the
 readers take no other string form; intervals as ["a","b"] endpoint pairs;
 atoms as {"src","slope","offset"} objects.
 Matrices are JSON lists of integer rows, or CSV with one comma-separated
-row per line and no header, each cell ASCII digits with an optional minus
-sign and spaces around them.  The readers take exactly these shapes: an
-integer must be a JSON integer (not a float or a bool), and a value of
-another kind or length raises ValueError (a zero denominator,
-ZeroDivisionError).  Each rational is read to integers (p, q), with no
-``Fraction`` (only ``parse_eps`` returns one), and every atom and map of
-a value is built once, on the lcm of all the value's denominators.  The
-writers read each "p/q" off the grid numerators of the value, with one
-gcd.
+row per line (ended by LF, CR LF or CR only) and no header, each cell
+ASCII digits with an optional minus sign and spaces around them.  The
+readers take exactly these shapes: an integer must be a JSON integer (not
+a float or a bool), and a value of another kind or length raises
+ValueError (a zero denominator, ZeroDivisionError).  Each rational is
+read to integers (p, q), with no ``Fraction`` (only ``parse_eps`` returns
+one), and every atom and map of a value is built once, on the lcm of all
+the value's denominators.  The writers read each "p/q" off the grid
+numerators of the value, with one gcd.
 """
 
 from __future__ import annotations
@@ -131,7 +131,9 @@ def matrix_from_csv(text: str) -> tuple[Rows, list[int]]:
     runs on the cells other than "0" alone.
     """
     rows, widths = [], []
-    for line in text.strip().splitlines():
+    # a row ends at "\n", "\r\n" or "\r" only, not at every splitlines break
+    text = text.strip().replace("\r\n", "\n").replace("\r", "\n")
+    for line in text.split("\n"):
         if not line.strip():
             continue
         s = f",{line},"

@@ -12,8 +12,9 @@ from fractions import Fraction as F
 
 from dsekit import (DSE, FULL, EMPTY, almost_decompose, apply_better_path,
                     compose, decompose_bvn, discretize, distance,
-                    find_better_path, identity_map, improve_division,
-                    initial_division, lift, near_full_piece,
+                    enlarge_piece, find_better_path, identity_map,
+                    improve_division, initial_division, lift, maximal_piece,
+                    near_full_piece,
                     near_perfect_division, neighbor_set,
                     regular_graph_partial_automorphism, symmetric_split,
                     symmetrize, validate)
@@ -63,12 +64,16 @@ def test_02_hall_inequality():
 
 
 def test_03_growth_bound():
-    trace = []
-    near_full_piece(counterexample(6), F(1, 64), trace=trace)
-    assert trace, "no enlargement rounds were needed"
-    for before, after, bound in trace:
-        assert after >= before + bound
-    report(3, f"every one of {len(trace)} enlargement rounds met "
+    d = counterexample(6)
+    piece, rounds = maximal_piece(d, FULL, EMPTY), 0
+    while 1 - piece.measure() >= F(1, 64):
+        gap = 1 - piece.measure()
+        grown = enlarge_piece(d, piece)
+        bound = (gap / (7 * d.multiplicity + gap)) ** 2
+        assert grown.measure() >= piece.measure() + bound
+        piece, rounds = grown, rounds + 1
+    assert rounds, "no enlargement rounds were needed"
+    report(3, f"every one of {rounds} enlargement rounds met "
               f"(gap/(7n+gap))^2 exactly")
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -11,8 +12,9 @@ from dsekit import (DSE, Atom, PartialMap, decompose_bvn, discretize,
 import dsekit.bvn
 from dsekit import serialize as ser
 from dsekit.bvn import is_permutation, regularity
-from dsekit.errors import (Infeasible, NotCellAligned, NotDoublyStochastic,
-                           NotPermutation)
+from dsekit.cli import main
+from dsekit.errors import (BoundViolated, Infeasible, NotCellAligned,
+                           NotDoublyStochastic, NotPermutation)
 from dsekit.gallery import counterexample
 
 from conftest import half_shift
@@ -119,6 +121,21 @@ def test_decompose_bvn_validates_once(monkeypatch):
     a = random_regular_matrix(random.Random(3), 32, 5)
     assert len(decompose_bvn(a)) == 5
     assert calls == [dsekit.bvn._check_square(a)]
+
+
+def test_library_and_cli_share_one_recount(monkeypatch, tmp_path, capsys):
+    """Permutations that repeat a column fail the one recount, both in
+    decompose_bvn and in ``dsekit bvn --decompose``."""
+    monkeypatch.setattr(dsekit.bvn, "_permutations",
+                        lambda rows: iter([[0] * len(rows)] * 2))
+    with pytest.raises(BoundViolated, match="a permutation is not a bijection"):
+        decompose_bvn([[1, 1], [1, 1]])
+    f = tmp_path / "m.csv"
+    f.write_text("1,1\n1,1\n")
+    assert main(["bvn", "--in", str(f), "--n", "2", "--decompose"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error_type"] == "BoundViolated"
+    assert report["error"] == "a permutation is not a bijection"
 
 
 # -- the CSV reader against the regex reader it replaced ----------------------

@@ -336,8 +336,8 @@ def test_bound_violation_is_domain_error(tmp_path, capsys, monkeypatch):
 
 def test_unexhausted_path_family_is_domain_error(tmp_path, capsys,
                                                  monkeypatch):
-    import dsekit.division
-    monkeypatch.setattr(dsekit.division, "_PATH_CAP", -1)
+    import dsekit.pieces
+    monkeypatch.setattr(dsekit.pieces, "_FAMILY_CAP", -1)
     f = write_dse(tmp_path / "sym.json", symmetrize(counterexample(6)))
     code, report = run(capsys, "split", "--in", f, "--eps", "1/8",
                        "--out", str(tmp_path / "x.json"))
@@ -608,6 +608,10 @@ BVN_ERRORS = [
     ("underscore", "1_0,0\n0,1_0\n", "10", 1, "ValueError",
      "CSV rows must be comma-separated integers"),
     ("crlf", "1,1\r\n1,1\r\n", "2", 0, None, None),
+    ("file-separator", "1,0\x1c0,1", "1", 1, "ValueError",
+     "CSV rows must be comma-separated integers"),
+    ("line-separator", "1,0\u20280,1", "1", 1, "ValueError",
+     "CSV rows must be comma-separated integers"),
     ("blank-lines", "1,1\n\n  \n1,1\n", "2", 0, None, None),
 ]
 

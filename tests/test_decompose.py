@@ -117,13 +117,6 @@ def test_decomposition_as_dse_validates():
     assert validate(dec.as_dse()).ok
 
 
-def test_peel_diagnostics_record_top_up():
-    diag = {}
-    peel(counterexample(3), F(1, 8), diagnostics=diag)
-    assert "top_up_fired" in diag
-    assert diag["top_up_mass"] >= 0
-
-
 def test_almost_decompose_validates_input_first():
     with pytest.raises(InvalidDSE):
         almost_decompose(DSE([identity_map()], 2), F(1, 8))

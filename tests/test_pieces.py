@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsekit import (DSE, EMPTY, FULL, Atom, EMPTY_MAP, IntervalSet,
                     PartialMap, Piece, apply_extension, enlarge_piece,
@@ -15,6 +18,7 @@ from dsekit.pieces import Chain, greedy_maximal_map, validate_extension
 
 from conftest import half_shift, random_cell_dse, shift
 from oracles import reference_greedy_maximal_map
+from test_grid import grid_sets
 
 iv = IntervalSet.interval
 
@@ -191,12 +195,9 @@ def test_near_full_symmetrized_shift():
 
 
 def test_near_full_counterexample_four():
-    trace = []
-    p = near_full_piece(counterexample(4), F(1, 16), trace=trace)
+    p = near_full_piece(counterexample(4), F(1, 16))
     assert p.measure() > F(15, 16)
     assert piece_is_inside_host(p)
-    for before, after, bound in trace:
-        assert after >= before + bound
 
 
 def test_near_full_requires_positive_eps(ce2):
@@ -240,6 +241,31 @@ def test_validate_extension_names_the_broken_invariant(ce2, chain, message):
     with pytest.raises(InvalidExtension) as exc:
         validate_extension(theta, Chain(chain))
     assert str(exc.value) == message
+
+
+# sets that touch at an endpoint, nest, or are empty; drawn often, so that
+# lists of them repeat sets
+SHARED_SETS = [EMPTY, iv(0, F(1, 2)), iv(F(1, 2), 1), iv(F(1, 3), F(1, 2)),
+               iv(F(1, 2), F(5, 7)), FULL]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(grid_sets().map(lambda qs: qs[1]),
+                          st.sampled_from(SHARED_SETS)), max_size=5))
+def test_disjoint_agrees_with_pairwise_intersection(sets):
+    pairwise = all(a.intersect(b).is_empty()
+                   for a, b in combinations(sets, 2))
+    assert pieces._disjoint(sets) == pairwise
+
+
+@pytest.mark.parametrize("sets, disjoint", [
+    ([], True), ([EMPTY, EMPTY], True),
+    ([iv(0, F(1, 2)), iv(F(1, 2), 1)], True),
+    ([iv(0, F(1, 2)), iv(0, F(1, 2))], False),
+    ([iv(0, F(1, 2)), EMPTY, iv(F(1, 2), 1), EMPTY], True),
+    ([iv(0, F(1, 3)), iv(F(1, 4), F(1, 2))], False)])
+def test_disjoint_fixed_cases(sets, disjoint):
+    assert pieces._disjoint(sets) == disjoint
 
 
 # -- the set-level greedy step against the old restrict route -----------------
