@@ -62,9 +62,15 @@ def _regular(rows: Rows, widths: list[int]) -> int:
     return n
 
 
+def _checked(a: Matrix) -> tuple[Rows, int]:
+    """The sparse rows and the line sum of a dense regular matrix."""
+    rows, widths = _check_square(a)
+    return rows, _regular(rows, widths)
+
+
 def regularity(a: Matrix) -> int:
     """The common row/column sum, or raise NotDoublyStochastic."""
-    return _regular(*_check_square(a))
+    return _checked(a)[1]
 
 
 def _permutations(rows: Rows) -> Iterator[list[int]]:
@@ -136,16 +142,12 @@ def _dense(cols: list[int]) -> Matrix:
 
 def extract_permutation(a: Matrix) -> Matrix:
     """A permutation matrix p with p <= a entrywise, via augmenting paths."""
-    rows, widths = _check_square(a)
-    _regular(rows, widths)
-    return _dense(next(_permutations(rows)))
+    return _dense(next(_permutations(_checked(a)[0])))
 
 
 def decompose_bvn(a: Matrix) -> list[Matrix]:
     """Write a as a sum of exactly n permutation matrices."""
-    rows, widths = _check_square(a)
-    _regular(rows, widths)
-    return list(map(_dense, _decompose(rows)))
+    return list(map(_dense, _decompose(_checked(a)[0])))
 
 
 def is_permutation(p: Matrix) -> bool:

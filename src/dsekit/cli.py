@@ -33,7 +33,7 @@ def _read_matrix(path: str) -> tuple[bvn_mod.Rows, list[int]]:
     """A matrix file as its sparse rows and row widths."""
     text = Path(path).read_text()
     if path.endswith(".json"):
-        return bvn_mod._check_square(ser.matrix_from_json(json.loads(text)))
+        return ser.matrix_from_json(json.loads(text))
     return ser.matrix_from_csv(text)
 
 
@@ -71,10 +71,10 @@ def _run_decompose(d: DSE, eps, emit) -> tuple[dict, dict]:
     emitted = emit({"automorphisms": [ser.map_to_json(a.map)
                                       for a in dec.automorphisms],
                     "achieved_distance": rat_str(dec.achieved_distance)})
-    maps = [ser.map_from_json(m) for m in emitted["automorphisms"]]
-    achieved = distance(d, DSE(maps, d.multiplicity))
-    return ({"achieved_distance": rat_str(achieved)},
-            {"automorphisms": len(maps)})
+    back = ser.dse_from_json({"multiplicity": d.multiplicity,
+                              "maps": emitted["automorphisms"]})
+    return ({"achieved_distance": rat_str(distance(d, back))},
+            {"automorphisms": len(back.maps)})
 
 
 def _run_divide(d: DSE, eps, emit) -> tuple[dict, dict]:

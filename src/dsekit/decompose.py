@@ -80,6 +80,15 @@ def pair_profiles(src: Step, dst: Step, d: int) -> list[PartialMap]:
             for lo, hi, shift in pair_chunks(src_q, dst_q)]
 
 
+def _rebalance(m: GraphMultiset, a: GraphMultiset,
+               b: GraphMultiset) -> GraphMultiset:
+    """m less a and b, plus the ``pair_profiles`` maps carrying b's row
+    profile onto a's column profile; a and b are aligned first."""
+    a, b = _align(a, b)
+    return m.subtract(a).subtract(b).add(GraphMultiset.from_maps(
+        pair_profiles(b._degree(False), a._degree(True), b._d)))
+
+
 def _cover(maps, region: IntervalSet) -> list[PartialMap]:
     """Restrictions of the maps whose domains partition the region."""
     out, left = [], region
@@ -115,17 +124,14 @@ def peel(d: DSE, eps) -> tuple[Automorphism, DSE, Fraction]:
     b_comp = tmap.image.complement()
     auto = Automorphism(complete_to_automorphism(tmap))
 
-    resid = d.matrix.subtract_maps([tmap])
+    resid = d.matrix.subtract(GraphMultiset.from_maps([tmap]))
     if not a_comp.is_empty():
         phis = _cover(d.maps, a_comp)
         # images partitioning b_comp: cover it with the inverses, invert back
         inverses = [m.invert() for m in d.maps]
         psis = [m.invert() for m in _cover(inverses, b_comp)]
-        g_phi, g_psi = _align(GraphMultiset.from_maps(phis),
-                              GraphMultiset.from_maps(psis))
-        resid = resid.subtract(g_phi).subtract(g_psi)
-        resid = resid.add_maps(pair_profiles(
-            g_psi._degree(False), g_phi._degree(True), g_psi._d))
+        resid = _rebalance(resid, GraphMultiset.from_maps(phis),
+                           GraphMultiset.from_maps(psis))
     rest = normalize_cover(resid, n - 1)
 
     bound = 4 * a_comp.measure()

@@ -30,7 +30,7 @@ from .intervals import (EMPTY, IntervalSet, Step, positive_rat, step_integral,
                         step_where)
 from .maps import Atom, PartialMap
 from .multiset import GraphMultiset, _cells_sub
-from .decompose import pair_profiles
+from .decompose import _rebalance, pair_profiles
 from .pieces import (Chain, _chain_search, _disjoint, _harvest,
                      greedy_maximal_map, near_full_piece)
 
@@ -274,18 +274,16 @@ def symmetric_split(psi: DSE, eps) -> DSE:
     div = near_perfect_division(psi.matrix, eps / 4)
     div = _eliminate_short_paths(div)
 
-    h = h2 = div.oriented
+    h = div.oriented
     excess_out = tuple((lo, hi, v - n) for lo, hi, v in div._degrees if v > n)
     excess_in = tuple((lo, hi, n - v) for lo, hi, v in div._degrees if v < n)
     if excess_out or excess_in:
         # both selections are on h's grid, as are the profiles paired here
         r_out = _take_by_rows(h, excess_out)
         r_in = _take_by_rows(h.flip(), excess_in).flip()
-        h2 = h2.subtract(r_out).subtract(r_in)
-        theta = pair_profiles(r_in._degree(False), r_out._degree(True), h._d)
-        delta = pair_profiles(r_in._degree(True), r_out._degree(False), h._d)
-        h2 = h2.add_maps(theta + delta)
-    phi = normalize_cover(h2, n)
+        h = _rebalance(h, r_out, r_in).add(GraphMultiset.from_maps(
+            pair_profiles(r_in._degree(True), r_out._degree(False), h._d)))
+    phi = normalize_cover(h, n)
     achieved = distance(psi, symmetrize(phi))
     check(achieved < eps, f"split distance {achieved} is not below {eps}")
     return phi

@@ -33,6 +33,7 @@ sweep ``sweep`` is reserved for step functions and multiset cells.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
@@ -43,6 +44,30 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# the one rational syntax, that of dse.schema.json; \d takes other digits
+_RATIONAL = re.compile(r"^-?[0-9]+/[0-9]+$")
+
+
+def _expect(value, kind: type):
+    """value itself, if it is of the kind: int (not bool), list or dict."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"expected a JSON {kind.__name__}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _ratio(value) -> tuple[int, int]:
+    """A "p/q" string or a JSON integer as integers (p, q), q nonzero."""
+    if not isinstance(value, str):
+        return _expect(value, int), 1
+    if not _RATIONAL.fullmatch(value):
+        raise ValueError(f"expected a 'p/q' rational, got {value!r}")
+    p, q = map(int, value.split("/"))
+    if not q:
+        raise ZeroDivisionError(f"zero denominator in {value!r}")
+    return p, q
+
+
 def rat(value) -> Fraction:
     """Coerce an int, Fraction or ``"p/q"`` string to an exact rational."""
     if isinstance(value, Fraction):
@@ -51,7 +76,7 @@ def rat(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a Fraction or 'p/q' string")
-    return Fraction(str(value))
+    return Fraction(*_ratio(str(value)))
 
 
 def positive_rat(value) -> Fraction:

@@ -158,10 +158,8 @@ class PartialMap(_Grid):
 
     def apply(self, x) -> Fraction | None:
         x = rat(x)
-        for a in self.atoms:
-            if a.lo <= x < a.hi:
-                return a.slope * x + a.offset
-        return None
+        return next((y for a in self.atoms
+                     if (y := a.apply(x)) is not None), None)
 
     __call__ = apply
 

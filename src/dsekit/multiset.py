@@ -24,11 +24,6 @@ Key = tuple[int, Fraction]
 Cells = tuple[tuple[Fraction, Fraction, int], ...]
 
 
-def overlay_cells(raw: Iterable[tuple[Fraction, Fraction, int]]) -> Cells:
-    """Overlay possibly-overlapping weighted intervals into sparse cells."""
-    return sweep(raw, sparse=True)
-
-
 def _cells_sub(a: Cells, b: Cells, strict: bool, d: int = 1) -> Cells:
     """The sparse cells of a - b; with ``strict``, ValueError where a
     multiplicity goes negative (the point is read out over d)."""
@@ -55,7 +50,7 @@ class GraphMultiset(_Grid):
                 continue
             a = atom._lift(d)
             grouped.setdefault((a.slope, a._off), []).append((a._lo, a._hi, mult))
-        self._set(({key: overlay_cells(raw) for key, raw in grouped.items()}, d))
+        self._set(({k: sweep(v, sparse=True) for k, v in grouped.items()}, d))
 
     def _set(self, fields: tuple[dict, int]) -> None:
         fam, d = fields
@@ -149,7 +144,7 @@ class GraphMultiset(_Grid):
         fam = dict(a._fam)
         for key, cells in b._fam.items():
             if key in fam:
-                fam[key] = overlay_cells(list(fam[key]) + list(cells))
+                fam[key] = sweep((*fam[key], *cells), sparse=True)
             else:
                 fam[key] = cells
         return self._new(fam, a._d)
@@ -162,19 +157,14 @@ class GraphMultiset(_Grid):
             fam[key] = _cells_sub(fam.get(key, ()), cells, True, a._d)
         return self._new(fam, a._d)
 
-    def add_maps(self, maps: Iterable[PartialMap]) -> "GraphMultiset":
-        return self.add(GraphMultiset.from_maps(maps))
-
-    def subtract_maps(self, maps: Iterable[PartialMap]) -> "GraphMultiset":
-        return self.subtract(GraphMultiset.from_maps(maps))
-
     def flip(self) -> "GraphMultiset":
         """Transpose: each atom family is replaced by its inverse family."""
         fam: dict[tuple[int, int], list] = {}
         for (slope, offset), cells in self._fam.items():
             fam.setdefault(_inverse_key(slope, offset), []).extend(
                 (*_move(slope, offset, lo, hi), m) for lo, hi, m in cells)
-        return self._new({k: overlay_cells(v) for k, v in fam.items()}, self._d)
+        return self._new({k: sweep(v, sparse=True) for k, v in fam.items()},
+                         self._d)
 
     def l1_distance(self, other: "GraphMultiset") -> Fraction:
         """Integral of |self - other| against the counting measure."""

@@ -1,34 +1,31 @@
 """JSON and CSV forms of the package's values.
 
-Rationals cross the boundary as "p/q" strings in lowest terms, and the
-readers take no other string form; intervals as ["a","b"] endpoint pairs;
-atoms as {"src","slope","offset"} objects.
-Matrices are JSON lists of integer rows, or CSV with one comma-separated
-row per line (ended by LF, CR LF or CR only) and no header, each cell
-ASCII digits with an optional minus sign and spaces around them.  The
-readers take exactly these shapes: an integer must be a JSON integer (not
-a float or a bool), and a value of another kind or length raises
-ValueError (a zero denominator, ZeroDivisionError).  Each rational is
-read to integers (p, q), with no ``Fraction`` (only ``parse_eps`` returns
-one), and every atom and map of a value is built once, on the lcm of all
-the value's denominators.  The writers read each "p/q" off the grid
-numerators of the value, with one gcd.
+Rationals cross the boundary as "p/q" strings in lowest terms, read by
+``intervals._ratio`` and in no other string form; intervals as ["a","b"]
+endpoint pairs; atoms as {"src","slope","offset"} objects.  Matrices are
+JSON lists of integer rows, or CSV with no header and one row per line
+(ended by LF, CR LF or CR only) of comma-separated cells, each ASCII
+digits with an optional minus sign and spaces around them; spaces are the
+only whitespace, and a line of spaces alone is skipped.  The readers take
+exactly these shapes: an integer must be a JSON integer (not a float or a
+bool), and a value of another kind or length raises ValueError (a zero
+denominator, ZeroDivisionError).  Each rational is read to integers
+(p, q), with no ``Fraction`` (only ``parse_eps`` returns one); every atom
+and map of a value is built once, on the lcm of its denominators.  The
+writers read each "p/q" off the value's grid numerators, with one gcd.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import lcm
 
-from .bvn import Rows
+from .bvn import Rows, _check_square
 from .dse import CoverageReport, DSE
-from .intervals import _grid_str, positive_rat, rat_str
+from .intervals import _expect, _grid_str, _ratio, positive_rat, rat_str
 from .maps import Atom, PartialMap
 from .multiset import GraphMultiset
 
-# the rational pattern of dse.schema.json; [0-9], as \d takes other digits
-_RATIONAL = re.compile(r"^-?[0-9]+/[0-9]+$")
 # translate deletes the characters of a CSV matrix row, and marks "x" the
 # nonzero digits
 _CSV_CHARS = str.maketrans(dict.fromkeys("0123456789 -,"))
@@ -37,27 +34,7 @@ _CSV_MARKS = str.maketrans(dict.fromkeys("123456789", "x"))
 
 def parse_eps(text: str) -> Fraction:
     """Tolerance flags: a positive "p/q" rational, spaces around it allowed."""
-    return positive_rat(Fraction(*_ratio(text.strip())))
-
-
-def _expect(value, kind: type):
-    """value itself, if it is of the kind: int (not bool), list or dict."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"expected a JSON {kind.__name__}, "
-                         f"got {type(value).__name__}")
-    return value
-
-
-def _ratio(value) -> tuple[int, int]:
-    """A JSON rational, a "p/q" string or an integer, as integers (p, q)."""
-    if not isinstance(value, str):
-        return _expect(value, int), 1
-    if not _RATIONAL.fullmatch(value):
-        raise ValueError(f"expected a 'p/q' rational, got {value!r}")
-    p, q = map(int, value.split("/"))
-    if not q:
-        raise ZeroDivisionError(f"zero denominator in {value!r}")
-    return p, q
+    return positive_rat(text.strip())
 
 
 def atom_to_json(a: Atom) -> dict:
@@ -132,9 +109,8 @@ def matrix_from_csv(text: str) -> tuple[Rows, list[int]]:
     """
     rows, widths = [], []
     # a row ends at "\n", "\r\n" or "\r" only, not at every splitlines break
-    text = text.strip().replace("\r\n", "\n").replace("\r", "\n")
-    for line in text.split("\n"):
-        if not line.strip():
+    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+        if not line.strip(" "):
             continue
         s = f",{line},"
         # the "x" past the end stops the walk there
@@ -158,6 +134,7 @@ def matrix_from_csv(text: str) -> tuple[Rows, list[int]]:
     return rows, widths
 
 
-def matrix_from_json(data) -> list[list[int]]:
-    return [[_expect(x, int) for x in _expect(row, list)]
-            for row in _expect(data, list)]
+def matrix_from_json(data) -> tuple[Rows, list[int]]:
+    """Sparse rows and row widths, as ``matrix_from_csv`` reads them."""
+    return _check_square([[_expect(x, int) for x in _expect(row, list)]
+                          for row in _expect(data, list)])

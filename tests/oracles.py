@@ -390,15 +390,15 @@ def reference_decompose_bvn(a):
 
 
 def reference_matrix_from_csv(text):
-    """The regex CSV reader: a dense row per line that is not blank, each
-    line matched whole against one pattern of spaced integer cells; a line
-    ends at LF, CR LF or CR only."""
+    """The regex CSV reader: a dense row per line that is not spaces alone,
+    each line matched whole against one pattern of spaced integer cells; a
+    line ends at LF, CR LF or CR only."""
     import re
 
     row = re.compile(r" *-?[0-9]+ *(?:, *-?[0-9]+ *)*")
     rows = []
-    for line in re.split(r"\r\n|\r|\n", text.strip()):
-        if line.strip():
+    for line in re.split(r"\r\n|\r|\n", text):
+        if line.strip(" "):
             if not row.fullmatch(line):
                 raise ValueError("CSV rows must be comma-separated integers")
             rows.append(list(map(int, line.split(","))))

@@ -613,6 +613,24 @@ BVN_ERRORS = [
     ("line-separator", "1,0\u20280,1", "1", 1, "ValueError",
      "CSV rows must be comma-separated integers"),
     ("blank-lines", "1,1\n\n  \n1,1\n", "2", 0, None, None),
+    ("separator-line", "1,0\n\x1c\n0,1", "1", 1, "ValueError",
+     "CSV rows must be comma-separated integers"),
+    ("trailing-separator", "1,0\n0,1\x1c", "1", 1, "ValueError",
+     "CSV rows must be comma-separated integers"),
+    ("tab-line", "1,0\n\t\n0,1", "1", 1, "ValueError",
+     "CSV rows must be comma-separated integers"),
+    # a text that starts with "[" is written to a .json file
+    ("json-ragged", "[[1, 1], [1, 1, 0]]", "2", 1, "ValueError",
+     "matrix must be square and non-empty"),
+    ("json-non-square", "[[1, 0, 0], [0, 1, 0]]", "1", 1, "ValueError",
+     "matrix must be square and non-empty"),
+    ("json-negative", "[[2, -1], [-1, 2]]", "1", 1, "ValueError",
+     "entries must be nonnegative integers"),
+    ("json-irregular-row", "[[1, 1], [0, 1]]", "2", 2, "NotDoublyStochastic",
+     "row 1 sums to 1, expected 2"),
+    # the entry is reported before the shape
+    ("json-non-square-float", "[[1, 0, 0], [0, 1.5, 0]]", "1", 1,
+     "ValueError", "expected a JSON int, got float"),
 ]
 
 
@@ -620,7 +638,7 @@ BVN_ERRORS = [
                          ids=[case[0] for case in BVN_ERRORS])
 def test_bvn_errors_are_unchanged(name, text, n, code, error_type, error,
                                   tmp_path, capsys):
-    f = tmp_path / "m.csv"
+    f = tmp_path / ("m.json" if text.startswith("[") else "m.csv")
     f.write_bytes(text.encode())
     got, report = run(capsys, "bvn", "--in", str(f), "--n", n, "--decompose")
     assert got == code

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsekit import EMPTY, FULL, IntervalSet, rat, rat_str
+from dsekit import serialize as ser
 from dsekit.intervals import step_integral, step_sum, step_where
 
 from oracles import brute_measure
@@ -48,6 +49,34 @@ def test_rat_roundtrip():
     assert rat_str(F(2, 4)) == "1/2"
     with pytest.raises(TypeError):
         rat(0.5)
+
+
+@pytest.mark.parametrize("text", [
+    "0.5", "1e-1", " 1/2 ", "1_0/3", "\u0661/2", "1e-999999999", "3"])
+def test_rat_takes_only_the_p_q_syntax(text):
+    """Decimal, exponent, spaced, underscored and non-ASCII forms are
+    rejected before any number is built, so a huge exponent costs nothing."""
+    with pytest.raises(ValueError, match="expected a 'p/q' rational"):
+        rat(text)
+
+
+def _outcome(call, *args):
+    try:
+        return "value", call(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.from_regex(r"-?[0-9]+/[0-9]+", fullmatch=True),
+                 st.text(st.sampled_from("0123456789/-+ _.eE\t\n\u0661"),
+                         max_size=8)))
+def test_rat_and_the_json_reader_take_the_same_strings(text):
+    def read(s):
+        lo, _, _, _ = ser._read_atom({"src": [s, s], "slope": 1, "offset": s})
+        return F(*lo)
+
+    assert _outcome(rat, text) == _outcome(read, text)
 
 
 def test_clip_window():
