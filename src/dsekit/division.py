@@ -126,15 +126,17 @@ def initial_division(g: GraphMultiset) -> Division:
 
 
 def _smain_piece(hmaps: Sequence[PartialMap], n: int, a: IntervalSet,
-                 b: IntervalSet, t: IntervalSet) -> PartialMap:
+                 b: IntervalSet, t: IntervalSet,
+                 live: IntervalSet) -> PartialMap:
     """Maximal piece inside H from a+b landing outside a+b+t.
 
-    For a in the over-oriented region and b balanced-or-over, counting both
-    fibre masses of the oriented part gives the exact lower bound
-    mu(V) >= mu(a)/(2n) - mu(t)/2, checked here.
+    The greedy step runs over ``live``, a part of a+b outside which every
+    map sends each point into a+b+t, so it finds the piece it would find
+    over all of a+b.  For a in the over-oriented region and b
+    balanced-or-over, counting both fibre masses of the oriented part gives
+    the exact lower bound mu(V) >= mu(a)/(2n) - mu(t)/2, checked here.
     """
-    allowed = a.union(b)
-    piece = greedy_maximal_map(hmaps, allowed, allowed.union(t))
+    piece = greedy_maximal_map(hmaps, live, a.union(b).union(t))
     bound = a.measure() / (2 * n) - t.measure() / 2
     check(piece.domain.measure() >= bound, "oriented piece misses its bound")
     return piece
@@ -152,11 +154,12 @@ def find_better_path(d: Division, max_length: int,
     carries the measure the improvement bound needs.
     """
     n = d.n
-    start = _smain_piece(d.maps, n, d.p_plus.subtract(consumed), EMPTY,
-                         consumed)
+    a = d.p_plus.subtract(consumed)
+    start = _smain_piece(d.maps, n, a, EMPTY, consumed, a)
 
-    def step(opened: IntervalSet) -> PartialMap:
-        return _smain_piece(d.maps, n, start.domain, opened, consumed)
+    def step(opened: IntervalSet, live: IntervalSet) -> PartialMap:
+        return _smain_piece(d.maps, n, start.domain, opened, consumed,
+                            start.domain.union(live))
 
     return _chain_search(start, step, None, d.p_minus, max_length)
 

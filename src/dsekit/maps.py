@@ -200,10 +200,6 @@ class PartialMap(_Grid):
         return PartialMap._new([Atom._new(lo, hi, a.slope, a._off, d)
                                 for a, lo, hi in cut], d)
 
-    def restrict_image(self, s: IntervalSet) -> "PartialMap":
-        """Keep only the graph whose image lies in s."""
-        return self.restrict(self.preimage_of(s))
-
     def image_of(self, s: IntervalSet) -> IntervalSet:
         d, cut = self._cut(s)
         return IntervalSet._merge_pairs(

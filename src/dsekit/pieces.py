@@ -12,7 +12,12 @@ an image meets an exit set, and is then backtracked through the smallest
 usable index into a genuine chain.  The two searches differ only in their
 step, their exit and their *link*, which turns a chain image into the
 sources it opens for the next step: theta^-1 for an extension of the
-piece theta, the identity for a better path.  One loop, ``_harvest``,
+piece theta, the identity for a better path.  A step is offered only
+the *live* sources: the opened sets less the *dead* ones, which an earlier
+step was offered and did not take.  A step's forbidden set only grows
+along a chain and takes in each image, so every map still sends a dead
+source into it, and dropping the dead sources changes no piece; the bound
+checks still read the whole opened set.  One loop, ``_harvest``,
 collects both maximal disjoint families; the growth loop below applies
 families of depth-bounded extensions until the piece covers all but an
 arbitrarily small part of the space.  Every inequality is checked exactly.
@@ -118,20 +123,27 @@ def maximal_piece(d: DSE, allowed_sources: IntervalSet,
 
 
 def lemma_piece(d: DSE, a: IntervalSet, b: IntervalSet,
-                blocker: Piece | None = None) -> Piece:
+                blocker: Piece | None = None, *,
+                live: IntervalSet | None = None) -> Piece:
     """Maximal piece from a avoiding b and the blocker's image.
 
     The returned piece has source S inside a, image outside b and outside
     the blocker's image, and its measure satisfies the exact lower bound
         mu(S) >= (mu(a) - mu(b))/2 - ((n-1)/(2n)) * mu(domain(blocker)),
     which follows from maximality by counting both fibre masses.
+
+    ``live``, a part of a, names the sources that can still be taken: every
+    map sends each point of a outside it into b or the blocker's image.  The
+    greedy step then runs over ``live`` alone and returns the same piece,
+    while the precondition and bound checks read a itself.
     """
     blocker_map = blocker.map if blocker is not None else EMPTY_MAP
     if not a.intersect(blocker_map.domain).is_empty():
         raise PreconditionViolated("a meets the blocker's domain")
     if not b.intersect(blocker_map.image).is_empty():
         raise PreconditionViolated("b meets the blocker's image")
-    piece = maximal_piece(d, a, b.union(blocker_map.image))
+    piece = maximal_piece(d, a if live is None else live,
+                          b.union(blocker_map.image))
     n = d.multiplicity
     bound = (a.measure() - b.measure()) / 2 \
         - Fraction(n - 1, 2 * n) * blocker_map.domain.measure()
@@ -160,9 +172,9 @@ def find_extension(d: DSE, piece: Piece, max_depth: int,
     first = lemma_piece(d, theta.domain.complement().subtract(occ_src), occ_tgt)
     forbidden = occ_tgt
 
-    def step(opened: IntervalSet) -> PartialMap:
+    def step(opened: IntervalSet, live: IntervalSet) -> PartialMap:
         nonlocal forbidden
-        pm = lemma_piece(d, opened, forbidden, first).map
+        pm = lemma_piece(d, opened, forbidden, first, live=live).map
         forbidden = forbidden.union(pm.image)
         return pm
 
@@ -176,10 +188,15 @@ def _chain_search(first: PartialMap, step, link: PartialMap | None,
     backtrack it; None if the chain stalls or reaches max_len pieces.
 
     Every chain image W that misses the exit opens the source set
-    link^-1(W) (W itself when ``link`` is None), and ``step(opened)``
-    returns the next piece given the running union of the opened sets;
-    preimages distribute over unions, so each image is linked once.  The
-    first piece's domain plays the opened set of index 0.
+    link^-1(W) (W itself when ``link`` is None); preimages distribute over
+    unions, so each image is linked once.  ``step(opened, live)`` returns
+    the next piece given the running union ``opened`` of the opened sets
+    and its part ``live`` that a step can still take.  The rest, ``dead``,
+    is what earlier steps were offered and left: a step's forbidden set
+    only grows along the chain and takes in its image, so every map that
+    sent such a point into the taken or forbidden set still does.  The
+    first piece's domain plays the opened set of index 0; it lies outside
+    ``opened``, so no step is offered it.
     """
     chain = [first]
     opened_at = [first.domain]
@@ -191,10 +208,11 @@ def _chain_search(first: PartialMap, step, link: PartialMap | None,
             return _backtrack(chain, opened_at, link, hit)
         if len(chain) >= max_len:
             return None
+        dead = opened.subtract(chain[-1].domain)
         reached = image if link is None else link.preimage_of(image)
         opened_at.append(reached)
         opened = opened.union(reached)
-        chain.append(step(opened))
+        chain.append(step(opened, opened.subtract(dead)))
     return None
 
 

@@ -226,7 +226,8 @@ def reference_find_better_path(d, max_length, consumed=None):
     hmaps = [d.oriented.family_map(key) for key, _ in d.oriented.families()]
     n = d.n
 
-    start = _smain_piece(hmaps, n, p_plus.subtract(consumed), EMPTY, consumed)
+    allowed = p_plus.subtract(consumed)
+    start = _smain_piece(hmaps, n, allowed, EMPTY, consumed, allowed)
     if start.is_empty():
         return None
     chain = [start]
@@ -236,7 +237,8 @@ def reference_find_better_path(d, max_length, consumed=None):
         return reference_backtrack_path(chain, wsets, hit)
     others = start.image
     for _ in range(max_length - 1):
-        step = _smain_piece(hmaps, n, wsets[0], others, consumed)
+        step = _smain_piece(hmaps, n, wsets[0], others, consumed,
+                            wsets[0].union(others))
         if step.is_empty():
             return None
         chain.append(step)

@@ -1,10 +1,13 @@
 """The shared chain-search engine against the two searches it replaced.
 
 ``tests/oracles.py`` keeps the extension search and the better-path search
-as they stood when each grew and backtracked its own chain.  Every call the
-growth and descent loops make is answered by both, and the answers must be
-equal atom for atom: the same pieces, whose domains and images are the
-sources and targets, or both None.
+as they stood when each grew and backtracked its own chain, offering every
+step the whole running union of the opened sets.  Every call the growth
+and descent loops make is answered by both, and the answers must be equal
+atom for atom: the same pieces, whose domains and images are the sources
+and targets, or both None.  The engine offers a step only the live part
+of that union; a step-by-step audit checks that the greedy step gives the
+same map either way.
 """
 
 import random
@@ -14,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit import division, near_full_piece, near_perfect_division, pieces
-from dsekit import symmetrize
+from dsekit import DSE, Atom, PartialMap, almost_decompose, division
+from dsekit import near_full_piece, near_perfect_division, pieces, symmetrize
 from dsekit.gallery import counterexample
 
 from conftest import random_cell_dse
@@ -55,6 +58,43 @@ def compare_paths(monkeypatch) -> list:
     return outcomes
 
 
+def audit_live_steps(monkeypatch) -> list:
+    """Make the greedy step of every chain step also run over the whole
+    opened set, and assert that it returns the map it gave over the live
+    set; returns, per step, whether the live set was smaller."""
+    engine, greedy = pieces._chain_search, pieces.greedy_maximal_map
+    offered, pruned = [], []
+
+    def search(first, step, link, exit_set, max_len):
+        def audited(opened, live):
+            offered.append(opened)
+            pruned.append(live != opened)
+            try:
+                return step(opened, live)
+            finally:
+                offered.pop()
+        return engine(first, audited, link, exit_set, max_len)
+
+    def both(maps, allowed, forbidden):
+        got = greedy(maps, allowed, forbidden)
+        if offered:
+            assert got == greedy(maps, allowed.union(offered[-1]), forbidden)
+        return got
+
+    for module in (pieces, division):
+        monkeypatch.setattr(module, "_chain_search", search)
+        monkeypatch.setattr(module, "greedy_maximal_map", both)
+    return pruned
+
+
+def rotations_and_ce4() -> DSE:
+    """Rotations by 1/3 and 1/5 plus the maps of counterexample(4): a
+    non-dyadic element of multiplicity 4."""
+    def rot(a):
+        return PartialMap([Atom(0, 1 - a, 1, a), Atom(1 - a, 1, 1, a - 1)])
+    return DSE([rot(F(1, 3)), rot(F(1, 5)), *counterexample(4).maps], 4)
+
+
 @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
 def test_extensions_match_reference_on_counterexamples(monkeypatch, k):
     outcomes = compare_extensions(monkeypatch)
@@ -79,3 +119,30 @@ def test_searches_match_reference_on_reflected_cells(level, n, seed):
     with pytest.MonkeyPatch.context() as mp:
         compare_paths(mp)
         near_perfect_division(symmetrize(d).matrix, F(1, 64))
+
+
+def test_searches_match_reference_on_a_non_dyadic_element(monkeypatch):
+    d = rotations_and_ce4()
+    outcomes = compare_extensions(monkeypatch)
+    almost_decompose(d, F(1, 16))
+    assert any(outcomes) and not all(outcomes)
+    outcomes = compare_paths(monkeypatch)
+    near_perfect_division(symmetrize(d).matrix, F(1, 16))
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_live_sources_give_the_greedy_step_of_all_opened_sources():
+    pruned = []
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.integers(2, 5), st.integers(2, 3), st.integers(0, 2 ** 32 - 1))
+    def chains(level, n, seed):
+        d = random_cell_dse(random.Random(seed), level, n, reflections=True)
+        with pytest.MonkeyPatch.context() as mp:
+            steps = audit_live_steps(mp)
+            near_full_piece(d, F(1, 64))
+            near_perfect_division(symmetrize(d).matrix, F(1, 64))
+        pruned.extend(steps)
+
+    chains()
+    assert any(pruned), "no chain step had a dead source to skip"
