@@ -28,7 +28,8 @@ difference (``_minus``).  The copied parts are separated from the window
 by gaps, so the result is canonical by construction.  An operation with a
 single interval against a set of k intervals therefore costs O(log k)
 comparisons plus the intervals it actually touches.  The weighted cut
-sweep ``sweep`` is reserved for step functions and multiset cells.
+sweep ``sweep`` is reserved for step functions and for the multiset
+families whose cells can meet (see ``multiset``).
 """
 
 from __future__ import annotations

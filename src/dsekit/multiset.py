@@ -8,11 +8,19 @@ the source line carries an integer multiplicity step.  Two entries of equal
 counting measure, row/column masses and L1 distance are exact sums.
 Offsets and cells are grid numerators over the multiset's ``_d``;
 ``families``, the steps, ``mass`` and ``l1_distance`` read them out.
+
+A family's cells are swept only where two cells can meet.  ``_gather``
+states this once for the constructor, ``add`` and ``flip``: a family given
+cells by two or more parts goes through ``sweep``, one given a single part
+keeps its cells, so a lone entry is its own cell and ``flip`` (whose
+``_inverse_key`` is injective) only moves cells.  ``l1_distance`` sweeps
+only the families present on both sides with different cells.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, Iterator
 
@@ -34,6 +42,23 @@ def _cells_sub(a: Cells, b: Cells, strict: bool, d: int = 1) -> Cells:
     return cells
 
 
+def _gather(parts: Iterable[tuple[tuple[int, int], Cells]]) -> dict:
+    """Families of (key, cells) parts, each part's cells sparse and sorted.
+    Cells can meet only in a key given two or more parts, so only those
+    are swept; a key given one part keeps that part's cells."""
+    grouped: dict[tuple[int, int], list] = {}
+    for key, cells in parts:
+        grouped.setdefault(key, []).append(cells)
+    return {k: v[0] if len(v) == 1 else sweep(chain.from_iterable(v),
+                                                 sparse=True)
+            for k, v in grouped.items()}
+
+
+def _l1(cells: Cells) -> int:
+    """The integral of |level| over the cells, times the grid d."""
+    return sum((hi - lo) * abs(v) for lo, hi, v in cells)
+
+
 class GraphMultiset(_Grid):
     """Multiset of graph atoms with integer multiplicities (the matrix M)."""
 
@@ -42,15 +67,14 @@ class GraphMultiset(_Grid):
     def __init__(self, entries: Iterable[tuple[Atom, int]] = ()):
         entries = list(entries)
         d = lcm(*(atom._d for atom, _ in entries))
-        grouped: dict[tuple[int, int], list] = {}
+        parts = []
         for atom, mult in entries:
             if mult < 0:
                 raise ValueError("negative multiplicity")
-            if mult == 0:
-                continue
-            a = atom._lift(d)
-            grouped.setdefault((a.slope, a._off), []).append((a._lo, a._hi, mult))
-        self._set(({k: sweep(v, sparse=True) for k, v in grouped.items()}, d))
+            if mult:
+                a = atom._lift(d)
+                parts.append(((a.slope, a._off), ((a._lo, a._hi, mult),)))
+        self._set((_gather(parts), d))
 
     def _set(self, fields: tuple[dict, int]) -> None:
         fam, d = fields
@@ -107,8 +131,7 @@ class GraphMultiset(_Grid):
 
     def mass(self) -> Fraction:
         """Counting measure: total multiplicity-weighted source length."""
-        return Fraction(sum((hi - lo) * m for cells in self._fam.values()
-                            for lo, hi, m in cells), self._d)
+        return Fraction(sum(map(_l1, self._fam.values())), self._d)
 
     def _degree(self, image: bool) -> Step:
         """The row mass (the column mass, with image) as a step function of
@@ -141,13 +164,7 @@ class GraphMultiset(_Grid):
 
     def add(self, other: "GraphMultiset") -> "GraphMultiset":
         a, b = _align(self, other)
-        fam = dict(a._fam)
-        for key, cells in b._fam.items():
-            if key in fam:
-                fam[key] = sweep((*fam[key], *cells), sparse=True)
-            else:
-                fam[key] = cells
-        return self._new(fam, a._d)
+        return self._new(_gather(chain(a._fam.items(), b._fam.items())), a._d)
 
     def subtract(self, other: "GraphMultiset") -> "GraphMultiset":
         """Exact multiset difference; raises if any multiplicity goes negative."""
@@ -158,21 +175,27 @@ class GraphMultiset(_Grid):
         return self._new(fam, a._d)
 
     def flip(self) -> "GraphMultiset":
-        """Transpose: each atom family is replaced by its inverse family."""
-        fam: dict[tuple[int, int], list] = {}
-        for (slope, offset), cells in self._fam.items():
-            fam.setdefault(_inverse_key(slope, offset), []).extend(
-                (*_move(slope, offset, lo, hi), m) for lo, hi, m in cells)
-        return self._new({k: sweep(v, sparse=True) for k, v in fam.items()},
-                         self._d)
+        """Transpose: each atom family is replaced by its inverse family.
+        ``_inverse_key`` is injective, so each inverse family is one
+        family's cells moved (in reverse order for slope -1), unswept."""
+        return self._new(_gather(
+            (_inverse_key(s, o), tuple((*_move(s, o, lo, hi), m) for lo, hi, m
+                                       in (cells if s == 1 else cells[::-1])))
+            for (s, o), cells in self._fam.items()), self._d)
 
     def l1_distance(self, other: "GraphMultiset") -> Fraction:
-        """Integral of |self - other| against the counting measure."""
+        """Integral of |self - other| against the counting measure.  Only
+        a family on both sides with different cells is swept: one on one
+        side adds its mass, and one with equal cells adds 0."""
         a, b = _align(self, other)
-        total = 0
-        for key in set(a._fam) | set(b._fam):
-            diff = _cells_sub(a._fam.get(key, ()), b._fam.get(key, ()), False)
-            total += sum((hi - lo) * abs(v) for lo, hi, v in diff)
+        fa, fb = a._fam, b._fam
+        total = sum(_l1(cells) for key, cells in fb.items() if key not in fa)
+        for key, cells in fa.items():
+            others = fb.get(key)
+            if others is None:
+                total += _l1(cells)
+            elif others != cells:
+                total += _l1(_cells_sub(cells, others, False))
         return Fraction(total, a._d)
 
     def __eq__(self, other) -> bool:

@@ -10,7 +10,11 @@ only whitespace, and a line of spaces alone is skipped.  The readers take
 exactly these shapes: an integer must be a JSON integer (not a float or a
 bool), and a value of another kind or length raises ValueError (a zero
 denominator, ZeroDivisionError).  Each rational is read to integers
-(p, q), with no ``Fraction`` (only ``parse_eps`` returns one); every atom
+(p, q), with no ``Fraction`` (only ``parse_eps`` returns one), and each
+distinct "p/q" string once per value read: an element of coverage n
+repeats every cut point in about 2n atom fields.  JSON integers and other
+kinds are read at every occurrence, in the order lo, hi, slope, offset of
+each atom, so a malformed value meets the same first error.  Every atom
 and map of a value is built once, on the lcm of its denominators.  The
 writers read each "p/q" off the value's grid numerators, with one gcd.
 """
@@ -42,18 +46,32 @@ def atom_to_json(a: Atom) -> dict:
             "slope": a.slope, "offset": _grid_str(a._off, a._d)}
 
 
-def _read_atom(data) -> tuple:
-    """An atom object as its ratios (lo, hi, offset) and its slope."""
+def _read_atom(data, ratio=_ratio) -> tuple:
+    """An atom object as its ratios (lo, hi, offset) and its slope, read
+    in the order lo, hi, slope, offset; ``ratio`` reads each value."""
     lo, hi = _expect(_expect(data, dict)["src"], list)
-    lo, hi, slope = _ratio(lo), _ratio(hi), _expect(data["slope"], int)
-    return lo, hi, _ratio(data["offset"]), slope
+    lo, hi, slope = ratio(lo), ratio(hi), _expect(data["slope"], int)
+    return lo, hi, ratio(data["offset"]), slope
 
 
 def _atom_lists(lists: list) -> list[tuple[list[Atom], int]]:
     """JSON atom lists as (atoms, d): every atom is built once, on the lcm
-    d of all the denominators of all the lists."""
-    rows = [[_read_atom(a) for a in _expect(m, list)] for m in lists]
-    d = lcm(*(q for m in rows for row in m for _, q in row[:3]))
+    d of all the denominators of all the lists.  Each distinct "p/q"
+    string is parsed once; any other value is read each time it occurs."""
+    seen: dict[str, tuple[int, int]] = {}
+
+    def ratio(value) -> tuple[int, int]:
+        # keyed by str only: a memo keyed by any value would take true as 1
+        if not isinstance(value, str):
+            return _ratio(value)
+        r = seen.get(value)
+        if r is None:
+            r = seen[value] = _ratio(value)
+        return r
+
+    rows = [[_read_atom(a, ratio) for a in _expect(m, list)] for m in lists]
+    # every value not in seen is a JSON integer, of denominator 1
+    d = lcm(*(q for _, q in seen.values()))
     return [([Atom._new(lo * (d // q), hi * (d // r), slope, off * (d // t), d)
               for (lo, q), (hi, r), (off, t), slope in m], d) for m in rows]
 

@@ -502,3 +502,84 @@ def reference_graph_intersect(f, g):
         Atom(max(af.lo, ag.lo), min(af.hi, ag.hi), af.slope, af.offset)
         for af in f.atoms for ag in g.atoms
         if af.key() == ag.key() and max(af.lo, ag.lo) < min(af.hi, ag.hi))
+
+
+# -- readers and multiset families before their shortcuts -------------------
+#
+# The element reader as it stood before it parsed each distinct string once,
+# and the multiset's families as they stood before a family was swept only
+# where two of its cells can meet.  They work on grid numerators, as the
+# code they replaced did.
+
+
+def reference_atom_lists(lists):
+    """JSON atom lists as (atoms, d), every value parsed where it occurs,
+    in the order lo, hi, slope, offset of each atom."""
+    from math import lcm
+
+    from dsekit.intervals import _expect, _ratio
+    from dsekit.maps import Atom
+
+    def read(data):
+        lo, hi = _expect(_expect(data, dict)["src"], list)
+        lo, hi, slope = _ratio(lo), _ratio(hi), _expect(data["slope"], int)
+        return lo, hi, _ratio(data["offset"]), slope
+
+    rows = [[read(a) for a in _expect(m, list)] for m in lists]
+    d = lcm(*(q for m in rows for row in m for _, q in row[:3]))
+    return [([Atom._new(lo * (d // q), hi * (d // r), slope, off * (d // t), d)
+              for (lo, q), (hi, r), (off, t), slope in m], d) for m in rows]
+
+
+def _reference_families(grouped, d):
+    """(families, d): every family's cells through one sparse sweep, the
+    empty ones dropped, sorted by key."""
+    from dsekit.intervals import sweep
+
+    fam = {k: sweep(v, sparse=True) for k, v in grouped.items()}
+    return dict(sorted((k, v) for k, v in fam.items() if v)), d
+
+
+def reference_multiset_families(entries):
+    """The families and grid of ``GraphMultiset(entries)``, each family's
+    entries swept, a lone entry too."""
+    from math import lcm
+
+    entries = list(entries)
+    d = lcm(*(atom._d for atom, _ in entries))
+    grouped = {}
+    for atom, mult in entries:
+        if mult < 0:
+            raise ValueError("negative multiplicity")
+        if mult:
+            a = atom._lift(d)
+            grouped.setdefault((a.slope, a._off), []).append(
+                (a._lo, a._hi, mult))
+    return _reference_families(grouped, d)
+
+
+def reference_flip_families(g):
+    """The families and grid of ``g.flip()``, each inverse family's moved
+    cells swept."""
+    grouped = {}
+    for (slope, offset), cells in g._fam.items():
+        for lo, hi, m in cells:
+            grouped.setdefault(
+                (1, -offset) if slope == 1 else (-1, offset), []).append(
+                (*_reference_move(slope, offset, lo, hi), m))
+    return _reference_families(grouped, g._d)
+
+
+def reference_l1_distance(g, h):
+    """``g.l1_distance(h)`` by one signed sweep of every key of either."""
+    from math import lcm
+
+    from dsekit.multiset import _cells_sub
+
+    d = lcm(g._d, h._d)
+    g, h = g._lift(d), h._lift(d)
+    total = 0
+    for key in set(g._fam) | set(h._fam):
+        diff = _cells_sub(g._fam.get(key, ()), h._fam.get(key, ()), False)
+        total += sum((hi - lo) * abs(v) for lo, hi, v in diff)
+    return Fraction(total, d)

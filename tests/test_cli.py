@@ -22,7 +22,7 @@ from dsekit import serialize as ser
 
 import golden
 from conftest import half_shift, random_cell_dse, shift
-from oracles import reference_decompose_bvn
+from oracles import reference_atom_lists, reference_decompose_bvn
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "dsekit" / "schemas"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report.schema.json").read_text())
@@ -254,6 +254,113 @@ def test_element_reader_builds_each_map_once(monkeypatch):
     assert sum(len(m.atoms) for m in d.maps) == 16
     assert list(calls.values()) == [16, 16, 32]
     assert d == counterexample(6)
+
+
+def test_element_reader_parses_each_distinct_string_once(monkeypatch):
+    data = ser.dse_to_json(counterexample(6))
+    values = [v for m in data["maps"] for a in m for v in (*a["src"], a["offset"])]
+    parsed = []
+    ratio = ser._ratio
+    monkeypatch.setattr(ser, "_ratio", lambda v: parsed.append(v) or ratio(v))
+    d = ser.dse_from_json(data)
+    monkeypatch.undo()
+    assert all(isinstance(v, str) for v in values)
+    assert len(values) > len(set(values))
+    assert sorted(parsed) == sorted(set(values))
+    assert d == counterexample(6)
+
+
+def _outcome(read, data):
+    """What a reader gives, as the grid fields of every atom with the grid
+    of each list, or as the first exception's type and message."""
+    try:
+        return [([(a._lo, a._hi, a.slope, a._off, a._d) for a in atoms], d)
+                for atoms, d in read(data)]
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _atoms(d: DSE) -> list:
+    """An element as one (atoms, d) list, the form ``_outcome`` reads."""
+    return [([a for m in d.maps for a in m.atoms], d._d)]
+
+
+def _reference_dse(data) -> list:
+    """``_atoms`` of the element read through the per-value reader."""
+    return _atoms(DSE((PartialMap._new(*f) for f in
+                       reference_atom_lists(data["maps"])),
+                      data["multiplicity"]))
+
+
+# repeated strings (one unreduced), JSON integers, values the readers
+# reject (true, 1.0, a float, a zero denominator, spaced, decimal and
+# plus-signed strings, null and a list), and slopes of each kind
+GOOD_VALUES = ("0/1", "1/4", "1/2", "2/4", "3/4", "1/1", "-1/4", "5/4", 0, 1)
+BAD_VALUES = (True, False, 1.0, 0.5, "1/0", " 1/2", "0.5", "+1/2", None, [])
+SLOPES = (1, -1, 1, -1, True, 1.0, "1/1", 2)
+
+
+@st.composite
+def atom_lists(draw, values):
+    """One to three maps of up to four atom objects; one in sixteen lacks
+    a key."""
+    def atom():
+        fields = {"src": [draw(values), draw(values)],
+                  "slope": draw(st.sampled_from(SLOPES)),
+                  "offset": draw(values)}
+        if draw(st.integers(0, 15)) == 0:
+            del fields[draw(st.sampled_from(sorted(fields)))]
+        return fields
+
+    return [[atom() for _ in range(draw(st.integers(0, 4)))]
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+@st.composite
+def valid_atom_lists(draw):
+    """One to three maps that cut [0, 1) at eighths into identity and
+    reflected pieces; each value is a reduced or unreduced "p/q" string
+    or, when whole, maybe a JSON integer."""
+    def value(k):
+        f = F(k, 8)
+        forms = [f"{f.numerator}/{f.denominator}", f"{k}/8"]
+        return draw(st.sampled_from(forms + [k // 8] * (f.denominator == 1)))
+
+    maps = []
+    for _ in range(draw(st.integers(1, 3))):
+        cuts = [0, *sorted(draw(st.sets(st.integers(1, 7), max_size=4))), 8]
+        slopes = draw(st.lists(st.sampled_from((1, -1)), min_size=len(cuts),
+                               max_size=len(cuts)))
+        maps.append([{"src": [value(lo), value(hi)], "slope": slope,
+                      "offset": value(0 if slope == 1 else lo + hi)}
+                     for lo, hi, slope in zip(cuts, cuts[1:], slopes)])
+    return maps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(valid_atom_lists(),
+                 atom_lists(st.sampled_from(GOOD_VALUES)),
+                 atom_lists(st.sampled_from(GOOD_VALUES + BAD_VALUES))))
+def test_element_reader_matches_the_per_value_reference(lists):
+    assert _outcome(ser._atom_lists, lists) == _outcome(reference_atom_lists,
+                                                        lists)
+    element = {"multiplicity": 1, "maps": lists}
+    assert (_outcome(lambda e: _atoms(ser.dse_from_json(e)), element)
+            == _outcome(_reference_dse, element))
+
+
+def test_element_reader_reports_the_first_bad_value_in_reading_order():
+    # a bad string occurs twice; the second atom's slope comes before its
+    # offset in the order lo, hi, slope, offset
+    lists = [[{"src": ["0/1", "1/x"], "slope": 1, "offset": "0/1"},
+              {"src": ["1/2", "1/1"], "slope": True, "offset": "1/x"}]]
+    assert _outcome(ser._atom_lists, lists) == (
+        "ValueError", "expected a 'p/q' rational, got '1/x'")
+    lists[0][0]["src"][1] = "1/2"
+    assert _outcome(ser._atom_lists, lists) == (
+        "ValueError", "expected a JSON int, got bool")
+    assert _outcome(reference_atom_lists, lists) == _outcome(ser._atom_lists,
+                                                             lists)
 
 
 def test_zero_eps_flag_reads_as_the_library_tolerance_rule(tmp_path, capsys):
