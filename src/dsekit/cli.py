@@ -26,15 +26,18 @@ from .intervals import rat_str
 
 
 def _read_json(path: str):
-    return json.loads(Path(path).read_text())
+    """The value of a JSON file; nesting too deep to parse is a ValueError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _read_matrix(path: str) -> tuple[bvn_mod.Rows, list[int]]:
     """A matrix file as its sparse rows and row widths."""
-    text = Path(path).read_text()
     if path.endswith(".json"):
-        return ser.matrix_from_json(json.loads(text))
-    return ser.matrix_from_csv(text)
+        return ser.matrix_from_json(_read_json(path))
+    return ser.matrix_from_csv(Path(path).read_text())
 
 
 def _report(command: str, inputs: dict, outputs: dict, bounds: dict,
@@ -68,8 +71,7 @@ def _cmd_distance(args, started: float) -> tuple[dict, int]:
 
 def _run_decompose(d: DSE, eps, emit) -> tuple[dict, dict]:
     dec = almost_decompose(d, eps)
-    emitted = emit({"automorphisms": [ser.map_to_json(a.map)
-                                      for a in dec.automorphisms],
+    emitted = emit({"automorphisms": ser.dse_to_json(dec.as_dse())["maps"],
                     "achieved_distance": rat_str(dec.achieved_distance)})
     back = ser.dse_from_json({"multiplicity": d.multiplicity,
                               "maps": emitted["automorphisms"]})
@@ -98,9 +100,9 @@ def _run_split(d: DSE, eps, emit) -> tuple[dict, dict]:
             {"multiplicity": emitted.multiplicity})
 
 
-# name -> (help, run) of the commands that write one artifact to --out.
-# run(d, eps, emit) passes its payload to emit, which writes it and returns
-# it read back from disk; run recomputes bounds and result from that.
+# name -> (help, run) of the commands that write one artifact to --out, run
+# set as args.artifact.  run(d, eps, emit) passes its payload to emit, which
+# writes it and returns it read back from disk; run recomputes from that.
 _ARTIFACT_COMMANDS = {
     "decompose": ("almost-decompose into automorphisms", _run_decompose),
     "divide": ("orient a symmetric element", _run_divide),
@@ -116,7 +118,7 @@ def _cmd_artifact(args, started: float) -> tuple[dict, int]:
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
         return _read_json(args.out)
 
-    bounds, result = _ARTIFACT_COMMANDS[args.command][1](d, eps, emit)
+    bounds, result = args.artifact(d, eps, emit)
     out = _report(args.command, {"in": args.infile, "eps": args.eps},
                   {"out": args.out}, {"eps": args.eps, **bounds}, result,
                   started)
@@ -178,27 +180,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the coverage of an element")
+    p.set_defaults(handler=_cmd_validate)
     p.add_argument("--in", dest="infile", required=True)
 
     p = sub.add_parser("distance", help="exact distance between two elements")
+    p.set_defaults(handler=_cmd_distance)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
-    for name, (help_text, _) in _ARTIFACT_COMMANDS.items():
+    for name, (help_text, run) in _ARTIFACT_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=_cmd_artifact, artifact=run)
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--eps", required=True)
         p.add_argument("--out", required=True)
 
     p = sub.add_parser("bvn", help="finite Birkhoff-von Neumann tools")
+    p.set_defaults(handler=_cmd_bvn)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--decompose", action="store_true")
 
     p = sub.add_parser("demo", help="emit a gallery element as JSON")
+    p.set_defaults(handler=_cmd_demo)
     p.add_argument("--name", required=True, choices=list(_DEMOS))
     p.add_argument("--level", type=int, default=2)
     return parser
+
+
+# parse_args leaves the parser as it was, so one serves every call of main
+_PARSER = build_parser()
 
 
 def _error(argv: list[str], exc: Exception) -> dict:
@@ -209,16 +220,9 @@ def _error(argv: list[str], exc: Exception) -> dict:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    handlers = {
-        "validate": _cmd_validate,
-        "distance": _cmd_distance,
-        **dict.fromkeys(_ARTIFACT_COMMANDS, _cmd_artifact),
-        "bvn": _cmd_bvn,
-        "demo": _cmd_demo,
-    }
     try:
-        args = build_parser().parse_args(argv)
-        report, code = handlers[args.command](args, time.monotonic())
+        args = _PARSER.parse_args(argv)
+        report, code = args.handler(args, time.monotonic())
     except DsekitError as exc:
         report, code = _error(argv, exc), 2
     except (argparse.ArgumentError, OSError, ValueError, KeyError,

@@ -22,7 +22,7 @@ on the window where the two operands can interact.  Both operands are cut
 to that window by bisection on their sorted endpoints, and the intervals
 of the result that lie wholly before or after the window are copied as
 tuple slices.  On the window, ``union`` merges the concatenated pairs
-(``IntervalSet._merge_pairs``), ``intersect`` and ``clip`` walk both pair
+(``IntervalSet._merge_pairs``), ``intersect`` and ``_clip`` walk both pair
 lists with two pointers (``_meet``) and ``subtract`` does the same for the
 difference (``_minus``).  The copied parts are separated from the window
 by gaps, so the result is canonical by construction.  An operation with a
@@ -39,7 +39,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -181,12 +181,6 @@ class IntervalSet(_Grid):
         window = iv[bisect_right(iv, lo, key=_HI):bisect_left(iv, hi, key=_LO)]
         return _meet(window, ((lo, hi),))
 
-    def clip(self, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-        """Pairs of the intersection with the window [lo, hi); sorted."""
-        lo, hi = rat(lo), rat(hi)
-        s = self._lift(lcm(self._d, lo.denominator, hi.denominator))
-        return list(_fractions(s._clip(int(lo * s._d), int(hi * s._d)), s._d))
-
     @classmethod
     def interval(cls, lo, hi) -> "IntervalSet":
         return cls(((rat(lo), rat(hi)),))
@@ -200,9 +194,6 @@ class IntervalSet(_Grid):
     @property
     def pairs(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return _fractions(self._iv, self._d)
-
-    def __iter__(self) -> Iterator[tuple[Fraction, Fraction]]:
-        return iter(self.pairs)
 
     def __bool__(self) -> bool:
         return bool(self._iv)

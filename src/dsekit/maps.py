@@ -87,9 +87,6 @@ class Atom(_Grid):
         return Atom._new(self._ilo, self._ihi,
                          *_inverse_key(self.slope, self._off), self._d)
 
-    def key(self) -> tuple:
-        return (self.slope, self.offset)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Atom)
                 and (self.lo, self.hi, self.slope, self.offset)

@@ -7,7 +7,7 @@ the source line carries an integer multiplicity step.  Two entries of equal
 (slope, offset) always have disjoint sources (canonical refinement), so the
 counting measure, row/column masses and L1 distance are exact sums.
 Offsets and cells are grid numerators over the multiset's ``_d``;
-``families``, the steps, ``mass`` and ``l1_distance`` read them out.
+``families``, ``mass`` and ``l1_distance`` read them out.
 
 A family's cells are swept only where two cells can meet.  ``_gather``
 states this once for the constructor, ``add`` and ``flip``: a family given
@@ -24,8 +24,8 @@ from itertools import chain
 from math import lcm
 from typing import Iterable, Iterator
 
-from .intervals import (IntervalSet, Step, _align, _fractions, _Grid, rat,
-                        step_sum, sweep)
+from .intervals import (IntervalSet, Step, _align, _fractions, _Grid, step_sum,
+                        sweep)
 from .maps import Atom, PartialMap, _inverse_key, _move
 
 Key = tuple[int, Fraction]
@@ -98,21 +98,8 @@ class GraphMultiset(_Grid):
         return (((s, Fraction(o, d)), _fractions(cells, d))
                 for (s, o), cells in self._fam.items())
 
-    def _key(self, key: Key) -> tuple:
-        """key with its offset over the grid; an offset off the grid stays
-        a Fraction, which no family has."""
-        off = rat(key[1]) * self._d
-        return key[0], off.numerator if off.denominator == 1 else off
-
-    def support(self, key: Key) -> IntervalSet:
-        return self._support(self._key(key))
-
-    def family_map(self, key: Key) -> PartialMap:
-        """The support of one family as a partial map (multiplicity ignored)."""
-        return self._family_map(self._key(key))
-
     def _support(self, key: tuple[int, int]) -> IntervalSet:
-        """``support`` of a key with its offset on the grid, cached."""
+        """The source set of the family of a grid key, cached."""
         cached = self._support_cache.get(key)
         if cached is None:
             cached = IntervalSet._merge_pairs(
@@ -121,13 +108,10 @@ class GraphMultiset(_Grid):
         return cached
 
     def _family_map(self, key: tuple[int, int]) -> PartialMap:
-        """``family_map`` of a key with its offset on the grid."""
+        """The family of a grid key as a partial map (multiplicity ignored)."""
         return PartialMap._new([Atom._new(lo, hi, *key, self._d)
                                 for lo, hi, _ in self._fam.get(key, ())],
                                self._d)
-
-    def is_empty(self) -> bool:
-        return not self._fam
 
     def mass(self) -> Fraction:
         """Counting measure: total multiplicity-weighted source length."""
@@ -139,12 +123,6 @@ class GraphMultiset(_Grid):
         return step_sum(((*_move(s, o, lo, hi), m) if image else (lo, hi, m)
                          for (s, o), cells in self._fam.items()
                          for lo, hi, m in cells), self._d)
-
-    def row_step(self) -> Step:
-        return _fractions(self._degree(False), self._d)
-
-    def col_step(self) -> Step:
-        return _fractions(self._degree(True), self._d)
 
     def contains_graph(self, m: PartialMap) -> bool:
         """True when every atom of m lies inside the matching family support."""

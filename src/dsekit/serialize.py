@@ -38,7 +38,7 @@ _CSV_MARKS = str.maketrans(dict.fromkeys("123456789", "x"))
 
 def parse_eps(text: str) -> Fraction:
     """Tolerance flags: a positive "p/q" rational, spaces around it allowed."""
-    return positive_rat(text.strip())
+    return positive_rat(text.strip(" "))
 
 
 def atom_to_json(a: Atom) -> dict:
@@ -46,7 +46,7 @@ def atom_to_json(a: Atom) -> dict:
             "slope": a.slope, "offset": _grid_str(a._off, a._d)}
 
 
-def _read_atom(data, ratio=_ratio) -> tuple:
+def _read_atom(data, ratio) -> tuple:
     """An atom object as its ratios (lo, hi, offset) and its slope, read
     in the order lo, hi, slope, offset; ``ratio`` reads each value."""
     lo, hi = _expect(_expect(data, dict)["src"], list)
@@ -78,10 +78,6 @@ def _atom_lists(lists: list) -> list[tuple[list[Atom], int]]:
 
 def map_to_json(m: PartialMap) -> list:
     return [atom_to_json(a) for a in m.atoms]
-
-
-def map_from_json(data) -> PartialMap:
-    return PartialMap._new(*_atom_lists([data])[0])
 
 
 def dse_to_json(d: DSE) -> dict:

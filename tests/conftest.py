@@ -7,7 +7,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dsekit import DSE, Atom, IntervalSet, PartialMap
+from dsekit import DSE, Atom, GraphMultiset, IntervalSet, PartialMap
+from dsekit.division import Division
 
 
 def half_shift() -> PartialMap:
@@ -19,6 +20,14 @@ def half_shift() -> PartialMap:
 def shift(lo, hi, offset) -> PartialMap:
     """x -> x + offset on [lo, hi)."""
     return PartialMap([Atom(lo, hi, 1, offset)])
+
+
+def cell_division(k: int, *edges) -> Division:
+    """The division of degree 1 whose oriented part has one atom per edge
+    (i, j), carrying the cell [i/k, (i+1)/k) onto [j/k, (j+1)/k)."""
+    h = GraphMultiset((Atom(Fraction(i, k), Fraction(i + 1, k), 1,
+                            Fraction(j - i, k)), 1) for i, j in edges)
+    return Division(h, h.add(h.flip()), 1)
 
 
 def random_interval_set(rng: random.Random, level: int = 6) -> IntervalSet:

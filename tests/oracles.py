@@ -54,11 +54,11 @@ def reference_normalize_cover(m, n):
     """
     from dsekit.dse import DSE
     from dsekit.errors import NotDoublyStochastic
-    from dsekit.intervals import ONE, ZERO
+    from dsekit.intervals import ONE, ZERO, _fractions
     from dsekit.maps import Atom
 
-    row = m.row_step()
-    col = m.col_step()
+    row = _fractions(m._degree(False), m._d)
+    col = _fractions(m._degree(True), m._d)
     bad_rows = tuple(c for c in row if c[2] != n)
     bad_cols = tuple(c for c in col if c[2] != n)
     if bad_rows or bad_cols:
@@ -223,7 +223,7 @@ def reference_find_better_path(d, max_length, consumed=None):
     p_minus = d.p_minus
     if p_plus.is_empty():
         return None
-    hmaps = [d.oriented.family_map(key) for key, _ in d.oriented.families()]
+    hmaps = list(d.maps)
     n = d.n
 
     allowed = p_plus.subtract(consumed)
@@ -426,25 +426,34 @@ def _reference_back(a, lo, hi):
                            lo, hi)
 
 
+def _reference_clip(s, lo, hi):
+    """Pairs of the set s inside the window [lo, hi)."""
+    from dsekit.intervals import IntervalSet
+
+    return s.intersect(IntervalSet.interval(lo, hi)).pairs
+
+
 def reference_restrict(m, s):
     from dsekit.maps import Atom, PartialMap
 
-    return PartialMap(Atom(lo, hi, a.slope, a.offset)
-                      for a in m.atoms for lo, hi in s.clip(a.lo, a.hi))
+    return PartialMap(Atom(lo, hi, a.slope, a.offset) for a in m.atoms
+                      for lo, hi in _reference_clip(s, a.lo, a.hi))
 
 
 def reference_image_of(m, s):
     from dsekit.intervals import IntervalSet
 
     return IntervalSet(_reference_move(a.slope, a.offset, lo, hi)
-                       for a in m.atoms for lo, hi in s.clip(a.lo, a.hi))
+                       for a in m.atoms
+                       for lo, hi in _reference_clip(s, a.lo, a.hi))
 
 
 def reference_preimage_of(m, s):
     from dsekit.intervals import IntervalSet
 
-    return IntervalSet(_reference_back(a, lo, hi) for a in m.atoms
-                       for lo, hi in s.clip(a.image_lo, a.image_hi))
+    return IntervalSet(
+        _reference_back(a, lo, hi) for a in m.atoms
+        for lo, hi in _reference_clip(s, a.image_lo, a.image_hi))
 
 
 def reference_restrict_image(m, s):
@@ -452,7 +461,7 @@ def reference_restrict_image(m, s):
 
     return PartialMap(Atom(*_reference_back(a, lo, hi), a.slope, a.offset)
                       for a in m.atoms
-                      for lo, hi in s.clip(a.image_lo, a.image_hi))
+                      for lo, hi in _reference_clip(s, a.image_lo, a.image_hi))
 
 
 def reference_greedy_maximal_map(maps, allowed, forbidden):
@@ -501,7 +510,8 @@ def reference_graph_intersect(f, g):
     return PartialMap(
         Atom(max(af.lo, ag.lo), min(af.hi, ag.hi), af.slope, af.offset)
         for af in f.atoms for ag in g.atoms
-        if af.key() == ag.key() and max(af.lo, ag.lo) < min(af.hi, ag.hi))
+        if (af.slope, af.offset) == (ag.slope, ag.offset)
+        and max(af.lo, ag.lo) < min(af.hi, ag.hi))
 
 
 # -- readers and multiset families before their shortcuts -------------------

@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit import DSE, Atom, PartialMap, almost_decompose, division
+from dsekit import (DSE, EMPTY, FULL, Atom, IntervalSet, PartialMap,
+                    almost_decompose, division)
 from dsekit import near_full_piece, near_perfect_division, pieces, symmetrize
 from dsekit.gallery import counterexample
 
-from conftest import random_cell_dse
+from conftest import cell_division, random_cell_dse
 from oracles import reference_find_better_path, reference_find_extension
 
 
@@ -146,3 +147,26 @@ def test_live_sources_give_the_greedy_step_of_all_opened_sources():
 
     chains()
     assert any(pruned), "no chain step had a dead source to skip"
+
+
+def test_extension_search_stops_at_its_depth_cap():
+    """On counterexample(2) the shortest extension has two pieces, so depth
+    0 stops the chain at its cap, and depth 1 lets it reach the exit."""
+    d = counterexample(2)
+    theta = pieces.maximal_piece(d, FULL, EMPTY)
+    assert pieces.find_extension(d, theta, 0) is None
+    ext = pieces.find_extension(d, theta, 1)
+    assert ext is not None and ext.length == 2
+    pieces.validate_extension(theta, ext)
+
+
+def test_path_search_stops_at_its_length_cap():
+    """Quarters 0 -> 1, 2 -> 3 oriented: P+ is quarter 0 and P- quarter 3,
+    with no edge between them, so every better path has two pieces."""
+    div = cell_division(4, (0, 1), (0, 2), (1, 3), (2, 3))
+    assert div.p_plus == IntervalSet.interval(0, F(1, 4))
+    assert div.p_minus == IntervalSet.interval(F(3, 4), 1)
+    assert division.find_better_path(div, 1) is None
+    path = division.find_better_path(div, 2)
+    assert path is not None and path.length == 2
+    assert division.apply_better_path(div, path).error == 0

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from dsekit import (Atom, DSE, PartialMap, discretize, distance,
                     identity_map, symmetrize)
+from dsekit import cli
 from dsekit.cli import main
 from dsekit.gallery import amplification, counterexample
 from dsekit import serialize as ser
@@ -86,8 +87,8 @@ def test_decompose_command(tmp_path, capsys):
     achieved = F(report["bounds"]["achieved_distance"])
     assert achieved < F(1, 8)
     # the reported bound is recomputable from the artifact
-    maps = [ser.map_from_json(m) for m in emitted["automorphisms"]]
-    redone = distance(counterexample(3), DSE(maps, 2))
+    redone = distance(counterexample(3), ser.dse_from_json(
+        {"multiplicity": 2, "maps": emitted["automorphisms"]}))
     assert F(report["bounds"]["achieved_distance"]) == redone
 
 
@@ -515,6 +516,43 @@ def test_bad_eps_is_parse_error(tmp_path, capsys):
     code, report = run(capsys, "decompose", "--in", f, "--eps", "0.5",
                        "--out", str(tmp_path / "o.json"))
     assert code == 1
+
+
+@pytest.mark.parametrize("eps", ["1/16\t", "\u20281/16", "\x1c1/16"],
+                         ids=["tab", "line-separator", "file-separator"])
+def test_eps_flag_takes_no_whitespace_but_spaces(eps, tmp_path, capsys):
+    f = write_dse(tmp_path / "ce.json", counterexample(1))
+    code, report = run(capsys, "decompose", "--in", f, "--eps", eps,
+                       "--out", str(tmp_path / "o.json"))
+    assert code == 1
+    assert report["error"] == f"expected a 'p/q' rational, got {eps!r}"
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["bvn", "--n", "1"]],
+                         ids=["validate", "bvn"])
+def test_deeply_nested_json_is_parse_error(argv, tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 200_000 + "]" * 200_000)
+    code = main(argv + ["--in", str(f)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {
+        "command": argv[0], "error": f"{f}: JSON nested too deeply",
+        "error_type": "ValueError"}
+    assert captured.err == ""
+
+
+def test_main_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):
+    def build_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    f = write_dse(tmp_path / "ce.json", counterexample(2))
+    for argv, code in [(["validate", "--in", f], 0),
+                       (["distance", "--a", f, "--b", f], 0),
+                       (["demo", "--name", "forest"], 0),
+                       (["frobnicate"], 1), ([], 1)]:
+        assert run(capsys, *argv)[0] == code
 
 
 def test_missing_file_is_io_error(capsys):

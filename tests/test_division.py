@@ -12,13 +12,13 @@ from dsekit import (DSE, EMPTY_MAP, Atom, Chain, GraphMultiset, IntervalSet,
                     initial_division, near_perfect_division,
                     regular_graph_partial_automorphism, symmetric_split,
                     symmetrize, validate)
-from dsekit.division import _take_by_rows
+from dsekit.division import _eliminate_short_paths, _take_by_rows
 from dsekit.errors import (AlreadyPerfect, BoundViolated, InvalidPath,
                            NotSymmetric, PreconditionViolated,
                            UnsplittableDiagonal)
 from dsekit.gallery import counterexample
 
-from conftest import half_shift, random_cell_dse, shift
+from conftest import cell_division, half_shift, random_cell_dse, shift
 from oracles import reference_take_by_rows
 
 iv = IntervalSet.interval
@@ -305,3 +305,24 @@ def test_initial_division_pivot_check_catches_a_missing_lift(monkeypatch):
     monkeypatch.setattr(GraphMultiset, "_lift", lambda self, d: self)
     with pytest.raises(BoundViolated, match="pivot leaves the grid"):
         initial_division(g)
+
+
+def test_eliminate_short_paths_reverses_a_family_from_p_plus_into_p_minus():
+    """Eighths 0 -> 1, 2 -> 3 and 4 -> 5 -> 6 -> 7, 4 -> 7 oriented.  P+ is
+    eighths 0 and 4, P- eighths 3 and 7; only the edge 4 -> 7 maps P+ into
+    P-, and it is reversed, while 0 reaches 3 by paths of two pieces."""
+    div = cell_division(8, (0, 1), (0, 2), (1, 3), (2, 3),
+                        (4, 5), (5, 6), (6, 7), (4, 7))
+    edge = PartialMap([Atom(F(4, 8), F(5, 8), 1, F(3, 8))])
+    assert div.p_plus == iv(0, F(1, 8)).union(iv(F(4, 8), F(5, 8)))
+    assert div.p_minus == iv(F(3, 8), F(4, 8)).union(iv(F(7, 8), 1))
+    out = _eliminate_short_paths(div)
+    assert out.error == div.error - 2 * edge.domain.measure() == F(1, 4)
+    assert out.p_plus == iv(0, F(1, 8))
+    assert out.p_minus == iv(F(3, 8), F(4, 8))
+    assert all(out.p_plus.intersect(fm.preimage_of(out.p_minus)).is_empty()
+               for fm in out.maps)
+    assert out.oriented.add(out.oriented.flip()) == out.base == div.base
+    assert out.oriented == div.oriented.subtract(
+        GraphMultiset.from_maps([edge])).add(
+        GraphMultiset.from_maps([edge.invert()]))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dsekit import EMPTY, FULL, IntervalSet, rat, rat_str
 from dsekit import serialize as ser
-from dsekit.intervals import step_integral, step_sum, step_where
+from dsekit.intervals import _ratio, step_integral, step_sum, step_where
 
 from oracles import brute_measure
 
@@ -73,15 +73,16 @@ def _outcome(call, *args):
                          max_size=8)))
 def test_rat_and_the_json_reader_take_the_same_strings(text):
     def read(s):
-        lo, _, _, _ = ser._read_atom({"src": [s, s], "slope": 1, "offset": s})
+        lo, _, _, _ = ser._read_atom({"src": [s, s], "slope": 1, "offset": s},
+                                     _ratio)
         return F(*lo)
 
     assert _outcome(rat, text) == _outcome(read, text)
 
 
 def test_clip_window():
-    s = IntervalSet([(F(0), F(1, 4)), (F(1, 2), F(3, 4))])
-    assert s.clip(F(1, 8), F(5, 8)) == [(F(1, 8), F(1, 4)), (F(1, 2), F(5, 8))]
+    s = IntervalSet([(F(0), F(1, 4)), (F(1, 2), F(3, 4))])._lift(8)
+    assert s._clip(1, 5) == [(1, 2), (4, 5)]
 
 
 frac = st.fractions(min_value=0, max_value=1, max_denominator=32)
