@@ -120,7 +120,7 @@ def _cmd_artifact(args, started: float) -> tuple[dict, int]:
 
     bounds, result = args.artifact(d, eps, emit)
     out = _report(args.command, {"in": args.infile, "eps": args.eps},
-                  {"out": args.out}, {"eps": args.eps, **bounds}, result,
+                  {"out": args.out}, {"eps": rat_str(eps), **bounds}, result,
                   started)
     return out, 0
 

@@ -161,16 +161,19 @@ class IntervalSet(_Grid):
 
     @classmethod
     def _merge_pairs(cls, pairs: Iterable, d: int) -> "IntervalSet":
-        """Canonicalize grid pairs over d: drop empty ones, sort and merge."""
-        pairs = sorted(p for p in pairs if p[0] < p[1])
-        merged: list[list[int]] = []
-        for lo, hi in pairs:
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1][1] = hi
+        """Canonicalize (lo, hi) grid tuples over d: sort, skip empty ones and
+        merge, in one pass."""
+        out: list[tuple[int, int]] = []
+        for p in sorted(pairs):
+            lo, hi = p
+            if lo >= hi:
+                continue
+            if out and lo <= out[-1][1]:
+                if hi > out[-1][1]:
+                    out[-1] = (out[-1][0], hi)
             else:
-                merged.append([lo, hi])
-        return cls._new(tuple((lo, hi) for lo, hi in merged), d)
+                out.append(p)
+        return cls._new(tuple(out), d)
 
     def _scaled(self, f: int, d: int) -> "IntervalSet":
         return self._new(tuple((lo * f, hi * f) for lo, hi in self._iv), d)

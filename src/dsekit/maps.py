@@ -103,21 +103,6 @@ class Atom(_Grid):
 _SLO, _SHI, _ILO, _IHI = map(attrgetter, ("_lo", "_hi", "_ilo", "_ihi"))
 
 
-def _canonical_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    """Sort by source and merge contiguous atoms of the same (slope, offset);
-    the atoms share one grid."""
-    atoms = sorted(atoms, key=lambda a: a._lo)
-    merged: list[Atom] = []
-    for a in atoms:
-        if merged:
-            p = merged[-1]
-            if p.slope == a.slope and p._off == a._off and p._hi == a._lo:
-                merged[-1] = Atom._new(p._lo, a._hi, a.slope, a._off, a._d)
-                continue
-        merged.append(a)
-    return tuple(merged)
-
-
 class PartialMap(_Grid):
     """Injective measure-preserving map between two subsets of [0, 1)."""
 
@@ -129,23 +114,34 @@ class PartialMap(_Grid):
         self._set(([a._lift(d) for a in atoms], d))
 
     def _set(self, fields: tuple[Iterable[Atom], int]) -> None:
+        """Sorts the atoms by source and, in one pass, merges contiguous ones
+        of one (slope, offset) and builds the domain; one pass over the sorted
+        image pairs builds the image.  Any overlap is an OverlapError."""
         atoms, d = fields
-        self.atoms = _canonical_atoms(atoms)
-        self._d = d
-        self._image_order = None
-        dom_pairs = []
-        img_pairs = []
-        prev_hi = None
-        for a in self.atoms:
-            if prev_hi is not None and a._lo < prev_hi:
+        merged, dom, img = [], [], []
+        for a in sorted(atoms, key=_SLO):
+            p = merged[-1] if merged else None
+            if p is None or p._hi < a._lo:
+                merged.append(a)
+                dom.append((a._lo, a._hi))
+            elif a._lo < p._hi:
                 raise OverlapError(f"sources overlap at {a.lo}")
-            prev_hi = a._hi
-            dom_pairs.append((a._lo, a._hi))
-            img_pairs.append((a._ilo, a._ihi))
-        self.domain = IntervalSet._merge_pairs(dom_pairs, d)
-        self.image = IntervalSet._merge_pairs(img_pairs, d)
-        if self.image._size() != self.domain._size():
-            raise OverlapError("images overlap (injectivity violated)")
+            else:
+                dom[-1] = (dom[-1][0], a._hi)
+                if p.slope == a.slope and p._off == a._off:
+                    merged[-1] = Atom._new(p._lo, a._hi, a.slope, a._off, a._d)
+                else:
+                    merged.append(a)
+        for lo, hi in sorted((a._ilo, a._ihi) for a in merged):
+            if img and lo <= img[-1][1]:
+                if lo < img[-1][1]:
+                    raise OverlapError("images overlap (injectivity violated)")
+                img[-1] = (img[-1][0], hi)
+            else:
+                img.append((lo, hi))
+        self.atoms, self._d, self._image_order = tuple(merged), d, None
+        self.domain = IntervalSet._new(tuple(dom), d)
+        self.image = IntervalSet._new(tuple(img), d)
 
     def _scaled(self, f: int, d: int) -> "PartialMap":
         return PartialMap._new([a._lift(d) for a in self.atoms], d)

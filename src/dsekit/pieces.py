@@ -9,22 +9,26 @@ S_0 outside it and its image gains a set T_{k+1} outside the old image.
 Extensions and the better paths of ``division`` are both found by one
 engine, ``_chain_search``: a chain of greedy maximal pieces grows until
 an image meets an exit set, and is then backtracked through the smallest
-usable index into a genuine chain.  The two searches differ only in their
-step, their exit and their *link*, which turns a chain image into the
-sources it opens for the next step: theta^-1 for an extension of the
-piece theta, the identity for a better path.  A step is offered only
-the *live* sources: the opened sets less the *dead* ones, which an earlier
-step was offered and did not take.  A step's forbidden set only grows
-along a chain and takes in each image, so every map still sends a dead
-source into it, and dropping the dead sources changes no piece; the bound
-checks still read the whole opened set.  One loop, ``_harvest``,
-collects both maximal disjoint families; the growth loop below applies
-families of depth-bounded extensions until the piece covers all but an
-arbitrarily small part of the space.  Every inequality is checked exactly.
+usable index into a genuine chain.  That index is bisected: the running
+unions of the opened sets only grow along the chain, so the first union
+a preimage meets has the index of the first opened set it meets.  The
+two searches differ only in their step, their exit and their *link*,
+which turns a chain image into the sources it opens for the next step:
+theta^-1 for an extension of the piece theta, the identity for a better
+path.  A step is offered only the *live* sources: the opened sets less
+the *dead* ones, which an earlier step was offered and did not take.  A
+step's forbidden set only grows along a chain and takes in each image,
+so every map still sends a dead source into it, and dropping the dead
+sources changes no piece; the bound checks still read the whole opened
+set.  One loop, ``_harvest``, collects both maximal disjoint families;
+the growth loop below applies families of depth-bounded extensions until
+the piece covers all but an arbitrarily small part of the space.  Every
+inequality is checked exactly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -196,42 +200,49 @@ def _chain_search(first: PartialMap, step, link: PartialMap | None,
     only grows along the chain and takes in its image, so every map that
     sent such a point into the taken or forbidden set still does.  The
     first piece's domain plays the opened set of index 0; it lies outside
-    ``opened``, so no step is offered it.
+    ``opened``, so no step is offered it.  Each running union is kept for
+    the bisection of ``_backtrack``.
     """
     chain = [first]
-    opened_at = [first.domain]
-    opened = EMPTY
+    opened_at, unions = [first.domain], [EMPTY]
     while not chain[-1].is_empty():
         image = chain[-1].image
         hit = image.intersect(exit_set)
         if not hit.is_empty():
-            return _backtrack(chain, opened_at, link, hit)
+            return _backtrack(chain, opened_at, unions, link, hit)
         if len(chain) >= max_len:
             return None
-        dead = opened.subtract(chain[-1].domain)
+        dead = unions[-1].subtract(chain[-1].domain)
         reached = image if link is None else link.preimage_of(image)
         opened_at.append(reached)
-        opened = opened.union(reached)
+        unions.append(opened := unions[-1].union(reached))
         chain.append(step(opened, opened.subtract(dead)))
     return None
 
 
 def _backtrack(chain: list[PartialMap], opened_at: list[IntervalSet],
-               link: PartialMap | None, hit: IntervalSet) -> Chain:
+               unions: list[IntervalSet], link: PartialMap | None,
+               hit: IntervalSet) -> Chain:
     """Descend from the exit hit through strictly decreasing chain indices,
     always to the smallest index whose opened set the current preimage
     meets, until index 0; then rebuild the chain forward from there.
 
+    ``unions[t]`` is the union of ``opened_at[1..t]``.  A level tests index
+    0, then bisects t over [1, i) on whether the preimage meets
+    ``unions[t]``: the unions grow with t and each point of ``unions[t]``
+    lies in some ``opened_at[s]``, s <= t, so the first union met has the
+    index of the first opened set met; O(log i) intersections a level.
     The last piece's image, which lies in the exit, is not linked.
     """
     indices = []
     cur, i = hit, len(chain)
     while True:
         back = chain[i - 1].preimage_of(cur)
-        for t in range(i):
-            hop = back.intersect(opened_at[t])
-            if not hop.is_empty():
-                break
+        hop, t = back.intersect(opened_at[0]), 0
+        if hop.is_empty():
+            t = bisect_left(unions, True, 1, i,
+                            key=lambda u: bool(back.intersect(u)))
+            hop = back.intersect(opened_at[t]) if t < i else EMPTY
         check(not hop.is_empty(), "descent lost the chain invariant")
         indices.append(i)
         if t == 0:

@@ -593,3 +593,48 @@ def reference_l1_distance(g, h):
         diff = _cells_sub(g._fam.get(key, ()), h._fam.get(key, ()), False)
         total += sum((hi - lo) * abs(v) for lo, hi, v in diff)
     return Fraction(total, d)
+
+
+# -- map and set constructors by sorting and merging twice ------------------
+#
+# The constructors as they stood before their one-pass builds: merge a map's
+# atoms, then canonicalize its source and image pairs as two separate sets
+# and compare their measures to find overlapping images.
+
+
+def reference_merge_pairs(pairs):
+    """Grid pairs, empty ones dropped, sorted and merged as a list of
+    lists, then read back as tuples."""
+    merged = []
+    for lo, hi in sorted(p for p in pairs if p[0] < p[1]):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
+def reference_partial_map(atoms, d):
+    """(atoms, domain pairs, image pairs) of ``PartialMap._new(atoms, d)``:
+    sort by source, merge contiguous atoms of one (slope, offset), check
+    the sources, canonicalize the source and image pairs apart and compare
+    their measures.  Raises the OverlapError the constructor raises."""
+    from dsekit.errors import OverlapError
+    from dsekit.maps import Atom
+
+    merged = []
+    for a in sorted(atoms, key=lambda a: a._lo):
+        if merged:
+            p = merged[-1]
+            if p.slope == a.slope and p._off == a._off and p._hi == a._lo:
+                merged[-1] = Atom._new(p._lo, a._hi, a.slope, a._off, a._d)
+                continue
+        merged.append(a)
+    for p, a in zip(merged, merged[1:]):
+        if a._lo < p._hi:
+            raise OverlapError(f"sources overlap at {a.lo}")
+    domain = reference_merge_pairs([(a._lo, a._hi) for a in merged])
+    image = reference_merge_pairs([(a._ilo, a._ihi) for a in merged])
+    if sum(hi - lo for lo, hi in domain) != sum(hi - lo for lo, hi in image):
+        raise OverlapError("images overlap (injectivity violated)")
+    return tuple(merged), domain, image

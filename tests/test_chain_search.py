@@ -12,6 +12,7 @@ same map either way.
 
 import random
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,8 @@ from dsekit import near_full_piece, near_perfect_division, pieces, symmetrize
 from dsekit.gallery import counterexample
 
 from conftest import cell_division, random_cell_dse
-from oracles import reference_find_better_path, reference_find_extension
+from oracles import (reference_backtrack, reference_backtrack_path,
+                     reference_find_better_path, reference_find_extension)
 
 
 def compare_extensions(monkeypatch) -> list:
@@ -170,3 +172,91 @@ def test_path_search_stops_at_its_length_cap():
     path = division.find_better_path(div, 2)
     assert path is not None and path.length == 2
     assert division.apply_better_path(div, path).error == 0
+
+
+def cells(lo: int, hi: int) -> IntervalSet:
+    """The 64ths lo..hi-1."""
+    return IntervalSet.interval(F(lo, 64), F(hi, 64))
+
+
+def cell_map(src: int, dst: int, width: int = 1) -> PartialMap:
+    """The 64ths src.. carried in order onto dst.., ``width`` of them."""
+    return PartialMap([Atom(F(src, 64), F(src + width, 64), 1,
+                            F(dst - src, 64))])
+
+
+def engine_backtrack(chain, link, exit_set):
+    """``_backtrack`` of a hand-built chain on the sets ``_chain_search``
+    keeps: the first domain, each image but the last opened through the
+    link, and the running unions from index 1; also the opened sets and
+    the exit hit, for the references."""
+    opened_at = [chain[0].domain] + [
+        pm.image if link is None else link.preimage_of(pm.image)
+        for pm in chain[:-1]]
+    unions = list(accumulate(opened_at[1:], IntervalSet.union, initial=EMPTY))
+    hit = chain[-1].image.intersect(exit_set)
+    return (pieces._backtrack(chain, opened_at, unions, link, hit),
+            opened_at, hit)
+
+
+@pytest.mark.parametrize("last, length", [
+    (1, 1), (0, 1), (11, 2), (12, 3), (13, 4), (15, 6), (18, 9), (19, 10)])
+def test_path_descent_finds_the_smallest_index(last, length):
+    """W_0 = 64ths 0-1 goes onto W_1 = 10-11; then 10 -> 12 and 10+k ->
+    11+k for k = 2..8 make W_2..W_9 = 12..19, and a tenth piece leaves
+    ``last`` for the exit, 40 on.  Its descent skips to the first W_t
+    holding ``last`` and, from W_0 (last = 0 or 1), lands on index 0."""
+    chain = [cell_map(0, 10, 2), cell_map(10, 12)]
+    chain += [cell_map(10 + k, 11 + k) for k in range(2, 9)]
+    chain.append(cell_map(last, 40))
+    got, opened_at, hit = engine_backtrack(chain, None, cells(40, 64))
+    assert got == reference_backtrack_path(chain, opened_at, hit)
+    assert got.length == length
+    assert got.targets[-1] == cells(40, 41)
+
+
+@pytest.mark.parametrize("last, length", [
+    (16, 2), (17, 3), (19, 5), (22, 8), (24, 10)])
+def test_extension_descent_finds_the_smallest_index(last, length):
+    """theta carries 64ths 16-31 onto 32-47.  The chain goes 0 -> 32 and
+    15+k -> 32+k for k = 1..8, so theta opens 16..24 in turn, and a tenth
+    piece leaves ``last`` for the exit outside theta's image.  The descent
+    skips to the first opened set holding ``last``, then walks down to
+    index 0, the first piece's domain."""
+    theta = cell_map(16, 32, 16)
+    chain = [cell_map(0, 32)] + [cell_map(15 + k, 32 + k) for k in range(1, 9)]
+    chain.append(cell_map(last, 60))
+    got, opened_at, hit = engine_backtrack(chain, theta,
+                                           theta.image.complement())
+    assert got == reference_backtrack(theta, chain, opened_at[1:], hit)
+    assert got.length == length
+    assert got.sources[0] == cells(0, 1)
+
+
+def test_descent_levels_cost_logarithmic_intersections(monkeypatch):
+    """Every descent level of a backtrack over a chain of L pieces makes at
+    most ceil(log2 L) + 3 intersections; scanning every index below a
+    level makes up to L of them, and the chains here grow past 32."""
+    backtrack, intersect = pieces._backtrack, IntervalSet.intersect
+    state = {"inside": False, "count": 0}
+    calls = []
+
+    def counting_intersect(self, other):
+        state["count"] += state["inside"]
+        return intersect(self, other)
+
+    def counted_backtrack(chain, *rest):
+        state.update(inside=True, count=0)
+        try:
+            got = backtrack(chain, *rest)
+        finally:
+            state["inside"] = False
+        calls.append((len(chain), got.length, state["count"]))
+        return got
+
+    monkeypatch.setattr(IntervalSet, "intersect", counting_intersect)
+    monkeypatch.setattr(pieces, "_backtrack", counted_backtrack)
+    almost_decompose(counterexample(8), F(1, 16))
+    assert max(length for length, _, _ in calls) > 32
+    for length, levels, count in calls:
+        assert count <= ((length - 1).bit_length() + 3) * levels

@@ -528,6 +528,18 @@ def test_eps_flag_takes_no_whitespace_but_spaces(eps, tmp_path, capsys):
     assert report["error"] == f"expected a 'p/q' rational, got {eps!r}"
 
 
+@pytest.mark.parametrize("eps", [" 1/16 ", "  2/32"])
+def test_spaced_eps_reports_the_parsed_tolerance(eps, tmp_path, capsys):
+    """``run`` checks the report against the schema, whose ``bounds.eps``
+    is a bare "p/q"; ``inputs.eps`` keeps the text as given."""
+    f = write_dse(tmp_path / "ce.json", counterexample(2))
+    code, report = run(capsys, "decompose", "--in", f, "--eps", eps,
+                       "--out", str(tmp_path / "o.json"))
+    assert code == 0
+    assert report["inputs"]["eps"] == eps
+    assert report["bounds"]["eps"] == "1/16"
+
+
 @pytest.mark.parametrize("argv", [["validate"], ["bvn", "--n", "1"]],
                          ids=["validate", "bvn"])
 def test_deeply_nested_json_is_parse_error(argv, tmp_path, capsys):

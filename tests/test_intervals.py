@@ -8,7 +8,7 @@ from dsekit import EMPTY, FULL, IntervalSet, rat, rat_str
 from dsekit import serialize as ser
 from dsekit.intervals import _ratio, step_integral, step_sum, step_where
 
-from oracles import brute_measure
+from oracles import brute_measure, reference_merge_pairs
 
 iv = IntervalSet.interval
 
@@ -215,3 +215,16 @@ def test_step_sum_and_integral():
     assert step_where(s, lambda v: v >= 2, 4) == iv(F(1, 4), F(3, 4))
     with pytest.raises(ValueError, match="leaves"):
         step_sum([(0, 5, 1)], 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16)),
+                max_size=10))
+@example([(3, 3), (5, 2)])  # empty pairs only
+@example([(4, 8), (0, 4), (8, 9), (12, 12)])  # touching, one empty
+@example([(0, 10), (2, 3), (2, 9), (9, 10)])  # nested
+def test_merge_pairs_matches_the_two_pass_merge(pairs):
+    merged = IntervalSet._merge_pairs(pairs, 16)
+    assert merged._iv == reference_merge_pairs(pairs)
+    assert merged._d == 16
+    assert all(type(p) is tuple for p in merged._iv)

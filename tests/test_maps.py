@@ -10,8 +10,8 @@ from dsekit.errors import OverlapError
 from dsekit.gallery import counterexample, forest_example
 
 from oracles import (reference_compose, reference_graph_intersect,
-                     reference_image_of, reference_preimage_of,
-                     reference_restrict)
+                     reference_image_of, reference_partial_map,
+                     reference_preimage_of, reference_restrict)
 
 iv = IntervalSet.interval
 
@@ -268,3 +268,98 @@ def test_image_index_leaves_equality_and_hash(m, s):
     m.restrict(m.preimage_of(s))
     assert m == twin and twin == m
     assert hash(m) == before == hash(twin)
+
+
+# -- the one-pass constructor against the two-merge route ---------------------
+
+GRID = 32
+
+
+def grid_atom(lo, hi, slope, at):
+    """The atom of slope ``slope`` on the 32nds [lo, hi) whose image starts
+    at ``at``."""
+    return Atom._new(lo, hi, slope, at - lo if slope == 1 else at + hi, GRID)
+
+
+@st.composite
+def atom_lists(draw):
+    """Touching source segments of the grid, some dropped, whose images are
+    laid out in a drawn order with drawn gaps and slopes, plus up to two
+    free atoms that may overlap anything; all in a drawn order."""
+    cuts = sorted(draw(st.sets(st.integers(0, GRID), max_size=9)))
+    segs = [seg for seg in zip(cuts, cuts[1:]) if draw(st.booleans())]
+    room, at, atoms = GRID - sum(hi - lo for lo, hi in segs), 0, []
+    for lo, hi in draw(st.permutations(segs)):
+        gap = draw(st.integers(0, room))
+        room, at = room - gap, at + gap
+        atoms.append(grid_atom(lo, hi, draw(st.sampled_from((1, -1))), at))
+        at += hi - lo
+    for _ in range(draw(st.integers(0, 2))):
+        lo = draw(st.integers(0, GRID - 1))
+        hi = draw(st.integers(lo + 1, GRID))
+        atoms.append(grid_atom(lo, hi, draw(st.sampled_from((1, -1))),
+                               draw(st.integers(0, GRID - hi + lo))))
+    return draw(st.permutations(atoms))
+
+
+def built(atoms) -> tuple:
+    """The grid fields of ``PartialMap._new(atoms, GRID)``, or its error."""
+    try:
+        m = PartialMap._new(atoms, GRID)
+    except OverlapError as e:
+        return type(e), str(e)
+    assert (m._d, m.domain._d, m.image._d) == (GRID,) * 3
+    return m.atoms, m.domain._iv, m.image._iv
+
+
+def reference_built(atoms) -> tuple:
+    try:
+        return reference_partial_map(atoms, GRID)
+    except OverlapError as e:
+        return type(e), str(e)
+
+
+CONSTRUCTOR_CASES = {
+    # 0-4 and 4-8 both shift by 8: one atom
+    "same family neighbours merge": (
+        [grid_atom(4, 8, 1, 12), grid_atom(0, 4, 1, 8)],
+        ((grid_atom(0, 8, 1, 8),), ((0, 8),), ((8, 16),))),
+    # one domain interval, two atoms, two image intervals
+    "touching atoms of different families": (
+        [grid_atom(0, 4, 1, 8), grid_atom(4, 8, -1, 20)],
+        ((grid_atom(0, 4, 1, 8), grid_atom(4, 8, -1, 20)), ((0, 8),),
+         ((8, 12), (20, 24)))),
+    # one offset, opposite slopes: still two families
+    "touching atoms of one offset and opposite slopes": (
+        [grid_atom(4, 8, -1, 0), grid_atom(0, 4, 1, 8)],
+        ((grid_atom(0, 4, 1, 8), grid_atom(4, 8, -1, 0)), ((0, 8),),
+         ((0, 4), (8, 12)))),
+    # two domain intervals, one image interval
+    "touching images": (
+        [grid_atom(16, 20, -1, 12), grid_atom(0, 4, 1, 8)],
+        ((grid_atom(0, 4, 1, 8), grid_atom(16, 20, -1, 12)),
+         ((0, 4), (16, 20)), ((8, 16),))),
+    "overlapping sources": (
+        [grid_atom(0, 10, 1, 0), grid_atom(4, 6, 1, 20),
+         grid_atom(2, 3, 1, 24)],
+        (OverlapError, "sources overlap at 1/16")),
+    "overlapping images": (
+        [grid_atom(0, 4, 1, 8), grid_atom(20, 24, 1, 10)],
+        (OverlapError, "images overlap (injectivity violated)")),
+    "overlapping images of merged neighbours": (
+        [grid_atom(0, 2, 1, 8), grid_atom(2, 4, 1, 10),
+         grid_atom(8, 9, -1, 9)],
+        (OverlapError, "images overlap (injectivity violated)")),
+}
+
+
+@pytest.mark.parametrize("case", CONSTRUCTOR_CASES)
+def test_map_constructor_cases(case):
+    atoms, expected = CONSTRUCTOR_CASES[case]
+    assert built(atoms) == reference_built(atoms) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(atom_lists())
+def test_map_constructor_matches_the_two_merge_route(atoms):
+    assert built(atoms) == reference_built(atoms)
