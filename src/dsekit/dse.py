@@ -20,7 +20,7 @@ from .errors import (InvalidDSE, MultiplicityMismatch, NotDoublyStochastic,
                      check)
 from .intervals import IntervalSet, Step, _fractions, step_sum
 from .maps import Atom, PartialMap, _inverse_key, _move
-from .multiset import GraphMultiset
+from .multiset import GraphMultiset, _maps_l1
 
 
 class DSE:
@@ -93,11 +93,13 @@ def associated_matrix(d: DSE) -> GraphMultiset:
 
 
 def distance(a: DSE, b: DSE) -> Fraction:
-    """Exact L1 distance between associated matrices (a metric on classes)."""
+    """Exact L1 distance of the associated matrices (a metric on classes),
+    read off the atoms with no matrix built: a one-sided family adds its
+    length, equal sorted pairs 0, others a signed sweep; coverage unchecked."""
     if a.multiplicity != b.multiplicity:
         raise MultiplicityMismatch(
             f"multiplicities differ: {a.multiplicity} vs {b.multiplicity}")
-    return a.matrix.l1_distance(b.matrix)
+    return _maps_l1(a.maps, b.maps, lcm(a._d, b._d))
 
 
 def equivalent(a: DSE, b: DSE) -> bool:

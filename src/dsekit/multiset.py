@@ -5,20 +5,21 @@ function on the union of its graphs.  Here it is a multiset of affine
 atoms: entries are grouped by (slope, offset) families, and within a family
 the source line carries an integer multiplicity step.  Two entries of equal
 (slope, offset) always have disjoint sources (canonical refinement), so the
-counting measure, row/column masses and L1 distance are exact sums.
-Offsets and cells are grid numerators over the multiset's ``_d``;
-``families``, ``mass`` and ``l1_distance`` read them out.
+counting measure and row/column masses are exact sums.  Offsets and cells
+are grid numerators over the multiset's ``_d``; ``families`` and ``mass``
+read them out.
 
 A family's cells are swept only where two cells can meet.  ``_gather``
 states this once for the constructor, ``add`` and ``flip``: a family given
 cells by two or more parts goes through ``sweep``, one given a single part
 keeps its cells, so a lone entry is its own cell and ``flip`` (whose
-``_inverse_key`` is injective) only moves cells.  ``l1_distance`` sweeps
-only the families present on both sides with different cells.
+``_inverse_key`` is injective) only moves cells.  ``_maps_l1`` reads the
+L1 distance of two lists of maps off their atoms, building no multiset.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -28,7 +29,6 @@ from .intervals import (IntervalSet, Step, _align, _fractions, _Grid, step_sum,
                         sweep)
 from .maps import Atom, PartialMap, _inverse_key, _move
 
-Key = tuple[int, Fraction]
 Cells = tuple[tuple[Fraction, Fraction, int], ...]
 
 
@@ -57,6 +57,29 @@ def _gather(parts: Iterable[tuple[tuple[int, int], Cells]]) -> dict:
 def _l1(cells: Cells) -> int:
     """The integral of |level| over the cells, times the grid d."""
     return sum((hi - lo) * abs(v) for lo, hi, v in cells)
+
+
+def _maps_l1(a: Iterable[PartialMap], b: Iterable[PartialMap],
+             d: int) -> Fraction:
+    """The integral of |M(a) - M(b)| against the counting measure, M
+    counting the atoms of maps on grids dividing d, family by family: one
+    side's family adds its length (weights of one sign cannot cancel), equal
+    sorted source pairs add 0, and any other family is swept once, signed."""
+    fa, fb = sides = (defaultdict(list), defaultdict(list))
+    for fam, maps, w in zip(sides, (a, b), (1, -1)):
+        for m in maps:
+            f = d // m._d
+            for t in m.atoms:
+                fam[t.slope, t._off * f].append((t._lo * f, t._hi * f, w))
+    total = 0
+    for key, pa in fa.items():
+        pb = fb.pop(key, None)
+        if pb is None:
+            total += _l1(pa)
+        elif (len(pa) != len(pb)
+              or sorted(p[:2] for p in pa) != sorted(p[:2] for p in pb)):
+            total += _l1(sweep(pa + pb, sparse=True))
+    return Fraction(total + sum(map(_l1, fb.values())), d)
 
 
 class GraphMultiset(_Grid):
@@ -93,7 +116,7 @@ class GraphMultiset(_Grid):
 
     # -- inspection ---------------------------------------------------------
 
-    def families(self) -> Iterator[tuple[Key, Cells]]:
+    def families(self) -> Iterator[tuple[tuple[int, Fraction], Cells]]:
         d = self._d
         return (((s, Fraction(o, d)), _fractions(cells, d))
                 for (s, o), cells in self._fam.items())
@@ -160,21 +183,6 @@ class GraphMultiset(_Grid):
             (_inverse_key(s, o), tuple((*_move(s, o, lo, hi), m) for lo, hi, m
                                        in (cells if s == 1 else cells[::-1])))
             for (s, o), cells in self._fam.items()), self._d)
-
-    def l1_distance(self, other: "GraphMultiset") -> Fraction:
-        """Integral of |self - other| against the counting measure.  Only
-        a family on both sides with different cells is swept: one on one
-        side adds its mass, and one with equal cells adds 0."""
-        a, b = _align(self, other)
-        fa, fb = a._fam, b._fam
-        total = sum(_l1(cells) for key, cells in fb.items() if key not in fa)
-        for key, cells in fa.items():
-            others = fb.get(key)
-            if others is None:
-                total += _l1(cells)
-            elif others != cells:
-                total += _l1(_cells_sub(cells, others, False))
-        return Fraction(total, a._d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GraphMultiset):

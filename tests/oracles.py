@@ -581,7 +581,8 @@ def reference_flip_families(g):
 
 
 def reference_l1_distance(g, h):
-    """``g.l1_distance(h)`` by one signed sweep of every key of either."""
+    """The L1 distance of the multisets g and h (the associated-matrix
+    distance) by one signed sweep of every key of either."""
     from math import lcm
 
     from dsekit.multiset import _cells_sub

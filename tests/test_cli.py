@@ -76,6 +76,25 @@ def test_distance_mismatch_is_domain_error(tmp_path, capsys):
     assert report["error_type"] == "MultiplicityMismatch"
 
 
+def test_distance_reads_maps_without_checking_coverage(tmp_path, capsys):
+    # the identity on [0, 1/2) at multiplicity 1 covers half of [0, 1): the
+    # distance is the L1 of the maps as read, and the command exits 0
+    half = DSE([shift(0, F(1, 2), 0)], 1)
+    a = write_dse(tmp_path / "half.json", half)
+    b = write_dse(tmp_path / "full.json", DSE([identity_map()], 1))
+    code, report = run(capsys, "distance", "--a", a, "--b", b)
+    assert code == 0
+    assert report["result"]["distance"] == "1/2"
+    # overlapping sources inside one map are still a domain error
+    atom = {"src": ["0/1", "1/2"], "slope": 1, "offset": "0/1"}
+    overlap = tmp_path / "overlap.json"
+    overlap.write_text(json.dumps({"multiplicity": 1, "maps": [[
+        atom, {**atom, "src": ["1/4", "1/2"], "offset": "1/4"}]]}))
+    code, report = run(capsys, "distance", "--a", str(overlap), "--b", b)
+    assert code == 2
+    assert report["error_type"] == "OverlapError"
+
+
 def test_decompose_command(tmp_path, capsys):
     f = write_dse(tmp_path / "ce.json", counterexample(3))
     out = tmp_path / "autos.json"

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsekit import (DSE, Atom, GraphMultiset, IntervalSet, PartialMap,
                     associated_matrix, distance, equivalent, identity_map,
@@ -11,7 +14,7 @@ from dsekit.errors import InvalidDSE, MultiplicityMismatch, NotDoublyStochastic
 from dsekit.gallery import counterexample
 
 from conftest import half_shift, random_cell_dse, random_interval_set
-from oracles import brute_distance
+from oracles import brute_distance, reference_l1_distance
 
 iv = IntervalSet.interval
 
@@ -84,6 +87,99 @@ def test_distance_is_a_metric_on_random_triples(rng):
         assert distance(a, b) == distance(b, a) == brute_distance(a, b)
         assert distance(a, c) <= distance(a, b) + distance(b, c)
         assert (distance(a, b) == 0) == equivalent(a, b)
+
+
+GRIDS = (3, 4, 6, 8)
+
+
+def _keys(d: int) -> list[tuple[int, F]]:
+    """The families (slope, offset) with offsets on the grid d."""
+    return ([(1, F(k, d)) for k in range(-d + 1, d)]
+            + [(-1, F(k, d)) for k in range(1, 2 * d)])
+
+
+def _span(key, d: int) -> tuple[int, int]:
+    """The numerators over d of the sources that the family maps into
+    [0, 1); the offset's grid must divide d."""
+    slope, off = key
+    lo, hi = ((max(0, -off), min(1, 1 - off)) if slope == 1
+              else (max(0, off - 1), min(1, off)))
+    return int(lo * d), int(hi * d)
+
+
+@st.composite
+def atoms_on(draw, key, d, count):
+    """count atoms of the family key with sources on the grid d."""
+    start, stop = _span(key, d)
+    out = []
+    for _ in range(count):
+        lo = draw(st.integers(start, stop - 1))
+        hi = draw(st.integers(lo + 1, stop))
+        out.append(Atom(F(lo, d), F(hi, d), *key))
+    return out
+
+
+@st.composite
+def element_pairs(draw):
+    """Two multiplicity-1 elements of single-atom maps, the first on the
+    grid da and the second on db != da, with in every example: a family on
+    each side only, one of them with the same atom in two maps; a family on
+    both sides with equal atoms, in other orders; and one on both sides
+    with different atoms, where one side has an atom whole and the other
+    has it cut in two maps, plus 0 to 2 atoms of its own (with none the
+    pair is equal up to cutting).  More families of either side's grid,
+    reflections among them, may land on one side or on both."""
+    da, db = draw(st.permutations(GRIDS))[:2]
+    g = gcd(da, db)
+    equal_key, cut_key = draw(st.permutations(_keys(g)))[:2]
+    only_a = draw(st.sampled_from(
+        [k for k in _keys(da) if k not in (equal_key, cut_key)]))
+    only_b = draw(st.sampled_from(
+        [k for k in _keys(db) if k not in (equal_key, cut_key, only_a)]))
+    equal = draw(atoms_on(equal_key, g, draw(st.integers(1, 3))))
+    (whole,) = draw(atoms_on(cut_key, g, 1))
+    # the side on the finer grid gets the cut, at a point of its grid
+    fine = max(da, db)
+    lo, hi = int(whole.lo * fine), int(whole.hi * fine)
+    at = F(draw(st.integers(lo + 1, hi - 1)), fine)
+    cut = [Atom(whole.lo, at, *cut_key), Atom(at, whole.hi, *cut_key)]
+    cut += draw(atoms_on(cut_key, fine, draw(st.integers(0, 2))))
+    a = equal + draw(atoms_on(only_a, da, 1)) * 2
+    b = equal[::-1] + draw(atoms_on(only_b, db, draw(st.integers(1, 2))))
+    a, b = (a + [whole], b + cut) if fine == db else (a + cut, b + [whole])
+    for side, d, avoid in ((a, da, only_b), (b, db, only_a)):
+        free = [k for k in _keys(d) if k not in (equal_key, cut_key, avoid)]
+        for key in draw(st.lists(st.sampled_from(free), max_size=3)):
+            side += draw(atoms_on(key, d, draw(st.integers(1, 2))))
+    return tuple(DSE(draw(st.permutations([PartialMap([t]) for t in side])),
+                     1) for side in (a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(element_pairs())
+def test_distance_from_the_atoms_matches_the_matrix_sweep(pair):
+    a, b = pair
+    assert distance(a, b) == reference_l1_distance(a.matrix, b.matrix) > 0
+    assert distance(b, a) == distance(a, b)
+
+
+def test_distance_is_zero_up_to_cutting():
+    i, r = identity_map(), PartialMap([Atom(0, 1, -1, 1)])
+    halves = [identity_map(iv(0, F(1, 2))), identity_map(iv(F(1, 2), 1)),
+              r.restrict(iv(0, F(1, 3))), r.restrict(iv(F(1, 3), 1))]
+    assert distance(DSE([i, r], 2), DSE(halves, 2)) == 0
+
+
+def test_distance_builds_no_matrix(monkeypatch):
+    from dsekit.serialize import dse_from_json, dse_to_json
+
+    def refuse(self, fields):
+        raise AssertionError("distance built a GraphMultiset")
+
+    a, b = (dse_from_json(dse_to_json(counterexample(k))) for k in (3, 4))
+    monkeypatch.setattr(GraphMultiset, "_set", refuse)
+    assert distance(a, b) == F(1, 8)
+    assert a._matrix is None and b._matrix is None
 
 
 def test_symmetrize_and_is_symmetric():

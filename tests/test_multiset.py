@@ -1,8 +1,9 @@
 """Multiset families and L1 distance against the swept references.
 
 A family is swept only where two of its cells can meet; these tests check
-the constructor, ``add``, ``flip`` and ``l1_distance`` against the routes
-that sweep every family (``tests/oracles.py``).
+the constructor, ``add`` and ``flip`` against the routes that sweep every
+family, and ``distance`` of the same entries read as maps against the
+per-key sweep of their multisets (``tests/oracles.py``).
 """
 
 from fractions import Fraction as F
@@ -10,7 +11,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit import Atom
+from dsekit import DSE, Atom, PartialMap, distance
 from dsekit.multiset import GraphMultiset
 
 from oracles import (reference_flip_families, reference_l1_distance,
@@ -96,10 +97,13 @@ def test_families_flip_and_add_match_the_swept_reference(pair):
 @given(multiset_pairs())
 def test_l1_distance_matches_the_per_key_sweep(pair):
     g, h = map(GraphMultiset, pair)
-    assert g.l1_distance(h) == reference_l1_distance(g, h) > 0
-    assert h.l1_distance(g) == reference_l1_distance(h, g)
-    assert g.l1_distance(g) == 0
-    assert g.l1_distance(GraphMultiset()) == g.mass()
+    # each entry (atom, m) as m single-atom maps of a multiplicity-1 element
+    a, b = (DSE([PartialMap([atom]) for atom, m in entries for _ in range(m)],
+                1) for entries in pair)
+    assert distance(a, b) == reference_l1_distance(g, h) > 0
+    assert distance(b, a) == reference_l1_distance(h, g)
+    assert distance(a, a) == 0
+    assert distance(a, DSE([], 1)) == g.mass()
 
 
 def test_a_lone_entry_is_its_own_cell_and_a_shared_key_is_swept():
