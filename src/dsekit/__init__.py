@@ -9,11 +9,10 @@ bridge between the two worlds.  All arithmetic is exact rational.
 """
 
 from .intervals import EMPTY, FULL, IntervalSet, rat, rat_str
-from .maps import (Atom, EMPTY_MAP, PartialMap, compose, glue,
-                   graph_intersect, identity_map, monotone_pairing)
+from .maps import (Atom, EMPTY_MAP, PartialMap, compose, glue, identity_map,
+                   monotone_pairing)
 from .multiset import GraphMultiset
-from .dse import (DSE, CoverageReport, associated_matrix, distance,
-                  equivalent, inverse, is_symmetric, neighbor_set,
+from .dse import (DSE, CoverageReport, distance, inverse, neighbor_set,
                   normalize_cover, symmetrize, validate)
 from .pieces import (Chain, Piece, apply_extension, enlarge_piece,
                      find_extension, lemma_piece, maximal_piece,
@@ -29,12 +28,11 @@ from .bvn import (decompose_bvn, discretize, extract_permutation, lift,
 
 __all__ = [
     "EMPTY", "FULL", "IntervalSet", "rat", "rat_str",
-    "Atom", "EMPTY_MAP", "PartialMap", "compose", "glue",
-    "graph_intersect", "identity_map", "monotone_pairing",
+    "Atom", "EMPTY_MAP", "PartialMap", "compose", "glue", "identity_map",
+    "monotone_pairing",
     "GraphMultiset",
-    "DSE", "CoverageReport", "associated_matrix", "distance", "equivalent",
-    "inverse", "is_symmetric", "neighbor_set", "normalize_cover",
-    "symmetrize", "validate",
+    "DSE", "CoverageReport", "distance", "inverse", "neighbor_set",
+    "normalize_cover", "symmetrize", "validate",
     "Chain", "Piece", "apply_extension", "enlarge_piece",
     "find_extension", "lemma_piece", "maximal_piece", "near_full_piece",
     "Automorphism", "Decomposition", "almost_decompose",

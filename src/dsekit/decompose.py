@@ -49,8 +49,6 @@ def complete_to_automorphism(piece: PartialMap) -> PartialMap:
     image by the unique monotone order isomorphism with slope +1 pieces.
     """
     rest_dom = piece.domain.complement()
-    if rest_dom.is_empty():
-        return piece
     return glue([piece, monotone_pairing(rest_dom, piece.image.complement())])
 
 
@@ -118,13 +116,15 @@ def peel(d: DSE, eps) -> tuple[Automorphism, DSE, Fraction]:
 
     theta = near_full_piece(d, eps / 8)
     top_up = greedy_maximal_map(d.maps, theta.domain.complement(), theta.image)
-    tmap = glue([theta.map, top_up]) if not top_up.is_empty() else theta.map
+    tmap = glue([theta.map, top_up])
 
     a_comp = tmap.domain.complement()
     b_comp = tmap.image.complement()
     auto = Automorphism(complete_to_automorphism(tmap))
 
     resid = d.matrix.subtract(GraphMultiset.from_maps([tmap]))
+    # a full piece leaves nothing to rebalance; skipping the inversions,
+    # covers and rebalance is measurable on a decompose of automorphisms
     if not a_comp.is_empty():
         phis = _cover(d.maps, a_comp)
         # images partitioning b_comp: cover it with the inverses, invert back

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Sequence
 
 from .dse import DSE, distance, normalize_cover, symmetrize, validate
@@ -164,26 +164,37 @@ def find_better_path(d: Division, max_length: int,
     return _chain_search(start, step, None, d.p_minus, max_length)
 
 
-def apply_better_path(d: Division, p: Chain) -> Division:
-    """Reverse the path's edges; the error drops by exactly 2*mu(V_0)."""
-    if not p.pieces or p.sources[0].is_empty():
-        raise InvalidPath("path has an empty source set")
-    sets = p.sources + p.targets[-1:]
-    if not d.p_plus.contains(sets[0]):
-        raise InvalidPath("path does not start inside P+")
-    if not d.p_minus.contains(sets[-1]):
-        raise InvalidPath("path does not end inside P-")
+def apply_better_path(d: Division, *paths: Chain) -> Division:
+    """Reverse the paths' edges; the error drops by exactly 2*mu(V_0),
+    summed over the paths, whose sets must be pairwise disjoint.
+
+    A reversal lowers the out-degree by one on V_0 in P+, raises it by one
+    on V_k in P- and leaves it on V_1..V_{k-1}.  So a path reads and changes
+    the division only on its own sets: on disjoint sets, one reversal
+    multiset applies the family as reversing the paths one at a time
+    would, and one check of the summed drop checks each path's.
+    """
+    sets = []
+    for p in paths:
+        if not p.pieces or p.sources[0].is_empty():
+            raise InvalidPath("path has an empty source set")
+        if not d.p_plus.contains(p.sources[0]):
+            raise InvalidPath("path does not start inside P+")
+        if not d.p_minus.contains(p.targets[-1]):
+            raise InvalidPath("path does not end inside P-")
+        sets += p.sources + p.targets[-1:]
     if not _disjoint(sets):
         raise InvalidPath("path sets overlap")
-    if p.targets[:-1] != p.sources[1:]:
+    if any(p.targets[:-1] != p.sources[1:] for p in paths):
         raise InvalidPath("piece endpoints disagree with the path sets")
-    reversal = GraphMultiset.from_maps(p.pieces)
+    reversal = GraphMultiset.from_maps(pm for p in paths for pm in p.pieces)
     try:
         oriented = d.oriented.subtract(reversal).add(reversal.flip())
     except ValueError as exc:
         raise InvalidPath(f"path is not inside the oriented part: {exc}")
     out = Division(oriented, d.base, d.n)
-    check(out.error == d.error - 2 * p.gain(), "error identity violated")
+    check(out.error == d.error - 2 * sum(p.gain() for p in paths),
+          "error identity violated")
     return out
 
 
@@ -201,7 +212,7 @@ def improve_division(d: Division) -> Division:
         lambda consumed, p: consumed.union(
             IntervalSet.union_all(p.sources + p.targets[-1:])),
         EMPTY, "better-path")
-    out = reduce(apply_better_path, paths, d)
+    out = apply_better_path(d, *paths)
     bound = (err / (7 * d.n ** 3 + err)) ** 2
     after = out.error
     check(after <= err - bound,

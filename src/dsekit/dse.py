@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import (InvalidDSE, MultiplicityMismatch, NotDoublyStochastic,
                      check)
-from .intervals import IntervalSet, Step, _fractions, step_sum
+from .intervals import IntervalSet, StepReadout, _fractions, step_sum
 from .maps import Atom, PartialMap, _inverse_key, _move
 from .multiset import GraphMultiset, _maps_l1
 
@@ -62,8 +62,8 @@ class DSE:
 @dataclass(frozen=True)
 class CoverageReport:
     multiplicity: int
-    domain_cells: Step
-    image_cells: Step
+    domain_cells: StepReadout
+    image_cells: StepReadout
     ok: bool
 
 
@@ -88,10 +88,6 @@ def validate(d: DSE, raise_on_fail: bool = True) -> CoverageReport:
     return CoverageReport(d.multiplicity, dom, img, ok)
 
 
-def associated_matrix(d: DSE) -> GraphMultiset:
-    return d.matrix
-
-
 def distance(a: DSE, b: DSE) -> Fraction:
     """Exact L1 distance of the associated matrices (a metric on classes),
     read off the atoms with no matrix built: a one-sided family adds its
@@ -102,10 +98,6 @@ def distance(a: DSE, b: DSE) -> Fraction:
     return _maps_l1(a.maps, b.maps, lcm(a._d, b._d))
 
 
-def equivalent(a: DSE, b: DSE) -> bool:
-    return distance(a, b) == 0
-
-
 def inverse(d: DSE) -> DSE:
     return DSE((m.invert() for m in d.maps), d.multiplicity)
 
@@ -113,10 +105,6 @@ def inverse(d: DSE) -> DSE:
 def symmetrize(d: DSE) -> DSE:
     """The union of d with its inverse; symmetric of doubled multiplicity."""
     return DSE(d.maps + tuple(m.invert() for m in d.maps), 2 * d.multiplicity)
-
-
-def is_symmetric(d: DSE) -> bool:
-    return d.matrix == d.matrix.flip()
 
 
 def neighbor_set(d: DSE, c: IntervalSet) -> IntervalSet:

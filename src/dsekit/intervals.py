@@ -331,9 +331,12 @@ FULL = IntervalSet._new(((0, 1),), 1)
 # with integer values, adjacent cells of equal value merged.  They carry the
 # coverage counts and degree functions used throughout the package.  Step
 # functions and the sparse multiplicity cells of ``multiset`` both come out
-# of ``sweep``.
+# of ``sweep``.  A ``Step``'s endpoints are the grid numerators of one grid;
+# ``_fractions`` reads them out as ``Fraction`` endpoints, a ``StepReadout``,
+# as in the cells of a ``CoverageReport``.
 
-Step = tuple[tuple[Fraction, Fraction, int], ...]
+Step = tuple[tuple[int, int, int], ...]
+StepReadout = tuple[tuple[Fraction, Fraction, int], ...]
 
 
 def sweep(weighted: Iterable[tuple[int, int, int]],

@@ -244,20 +244,6 @@ def glue(maps: Sequence[PartialMap]) -> PartialMap:
     return PartialMap(a for m in maps for a in m.atoms)
 
 
-def graph_intersect(f: PartialMap, g: PartialMap) -> PartialMap:
-    """Common graph of f and g.
-
-    Atoms agree in positive measure only when their (slope, offset) pairs
-    coincide; everything else meets in at most one point and is dropped.
-    """
-    f, g = _align(f, g)
-    return PartialMap._new([Atom._new(lo, hi, af.slope, af._off, f._d)
-                            for af in f.atoms
-                            for ag, lo, hi in g._cut(_source(af))[1]
-                            if (ag.slope, ag._off) == (af.slope, af._off)],
-                           f._d)
-
-
 def pair_chunks(src: Sequence[tuple[int, int]], dst: Sequence[tuple[int, int]],
                 ) -> Iterator[tuple[int, int, int]]:
     """Pair two interval lists of equal total length in one left-to-right

@@ -25,11 +25,11 @@ from itertools import chain
 from math import lcm
 from typing import Iterable, Iterator
 
-from .intervals import (IntervalSet, Step, _align, _fractions, _Grid, step_sum,
-                        sweep)
+from .intervals import (IntervalSet, Step, StepReadout, _align, _fractions,
+                        _Grid, step_sum, sweep)
 from .maps import Atom, PartialMap, _inverse_key, _move
 
-Cells = tuple[tuple[Fraction, Fraction, int], ...]
+Cells = tuple[tuple[int, int, int], ...]
 
 
 def _cells_sub(a: Cells, b: Cells, strict: bool, d: int = 1) -> Cells:
@@ -116,7 +116,7 @@ class GraphMultiset(_Grid):
 
     # -- inspection ---------------------------------------------------------
 
-    def families(self) -> Iterator[tuple[tuple[int, Fraction], Cells]]:
+    def families(self) -> Iterator[tuple[tuple[int, Fraction], StepReadout]]:
         d = self._d
         return (((s, Fraction(o, d)), _fractions(cells, d))
                 for (s, o), cells in self._fam.items())

@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Sequence
 
 from .dse import DSE
@@ -278,38 +278,49 @@ def _harvest(find, occupy, occupied, kind: str) -> list[Chain]:
     return family
 
 
-def validate_extension(piece: Piece, ext: Chain) -> None:
-    """Check every extension invariant against the piece; exact."""
+def validate_extension(piece: Piece, *family: Chain) -> None:
+    """Check every extension invariant of each chain against the piece, and
+    that the family's sources, and its final targets, are pairwise disjoint;
+    exact.  A chain reads and changes the piece only on its own sets, so a
+    chain of a disjoint family is valid against the piece as given exactly
+    when it is valid against the piece the chains before it leave."""
     theta = piece.map
     a_set, b_set = theta.domain, theta.image
-    if not ext.pieces or ext.gain() == 0:
-        raise InvalidExtension("gain set S_0 has measure zero")
-    if not a_set.complement().contains(ext.sources[0]):
-        raise InvalidExtension("S_0 leaves the domain complement")
-    if not b_set.complement().contains(ext.targets[-1]):
-        raise InvalidExtension("final target leaves the image complement")
-    if not _disjoint(ext.sources):
+    for ext in family:
+        if not ext.pieces or ext.gain() == 0:
+            raise InvalidExtension("gain set S_0 has measure zero")
+        if not a_set.complement().contains(ext.sources[0]):
+            raise InvalidExtension("S_0 leaves the domain complement")
+        if not b_set.complement().contains(ext.targets[-1]):
+            raise InvalidExtension("final target leaves the image complement")
+    if not _disjoint([s for ext in family for s in ext.sources]):
         raise InvalidExtension("sources of the chain overlap")
-    for i in range(1, ext.length):
-        if not a_set.contains(ext.sources[i]):
-            raise InvalidExtension(f"S_{i} leaves the domain")
-        if not b_set.contains(ext.targets[i - 1]):
-            raise InvalidExtension(f"T_{i} leaves the image")
-        if theta.preimage_of(ext.targets[i - 1]) != ext.sources[i]:
-            raise InvalidExtension(f"theta^-1(T_{i}) != S_{i}")
-    host = piece.host.matrix
-    for pm in ext.pieces:
-        if not host.contains_graph(pm):
-            raise InvalidExtension("extension piece leaves the support")
+    if not _disjoint([ext.targets[-1] for ext in family]):
+        raise InvalidExtension("final targets of the family overlap")
+    for ext in family:
+        for i in range(1, ext.length):
+            if not a_set.contains(ext.sources[i]):
+                raise InvalidExtension(f"S_{i} leaves the domain")
+            if not b_set.contains(ext.targets[i - 1]):
+                raise InvalidExtension(f"T_{i} leaves the image")
+            if theta.preimage_of(ext.targets[i - 1]) != ext.sources[i]:
+                raise InvalidExtension(f"theta^-1(T_{i}) != S_{i}")
+        for pm in ext.pieces:
+            if not piece.host.matrix.contains_graph(pm):
+                raise InvalidExtension("extension piece leaves the support")
 
 
-def apply_extension(piece: Piece, ext: Chain) -> Piece:
-    """Reroute the piece along the extension; the domain gains S_0."""
-    validate_extension(piece, ext)
+def apply_extension(piece: Piece, *family: Chain) -> Piece:
+    """Reroute the piece along a family of extensions; the domain gains
+    each S_0.  Each chain changes the piece only on its own sets, and the
+    family's are disjoint, so one glue builds the piece that applying the
+    chains one at a time would."""
+    validate_extension(piece, *family)
     theta = piece.map
-    rerouted = IntervalSet.union_all(ext.sources[1:])
+    rerouted = IntervalSet.union_all(s for e in family for s in e.sources[1:])
     base = theta.restrict(theta.domain.subtract(rerouted))
-    return Piece(glue([base, *ext.pieces]), piece.host)
+    return Piece(glue([base, *(pm for e in family for pm in e.pieces)]),
+                 piece.host)
 
 
 def enlarge_piece(d: DSE, piece: Piece) -> Piece:
@@ -328,7 +339,7 @@ def enlarge_piece(d: DSE, piece: Piece) -> Piece:
         lambda occ, ext: (occ[0].union(IntervalSet.union_all(ext.sources)),
                           occ[1].union(IntervalSet.union_all(ext.targets))),
         (EMPTY, EMPTY), "extension")
-    grown = reduce(apply_extension, family, piece)
+    grown = apply_extension(piece, *family)
     bound = (gap / (7 * n + gap)) ** 2
     check(grown.measure() >= piece.measure() + bound,
           f"growth bound violated: {grown.measure()} < "

@@ -639,3 +639,85 @@ def reference_partial_map(atoms, d):
     if sum(hi - lo for lo, hi in domain) != sum(hi - lo for lo, hi in image):
         raise OverlapError("images overlap (injectivity violated)")
     return tuple(merged), domain, image
+
+
+# -- harvested families, one chain at a time ---------------------------------
+#
+# How the growth lemmas applied a harvested family before the family step:
+# ``reduce`` over the chains, each validated against the piece or division
+# the chains before it left, and a whole new piece or division built for it.
+
+
+def reference_apply_extensions(piece, family):
+    """Fold the extensions into the piece one at a time; each raises the
+    InvalidExtension that the single-chain check raised."""
+    from functools import reduce
+
+    from dsekit.errors import InvalidExtension
+    from dsekit.intervals import IntervalSet
+    from dsekit.maps import glue
+    from dsekit.pieces import Piece
+
+    def apply(piece, ext):
+        theta = piece.map
+        a_set, b_set = theta.domain, theta.image
+        if not ext.pieces or ext.gain() == 0:
+            raise InvalidExtension("gain set S_0 has measure zero")
+        if not a_set.complement().contains(ext.sources[0]):
+            raise InvalidExtension("S_0 leaves the domain complement")
+        if not b_set.complement().contains(ext.targets[-1]):
+            raise InvalidExtension("final target leaves the image complement")
+        if not all(s.intersect(t).is_empty() for i, s in enumerate(ext.sources)
+                   for t in ext.sources[i + 1:]):
+            raise InvalidExtension("sources of the chain overlap")
+        for i in range(1, ext.length):
+            if not a_set.contains(ext.sources[i]):
+                raise InvalidExtension(f"S_{i} leaves the domain")
+            if not b_set.contains(ext.targets[i - 1]):
+                raise InvalidExtension(f"T_{i} leaves the image")
+            if theta.preimage_of(ext.targets[i - 1]) != ext.sources[i]:
+                raise InvalidExtension(f"theta^-1(T_{i}) != S_{i}")
+        for pm in ext.pieces:
+            if not piece.host.matrix.contains_graph(pm):
+                raise InvalidExtension("extension piece leaves the support")
+        rerouted = IntervalSet.union_all(ext.sources[1:])
+        base = theta.restrict(theta.domain.subtract(rerouted))
+        return Piece(glue([base, *ext.pieces]), piece.host)
+
+    return reduce(apply, family, piece)
+
+
+def reference_apply_better_paths(d, paths):
+    """Fold the paths into the division one at a time, checking each path's
+    error drop; each raises the InvalidPath that the single-path check
+    raised."""
+    from functools import reduce
+
+    from dsekit.division import Division
+    from dsekit.errors import BoundViolated, InvalidPath
+    from dsekit.multiset import GraphMultiset
+
+    def apply(d, p):
+        if not p.pieces or p.sources[0].is_empty():
+            raise InvalidPath("path has an empty source set")
+        sets = p.sources + p.targets[-1:]
+        if not d.p_plus.contains(sets[0]):
+            raise InvalidPath("path does not start inside P+")
+        if not d.p_minus.contains(sets[-1]):
+            raise InvalidPath("path does not end inside P-")
+        if not all(s.intersect(t).is_empty() for i, s in enumerate(sets)
+                   for t in sets[i + 1:]):
+            raise InvalidPath("path sets overlap")
+        if p.targets[:-1] != p.sources[1:]:
+            raise InvalidPath("piece endpoints disagree with the path sets")
+        reversal = GraphMultiset.from_maps(p.pieces)
+        try:
+            oriented = d.oriented.subtract(reversal).add(reversal.flip())
+        except ValueError as exc:
+            raise InvalidPath(f"path is not inside the oriented part: {exc}")
+        out = Division(oriented, d.base, d.n)
+        if out.error != d.error - 2 * p.sources[0].measure():
+            raise BoundViolated("error identity violated")
+        return out
+
+    return reduce(apply, paths, d)

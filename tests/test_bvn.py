@@ -265,6 +265,12 @@ def test_discretize_reflections_align_cell_to_cell():
     assert discretize(d, 1) == [[0, 1], [1, 0]]
 
 
+def test_discretize_needs_a_nonnegative_level():
+    with pytest.raises(ValueError) as exc:
+        discretize(DSE([half_shift()], 1), -1)
+    assert str(exc.value) == "level must be nonnegative"
+
+
 def test_discretize_rejects_misaligned():
     rotation = PartialMap([Atom(0, F(2, 3), 1, F(1, 3)),
                            Atom(F(2, 3), 1, 1, F(-2, 3))])

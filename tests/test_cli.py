@@ -547,7 +547,8 @@ def test_eps_flag_takes_no_whitespace_but_spaces(eps, tmp_path, capsys):
     assert report["error"] == f"expected a 'p/q' rational, got {eps!r}"
 
 
-@pytest.mark.parametrize("eps", [" 1/16 ", "  2/32"])
+@pytest.mark.parametrize("eps", [" 1/16 ", "  2/32"],
+                         ids=["spaces-around", "leading-spaces"])
 def test_spaced_eps_reports_the_parsed_tolerance(eps, tmp_path, capsys):
     """``run`` checks the report against the schema, whose ``bounds.eps``
     is a bare "p/q"; ``inputs.eps`` keeps the text as given."""

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from dsekit import (DSE, FULL, Atom, IntervalSet, PartialMap, almost_decompose,
-                    complete_to_automorphism, distance, equivalent,
-                    identity_map, peel, validate)
+                    complete_to_automorphism, distance, identity_map, peel,
+                    validate)
 from dsekit import decompose as decompose_mod
 from dsekit import serialize as ser
 from dsekit.decompose import Automorphism, pair_profiles
@@ -43,6 +43,12 @@ def test_automorphism_requires_fullness():
         Automorphism(identity_map().restrict(iv(0, F(1, 2))))
 
 
+def test_pair_profiles_needs_equal_total_mass():
+    with pytest.raises(ValueError) as exc:
+        pair_profiles(((0, 1, 1),), ((0, 2, 1),), 4)
+    assert str(exc.value) == "profiles carry different total mass"
+
+
 def test_pair_profiles_reproduces_masses():
     # profiles of grid numerators over d = 4
     src = ((0, 1, 2), (2, 3, 1))
@@ -63,7 +69,7 @@ def test_peel_doubled_identity():
     auto, rest, bound = peel(d, F(1, 4))
     assert bound == 0
     assert auto.map == identity_map()
-    assert equivalent(rest, DSE([identity_map()], 1))
+    assert rest == DSE([identity_map()], 1)
 
 
 def test_peel_symmetrized_shift():
@@ -72,7 +78,7 @@ def test_peel_symmetrized_shift():
     auto, rest, bound = peel(d, F(1, 4))
     assert bound == 0
     assert auto.map == t
-    assert equivalent(rest, DSE([t.invert()], 1))
+    assert rest == DSE([t.invert()], 1)
 
 
 def test_peel_counterexample():

@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsekit import (DSE, EMPTY_MAP, Atom, Chain, GraphMultiset, IntervalSet,
-                    PartialMap, apply_better_path, distance, equivalent,
-                    find_better_path, identity_map, improve_division,
-                    initial_division, near_perfect_division,
-                    regular_graph_partial_automorphism, symmetric_split,
-                    symmetrize, validate)
-from dsekit.division import _eliminate_short_paths, _take_by_rows
+                    PartialMap, apply_better_path, distance, find_better_path,
+                    identity_map, improve_division, initial_division,
+                    near_perfect_division, regular_graph_partial_automorphism,
+                    symmetric_split, symmetrize, validate)
+from dsekit.division import Division, _eliminate_short_paths, _take_by_rows
 from dsekit.errors import (AlreadyPerfect, BoundViolated, InvalidPath,
-                           NotSymmetric, PreconditionViolated,
-                           UnsplittableDiagonal)
+                           NotDoublyStochastic, NotSymmetric,
+                           PreconditionViolated, UnsplittableDiagonal)
 from dsekit.gallery import counterexample
 
 from conftest import cell_division, half_shift, random_cell_dse, shift
@@ -51,6 +50,21 @@ def test_initial_division_odd_diagonal():
 def test_initial_division_not_symmetric():
     with pytest.raises(NotSymmetric):
         initial_division(counterexample(2).matrix)
+
+
+def test_initial_division_needs_constant_row_mass():
+    """Twice the identity on [0,1/2) is symmetric, of row mass 2 then 0."""
+    g = GraphMultiset([(Atom(0, F(1, 2), 1, 0), 2)])
+    with pytest.raises(NotDoublyStochastic) as exc:
+        initial_division(g)
+    assert str(exc.value) == "row mass is not constant"
+
+
+def test_division_must_orient_its_base():
+    h = GraphMultiset([(Atom(0, F(1, 2), 1, F(1, 2)), 1)])
+    with pytest.raises(ValueError) as exc:
+        Division(h, h, 1)
+    assert str(exc.value) == "oriented part plus its flip is not the base"
 
 
 def test_initial_division_splits_reflections():
@@ -133,13 +147,13 @@ def test_symmetric_split_shift_exact():
     psi = sym_shift()
     phi = symmetric_split(psi, F(1, 2))
     assert distance(psi, symmetrize(phi)) == 0
-    assert equivalent(phi, DSE([half_shift()], 1))
+    assert phi == DSE([half_shift()], 1)
 
 
 def test_symmetric_split_doubled_identity():
     psi = DSE([identity_map(), identity_map()], 2)
     phi = symmetric_split(psi, F(1, 3))
-    assert equivalent(phi, DSE([identity_map()], 1))
+    assert phi == DSE([identity_map()], 1)
 
 
 def test_symmetric_split_counterexample():

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsekit import (DSE, Atom, GraphMultiset, IntervalSet, PartialMap,
-                    associated_matrix, distance, equivalent, identity_map,
-                    inverse, is_symmetric, neighbor_set, normalize_cover,
-                    symmetrize, validate)
+                    distance, identity_map, inverse, neighbor_set,
+                    normalize_cover, symmetrize, validate)
 from dsekit.errors import InvalidDSE, MultiplicityMismatch, NotDoublyStochastic
 from dsekit.gallery import counterexample
 
@@ -39,14 +38,20 @@ def test_validate_failure_lists_cells():
     assert not report.ok
 
 
+def test_multiplicity_must_be_positive():
+    with pytest.raises(ValueError) as exc:
+        DSE([identity_map()], 0)
+    assert str(exc.value) == "multiplicity must be a positive integer"
+
+
 def test_associated_matrix_identity():
-    m = associated_matrix(DSE([identity_map()], 1))
+    m = DSE([identity_map()], 1).matrix
     assert m == GraphMultiset([(Atom(0, 1, 1, 0), 1)])
 
 
 def test_associated_matrix_doubling():
     t = half_shift()
-    m = associated_matrix(DSE([t, t], 2))
+    m = DSE([t, t], 2).matrix
     assert list(m.families()) == [
         ((1, F(-1, 2)), ((F(1, 2), F(1), 2),)),
         ((1, F(1, 2)), ((F(0), F(1, 2), 2),)),
@@ -54,7 +59,7 @@ def test_associated_matrix_doubling():
 
 
 def test_counterexample_total_mass():
-    assert associated_matrix(counterexample(2)).mass() == 2
+    assert counterexample(2).matrix.mass() == 2
 
 
 def test_distance_zero_on_self():
@@ -86,7 +91,7 @@ def test_distance_is_a_metric_on_random_triples(rng):
         c = random_cell_dse(rng, 3, 2)
         assert distance(a, b) == distance(b, a) == brute_distance(a, b)
         assert distance(a, c) <= distance(a, b) + distance(b, c)
-        assert (distance(a, b) == 0) == equivalent(a, b)
+        assert (distance(a, b) == 0) == (a == b)
 
 
 GRIDS = (3, 4, 6, 8)
@@ -185,16 +190,17 @@ def test_distance_builds_no_matrix(monkeypatch):
 def test_symmetrize_and_is_symmetric():
     s = symmetrize(DSE([half_shift()], 1))
     assert s.multiplicity == 2
-    assert is_symmetric(s)
+    assert s.matrix == s.matrix.flip()
 
 
 def test_inverse_involution():
     ce = counterexample(2)
-    assert equivalent(inverse(inverse(ce)), ce)
+    assert inverse(inverse(ce)) == ce
 
 
 def test_counterexample_not_symmetric():
-    assert not is_symmetric(counterexample(2))
+    m = counterexample(2).matrix
+    assert m != m.flip()
 
 
 def test_neighbor_set_empty():
@@ -229,16 +235,16 @@ def test_normalize_cover_doubled_identity():
 
 def test_normalize_cover_roundtrip():
     ce = counterexample(3)
-    again = normalize_cover(associated_matrix(ce), 2)
+    again = normalize_cover(ce.matrix, 2)
     assert validate(again).ok
-    assert equivalent(again, ce)
+    assert again == ce
 
 
 def test_normalize_cover_roundtrip_with_reflections(rng):
     d = random_cell_dse(rng, 3, 3, reflections=True)
-    again = normalize_cover(associated_matrix(d), 3)
+    again = normalize_cover(d.matrix, 3)
     assert validate(again).ok
-    assert equivalent(again, d)
+    assert again == d
 
 
 def test_normalize_cover_rejects_uneven_mass():
@@ -257,7 +263,7 @@ def test_dse_equality_is_equivalence():
 
 
 def test_multiset_flip_involution(rng):
-    m = associated_matrix(random_cell_dse(rng, 3, 2, reflections=True))
+    m = random_cell_dse(rng, 3, 2, reflections=True).matrix
     assert m.flip().flip() == m
     assert m.flip().mass() == m.mass()
 

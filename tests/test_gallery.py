@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from dsekit import (DSE, FULL, Atom, IntervalSet, PartialMap,
-                    almost_decompose, associated_matrix, compose, distance,
-                    glue, identity_map, symmetrize, validate)
+                    almost_decompose, compose, distance, glue, identity_map,
+                    symmetrize, validate)
 from dsekit.errors import MassMismatch, OrbitEscapes
 from dsekit.gallery import (amplification, counterexample, forest_example,
                             forest_to_dse, orbit_visits_cells)
@@ -13,6 +13,13 @@ from conftest import half_shift
 from oracles import brute_distance
 
 iv = IntervalSet.interval
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.0])
+def test_truncation_level_must_be_a_positive_integer(k):
+    with pytest.raises(ValueError) as exc:
+        counterexample(k)
+    assert str(exc.value) == "truncation level must be a positive integer"
 
 
 @pytest.mark.parametrize("k", range(1, 11))
@@ -121,8 +128,8 @@ def test_forest_to_dse_from_forest_pieces():
     # the recovered composition support equals the forest support
     rec = DSE([compose(d.maps[2 * i + 1].invert(), d.maps[2 * i])
                for i in range(len(pieces))], 1)
-    support = associated_matrix(rec).add(associated_matrix(rec).flip())
-    forest = associated_matrix(DSE([phi1, phi2], 2))
+    support = rec.matrix.add(rec.matrix.flip())
+    forest = DSE([phi1, phi2], 2).matrix
     assert support == forest
 
 
@@ -138,7 +145,7 @@ def test_decomposed_forest_is_generated_by_automorphism():
     assert dec.achieved_distance == 0
     t1, t2 = (a.map for a in dec.automorphisms)
     gen = compose(t2.invert(), t1)
-    line = associated_matrix(DSE([gen], 1))
+    line = DSE([gen], 1).matrix
     line = line.add(line.flip())
-    target = associated_matrix(DSE([half_shift(), half_shift().invert()], 2))
+    target = DSE([half_shift(), half_shift().invert()], 2).matrix
     assert line == target

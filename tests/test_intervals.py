@@ -44,6 +44,13 @@ def test_canonical_merges_adjacent():
     assert s.pairs == ((F(0), F(1, 2)),)
 
 
+@pytest.mark.parametrize("lo, hi", [(F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2))])
+def test_intervals_must_lie_in_the_unit_interval(lo, hi):
+    with pytest.raises(ValueError) as exc:
+        IntervalSet([(lo, hi)])
+    assert str(exc.value) == f"interval [{lo},{hi}) leaves [0,1)"
+
+
 def test_rat_roundtrip():
     assert rat("3/9") == F(1, 3)
     assert rat_str(F(2, 4)) == "1/2"

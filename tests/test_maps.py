@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit import (Atom, EMPTY_MAP, IntervalSet, PartialMap, compose, glue,
-                    graph_intersect, identity_map)
+from dsekit import (Atom, IntervalSet, PartialMap, compose, glue, identity_map,
+                    monotone_pairing)
 from dsekit.errors import OverlapError
 from dsekit.gallery import counterexample, forest_example
 
-from oracles import (reference_compose, reference_graph_intersect,
-                     reference_image_of, reference_partial_map,
-                     reference_preimage_of, reference_restrict)
+from oracles import (reference_compose, reference_image_of,
+                     reference_partial_map, reference_preimage_of,
+                     reference_restrict)
 
 iv = IntervalSet.interval
 
@@ -105,20 +105,10 @@ def test_glue_overlap_raises():
         glue([a, b])  # images both cover [1/2,1)
 
 
-def test_graph_intersect_self():
-    m = PartialMap([Atom(0, F(1, 2), 1, F(1, 4))])
-    assert graph_intersect(m, m) == m
-
-
-def test_graph_intersect_disjoint_families():
-    a = PartialMap([Atom(0, F(1, 2), 1, F(1, 2))])
-    b = PartialMap([Atom(F(1, 2), 1, 1, F(-1, 2))])
-    assert graph_intersect(a, b) == EMPTY_MAP
-
-
-def test_graph_intersect_reflection_vs_identity():
-    # they agree only at the fixed point 1/2, which has measure zero
-    assert graph_intersect(reflection(), identity_map()) == EMPTY_MAP
+def test_monotone_pairing_needs_equal_measures():
+    with pytest.raises(ValueError) as exc:
+        monotone_pairing(iv(0, F(1, 2)), iv(F(1, 2), F(3, 4)))
+    assert str(exc.value) == "monotone pairing needs equal measures"
 
 
 def test_overlapping_sources_rejected():
@@ -256,8 +246,6 @@ def test_windowed_ops_on_sets_around_the_atoms(s):
 @given(partial_maps(), partial_maps())
 def test_compose_and_graph_intersect_match_all_pairs(f, g):
     assert compose(f, g) == reference_compose(f, g)
-    assert graph_intersect(f, g) == reference_graph_intersect(f, g)
-    assert graph_intersect(f, f) == f
 
 
 @settings(max_examples=40)

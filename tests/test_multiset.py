@@ -8,6 +8,7 @@ per-key sweep of their multisets (``tests/oracles.py``).
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +105,12 @@ def test_l1_distance_matches_the_per_key_sweep(pair):
     assert distance(b, a) == reference_l1_distance(h, g)
     assert distance(a, a) == 0
     assert distance(a, DSE([], 1)) == g.mass()
+
+
+def test_a_negative_multiplicity_is_rejected():
+    with pytest.raises(ValueError) as exc:
+        GraphMultiset([(Atom(0, 1, 1, 0), 1), (Atom(0, F(1, 2), 1, 0), -1)])
+    assert str(exc.value) == "negative multiplicity"
 
 
 def test_a_lone_entry_is_its_own_cell_and_a_shared_key_is_swept():

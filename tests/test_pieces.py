@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dsekit import (DSE, EMPTY, FULL, Atom, EMPTY_MAP, IntervalSet,
                     PartialMap, Piece, apply_extension, enlarge_piece,
-                    find_extension, graph_intersect, identity_map,
+                    find_extension, identity_map,
                     lemma_piece, maximal_piece, near_full_piece, neighbor_set,
                     symmetrize, validate)
 from dsekit.errors import AlreadyFull, InvalidExtension, PreconditionViolated
@@ -17,7 +17,7 @@ from dsekit.gallery import amplification, counterexample, forest_example
 from dsekit.pieces import Chain, greedy_maximal_map, validate_extension
 
 from conftest import half_shift, random_cell_dse, shift
-from oracles import reference_greedy_maximal_map
+from oracles import reference_graph_intersect, reference_greedy_maximal_map
 from test_grid import grid_sets
 
 iv = IntervalSet.interval
@@ -29,10 +29,10 @@ def ce2():
 
 
 def piece_is_inside_host(p: Piece) -> bool:
-    """Recover the piece from the host's maps with graph_intersect only."""
+    """Recover the piece from the host's maps by meeting graphs only."""
     covered = EMPTY
     for m in p.host.maps:
-        covered = covered.union(graph_intersect(p.map, m).domain)
+        covered = covered.union(reference_graph_intersect(p.map, m).domain)
     return covered == p.map.domain
 
 
@@ -75,6 +75,21 @@ def test_lemma_piece_precondition(ce2):
     blocker = maximal_piece(ce2, iv(0, F(1, 4)), EMPTY)
     with pytest.raises(PreconditionViolated):
         lemma_piece(ce2, iv(0, F(1, 2)), EMPTY, blocker)
+
+
+def test_lemma_piece_target_precondition(ce2):
+    """The blocker carries [0,1/4) onto [1/2,3/4) by +1/2."""
+    blocker = maximal_piece(ce2, iv(0, F(1, 4)), EMPTY)
+    with pytest.raises(PreconditionViolated) as exc:
+        lemma_piece(ce2, iv(F(3, 4), 1), iv(F(1, 2), F(5, 8)), blocker)
+    assert str(exc.value) == "b meets the blocker's image"
+
+
+def test_piece_must_lie_inside_the_host(ce2):
+    """No map of ce(2) translates [0,1/2) by +1/4."""
+    with pytest.raises(ValueError) as exc:
+        Piece(shift(0, F(1, 2), F(1, 4)), ce2)
+    assert str(exc.value) == "graph of the map leaves the support of the host"
 
 
 def test_find_extension_full_piece_returns_none():
