@@ -41,18 +41,19 @@ def _read_matrix(path: str) -> tuple[bvn_mod.Rows, list[int]]:
 
 
 def _report(command: str, inputs: dict, outputs: dict, bounds: dict,
-            result, started: float) -> dict:
-    return {
+            result, started: float) -> str:
+    """The report as the JSON text that ``main`` prints."""
+    return json.dumps({
         "command": command,
         "inputs": inputs,
         "outputs": outputs,
         "bounds": bounds,
         "result": result,
         "wall_time_seconds": round(time.monotonic() - started, 6),
-    }
+    })
 
 
-def _cmd_validate(args, started: float) -> tuple[dict, int]:
+def _cmd_validate(args, started: float) -> tuple[str, int]:
     d = ser.dse_from_json(_read_json(args.infile))
     report = validate(d, raise_on_fail=False)
     out = _report("validate", {"in": args.infile}, {}, {},
@@ -60,7 +61,7 @@ def _cmd_validate(args, started: float) -> tuple[dict, int]:
     return out, 0 if report.ok else 2
 
 
-def _cmd_distance(args, started: float) -> tuple[dict, int]:
+def _cmd_distance(args, started: float) -> tuple[str, int]:
     a = ser.dse_from_json(_read_json(args.a))
     b = ser.dse_from_json(_read_json(args.b))
     value = distance(a, b)
@@ -110,7 +111,7 @@ _ARTIFACT_COMMANDS = {
 }
 
 
-def _cmd_artifact(args, started: float) -> tuple[dict, int]:
+def _cmd_artifact(args, started: float) -> tuple[str, int]:
     d = ser.dse_from_json(_read_json(args.infile))
     eps = ser.parse_eps(args.eps)
 
@@ -140,8 +141,8 @@ def _cmd_bvn(args, started: float) -> tuple[str, int]:
             "[" + "0, " * j + "1" + ", 0" * (m - j - 1) + "]" for j in cols)
             + "]" for cols in perms) + "]"
         result["permutations"] = "\0"
-    out = json.dumps(_report("bvn", {"in": args.infile, "n": args.n}, {}, {},
-                             result, started))
+    out = _report("bvn", {"in": args.infile, "n": args.n}, {}, {}, result,
+                  started)
     return out.replace('"\\u0000"', text, 1), 0
 
 
@@ -156,7 +157,7 @@ _DEMOS = {
 _DEMO_LEVEL_CAP = 256
 
 
-def _cmd_demo(args, started: float) -> tuple[dict, int]:
+def _cmd_demo(args, started: float) -> tuple[str, int]:
     if args.level > _DEMO_LEVEL_CAP:
         raise ValueError(f"demo level must be at most {_DEMO_LEVEL_CAP}")
     result = ser.dse_to_json(_DEMOS[args.name](args.level))
@@ -212,10 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
-def _error(argv: list[str], exc: Exception) -> dict:
-    """The JSON error object; its command is the first argument, or ""."""
-    return {"command": argv[0] if argv else "", "error": str(exc),
-            "error_type": type(exc).__name__}
+def _error(argv: list[str], exc: Exception) -> str:
+    """The JSON error text; its command is the first argument, or ""."""
+    return json.dumps({"command": argv[0] if argv else "", "error": str(exc),
+                       "error_type": type(exc).__name__})
 
 
 def main(argv=None) -> int:
@@ -228,8 +229,7 @@ def main(argv=None) -> int:
     except (argparse.ArgumentError, OSError, ValueError, KeyError,
             ZeroDivisionError) as exc:
         report, code = _error(argv, exc), 1
-    # bvn returns its report as text, with the permutations rendered
-    print(report if isinstance(report, str) else json.dumps(report))
+    print(report)
     return code
 
 

@@ -16,8 +16,8 @@ from fractions import Fraction
 from .dse import DSE, distance, normalize_cover, validate
 from .errors import PreconditionViolated, check
 from .intervals import FULL, IntervalSet, Step, _align, positive_rat
-from .maps import Atom, PartialMap, glue, monotone_pairing, pair_chunks
-from .multiset import GraphMultiset
+from .maps import PartialMap, glue, monotone_pairing, pair_chunks
+from .multiset import GraphMultiset, _gather
 from .pieces import greedy_maximal_map, near_full_piece
 
 
@@ -52,16 +52,16 @@ def complete_to_automorphism(piece: PartialMap) -> PartialMap:
     return glue([piece, monotone_pairing(rest_dom, piece.image.complement())])
 
 
-def pair_profiles(src: Step, dst: Step, d: int) -> list[PartialMap]:
-    """Translation maps whose source/target multiplicity profiles are given.
+def pair_profiles(src: Step, dst: Step, d: int) -> GraphMultiset:
+    """The translation multiset whose row/column mass profiles are given.
 
     Both profiles are integer cells of grid numerators over d, of equal
     total mass; cells of level zero or below carry nothing.  They are
     peeled into layers (the k-th layer is where the profile is >= k) and
     the layered interval lists are paired by the ``pair_chunks`` sweep of
-    ``monotone_pairing``; every matched chunk becomes its own single-atom
-    map, so each emitted map is trivially injective while the sums of
-    indicator functions reproduce the profiles exactly.
+    ``monotone_pairing``; every matched chunk is one unit cell of the
+    translation family of its shift, so the sums of indicator functions
+    reproduce the profiles exactly.
     """
 
     def expand(cells: Step) -> list[tuple[int, int]]:
@@ -74,17 +74,18 @@ def pair_profiles(src: Step, dst: Step, d: int) -> list[PartialMap]:
     dst_q = expand(dst)
     if sum(hi - lo for lo, hi in src_q) != sum(hi - lo for lo, hi in dst_q):
         raise ValueError("profiles carry different total mass")
-    return [PartialMap._new([Atom._new(lo, hi, 1, shift, d)], d)
-            for lo, hi, shift in pair_chunks(src_q, dst_q)]
+    return GraphMultiset._new(_gather(
+        ((1, shift), ((lo, hi, 1),))
+        for lo, hi, shift in pair_chunks(src_q, dst_q)), d)
 
 
 def _rebalance(m: GraphMultiset, a: GraphMultiset,
                b: GraphMultiset) -> GraphMultiset:
-    """m less a and b, plus the ``pair_profiles`` maps carrying b's row
+    """m less a and b, plus the ``pair_profiles`` multiset carrying b's row
     profile onto a's column profile; a and b are aligned first."""
     a, b = _align(a, b)
-    return m.subtract(a).subtract(b).add(GraphMultiset.from_maps(
-        pair_profiles(b._degree(False), a._degree(True), b._d)))
+    return m.subtract(a).subtract(b).add(
+        pair_profiles(b._degree(False), a._degree(True), b._d))
 
 
 def _cover(maps, region: IntervalSet) -> list[PartialMap]:
@@ -106,7 +107,7 @@ def peel(d: DSE, eps) -> tuple[Automorphism, DSE, Fraction]:
     no piece leads from its domain complement into its image complement,
     and completed to an automorphism.  The leftover matrix mass is then
     rebalanced: covers of the two complements are removed and correction
-    maps with matching mass profiles are added back, leaving an exactly
+    cells with matching mass profiles are added back, leaving an exactly
     doubly stochastic residual of multiplicity n - 1.
     """
     eps = positive_rat(eps)
@@ -127,11 +128,10 @@ def peel(d: DSE, eps) -> tuple[Automorphism, DSE, Fraction]:
     # covers and rebalance is measurable on a decompose of automorphisms
     if not a_comp.is_empty():
         phis = _cover(d.maps, a_comp)
-        # images partitioning b_comp: cover it with the inverses, invert back
+        # images partitioning b_comp: cover it with the inverses, then flip
         inverses = [m.invert() for m in d.maps]
-        psis = [m.invert() for m in _cover(inverses, b_comp)]
-        resid = _rebalance(resid, GraphMultiset.from_maps(phis),
-                           GraphMultiset.from_maps(psis))
+        psis = GraphMultiset.from_maps(_cover(inverses, b_comp)).flip()
+        resid = _rebalance(resid, GraphMultiset.from_maps(phis), psis)
     rest = normalize_cover(resid, n - 1)
 
     bound = 4 * a_comp.measure()

@@ -28,7 +28,7 @@ from .errors import (AlreadyPerfect, InvalidPath, NotDoublyStochastic,
                      check)
 from .intervals import (EMPTY, IntervalSet, Step, positive_rat, step_integral,
                         step_where)
-from .maps import Atom, PartialMap
+from .maps import PartialMap
 from .multiset import GraphMultiset, _cells_sub
 from .decompose import _rebalance, pair_profiles
 from .pieces import (Chain, _chain_search, _disjoint, _harvest,
@@ -102,27 +102,24 @@ def initial_division(g: GraphMultiset) -> Division:
         raise NotSymmetric("multiset differs from its flip")
     g = g._lift(2 * g._d)
     d = g._d
-    entries: list[tuple[Atom, int]] = []
+    fam = {}
     for (slope, offset), cells in g._fam.items():
         if slope == 1:
             if offset > 0:
-                entries.extend((Atom._new(lo, hi, 1, offset, d), m)
-                               for lo, hi, m in cells)
+                fam[1, offset] = cells
             elif offset == 0:
                 for lo, hi, m in cells:
                     if m % 2:
                         raise UnsplittableDiagonal(
                             f"diagonal cell [{Fraction(lo, d)},{Fraction(hi, d)})"
                             f" has odd multiplicity {m}")
-                    entries.append((Atom._new(lo, hi, 1, 0, d), m // 2))
+                fam[1, 0] = tuple((lo, hi, m // 2) for lo, hi, m in cells)
         else:
             check(offset % 2 == 0, "reflection pivot leaves the grid")
             pivot = offset // 2
-            for lo, hi, m in cells:
-                cut = min(hi, max(lo, pivot))
-                if lo < cut:
-                    entries.append((Atom._new(lo, cut, -1, offset, d), m))
-    return Division(GraphMultiset(entries), g, _regular_degree(g) // 2)
+            fam[-1, offset] = tuple((lo, min(hi, pivot), m)
+                                    for lo, hi, m in cells if lo < pivot)
+    return Division(GraphMultiset._new(fam, d), g, _regular_degree(g) // 2)
 
 
 def _smain_piece(hmaps: Sequence[PartialMap], n: int, a: IntervalSet,
@@ -295,8 +292,8 @@ def symmetric_split(psi: DSE, eps) -> DSE:
         # both selections are on h's grid, as are the profiles paired here
         r_out = _take_by_rows(h, excess_out)
         r_in = _take_by_rows(h.flip(), excess_in).flip()
-        h = _rebalance(h, r_out, r_in).add(GraphMultiset.from_maps(
-            pair_profiles(r_in._degree(True), r_out._degree(False), h._d)))
+        h = _rebalance(h, r_out, r_in).add(
+            pair_profiles(r_in._degree(True), r_out._degree(False), h._d))
     phi = normalize_cover(h, n)
     achieved = distance(psi, symmetrize(phi))
     check(achieved < eps, f"split distance {achieved} is not below {eps}")

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (InvalidDSE, MultiplicityMismatch, NotDoublyStochastic,
                      check)
@@ -123,7 +123,7 @@ def normalize_cover(m: GraphMultiset, n: int) -> DSE:
     pass bisects each cell's endpoints into the sorted cuts and files its
     (family, multiplicity) under every cut interval it covers, so each
     interval's list is in family order.  That costs a sort of the cuts plus
-    the atoms dealt.  _split_into_injective then splits every layer.
+    the cells dealt.  _split_into_injective then splits every layer.
     """
     row = m._degree(False)
     col = m._degree(True)
@@ -142,39 +142,40 @@ def normalize_cover(m: GraphMultiset, n: int) -> DSE:
         for lo, hi, mult in cells:
             for k in range(bisect_left(cuts, lo), bisect_left(cuts, hi)):
                 dealt[k].append((key, mult))
-    layers: list[list[Atom]] = [[] for _ in range(n)]
+    layers: list[list] = [[] for _ in range(n)]
     for k, here in enumerate(dealt):
         idx = 0
-        for (slope, offset), mult in here:
+        for key, mult in here:
             for _ in range(mult):
-                layers[idx].append(Atom._new(cuts[k], cuts[k + 1], slope, offset,
-                                             m._d))
+                layers[idx].append((cuts[k], cuts[k + 1], *key))
                 idx += 1
     maps: list[PartialMap] = []
     for layer in layers:
-        maps.extend(_split_into_injective(layer))
+        maps.extend(_split_into_injective(layer, m._d))
     out = DSE(maps, n)
     check(out.matrix == m, "normalized element changed the matrix")
     check(len(out.maps) <= n * len(families), "more maps than n per family")
     return out
 
 
-def _split_into_injective(atoms: Sequence[Atom]) -> list[PartialMap]:
+def _split_into_injective(cells: Iterable[tuple[int, int, int, int]],
+                          d: int) -> list[PartialMap]:
     """Split a row-mass-one layer into injective maps by preimage rank.
 
-    One sweep over the sorted image endpoints keeps the live branches (at
-    most the column mass of them) and sorts them by their preimage at the
+    The layer is given as (lo, hi, slope, offset) cells of grid numerators
+    over d, each the graph of x -> slope*x + offset on [lo, hi).  One
+    sweep over the sorted image endpoints keeps the live branches (at most
+    the column mass of them) and sorts them by their preimage at the
     midpoint of each elementary cell: rank r collects the (r+1)-th
     smallest.  Only a slope +1 and a slope -1 branch can cross, and two
     live ones never cross strictly inside the cell, since the crossing's
     preimage would lie inside both sources and a layer's sources are
     disjoint.  So the midpoint order holds on the whole cell and no cell
     is cut at a crossing.  Cost: one sort, plus one per cell of its live
-    branches.  The atoms are lifted to one grid first.
+    branches.
     """
-    d = lcm(*(a._d for a in atoms))
-    branches = sorted((a._ilo, a._ihi, a.slope, a._off)
-                      for a in (a._lift(d) for a in atoms))
+    branches = sorted((*_move(slope, off, lo, hi), slope, off)
+                      for lo, hi, slope, off in cells)
     points = sorted({x for b in branches for x in b[:2]})
     ranks: dict[int, list[Atom]] = {}
     live: list[tuple] = []

@@ -41,9 +41,10 @@ def parse_eps(text: str) -> Fraction:
     return positive_rat(text.strip(" "))
 
 
-def atom_to_json(a: Atom) -> dict:
-    return {"src": [_grid_str(a._lo, a._d), _grid_str(a._hi, a._d)],
-            "slope": a.slope, "offset": _grid_str(a._off, a._d)}
+def _atom_json(lo: int, hi: int, slope: int, offset: int, d: int) -> dict:
+    """The atom object of grid numerators over d."""
+    return {"src": [_grid_str(lo, d), _grid_str(hi, d)], "slope": slope,
+            "offset": _grid_str(offset, d)}
 
 
 def _read_atom(data, ratio) -> tuple:
@@ -77,7 +78,7 @@ def _atom_lists(lists: list) -> list[tuple[list[Atom], int]]:
 
 
 def map_to_json(m: PartialMap) -> list:
-    return [atom_to_json(a) for a in m.atoms]
+    return [_atom_json(a._lo, a._hi, a.slope, a._off, a._d) for a in m.atoms]
 
 
 def dse_to_json(d: DSE) -> dict:
@@ -94,8 +95,7 @@ def dse_from_json(data) -> DSE:
 def multiset_to_json(g: GraphMultiset) -> dict:
     """Entries are atom objects with a "multiplicity" key."""
     return {"entries": [
-        {**atom_to_json(Atom._new(lo, hi, slope, offset, g._d)),
-         "multiplicity": mult}
+        {**_atom_json(lo, hi, slope, offset, g._d), "multiplicity": mult}
         for (slope, offset), cells in g._fam.items() for lo, hi, mult in cells]}
 
 

@@ -7,7 +7,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dsekit import DSE, Atom, GraphMultiset, IntervalSet, PartialMap
+from dsekit import (DSE, Atom, GraphMultiset, IntervalSet, PartialMap,
+                    identity_map, symmetrize)
 from dsekit.division import Division
 
 
@@ -15,6 +16,11 @@ def half_shift() -> PartialMap:
     """x -> x + 1/2 mod 1, the standard two-cell rotation."""
     return PartialMap([Atom(0, Fraction(1, 2), 1, Fraction(1, 2)),
                        Atom(Fraction(1, 2), 1, 1, Fraction(-1, 2))])
+
+
+def rotation(a) -> PartialMap:
+    """x -> x + a mod 1, for a rational a in (0, 1)."""
+    return PartialMap([Atom(0, 1 - a, 1, a), Atom(1 - a, 1, 1, a - 1)])
 
 
 def shift(lo, hi, offset) -> PartialMap:
@@ -57,6 +63,14 @@ def random_cell_map(rng: random.Random, level: int,
 def random_cell_dse(rng: random.Random, level: int, n: int,
                     reflections: bool = False) -> DSE:
     return DSE([random_cell_map(rng, level, reflections) for _ in range(n)], n)
+
+
+def symmetric_cells(seed: int, level: int, n: int) -> GraphMultiset:
+    """A symmetric cell multiset with reflection families and a diagonal
+    family of even multiplicity: a random cell element with the identity
+    added, symmetrized."""
+    d = random_cell_dse(random.Random(seed), level, n, reflections=True)
+    return symmetrize(DSE(d.maps + (identity_map(),), n + 1)).matrix
 
 
 @pytest.fixture

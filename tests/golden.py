@@ -22,20 +22,17 @@ import os
 import sys
 from pathlib import Path
 
-from dsekit import DSE, Atom, PartialMap, discretize, rat, symmetrize
+from dsekit import DSE, discretize, rat, symmetrize
 from dsekit import serialize as ser
 from dsekit.cli import main
 from dsekit.gallery import amplification, counterexample
+
+from conftest import rotation
 
 MANIFEST = Path(__file__).with_name("golden.json")
 EPS = "1/16"
 ROTATION_PAIRS = (("1/7", "3/11"), ("1/7", "5/13"), ("3/11", "5/13"))
 GALLERY = ("counterexample", "forest", "amplification")
-
-
-def _rotation(angle: str) -> PartialMap:
-    a = rat(angle)
-    return PartialMap([Atom(0, 1 - a, 1, a), Atom(1 - a, 1, 1, a - 1)])
 
 
 def _permutation_sum(size: int) -> list[list[int]]:
@@ -69,7 +66,7 @@ def calls() -> list[tuple[str, list[str]]]:
     symmetric = [(f"sym-ce{k}", symmetrize(counterexample(k)))
                  for k in range(3, 9)]
     symmetric += [(f"sym-rot-{a}-{b}".replace("/", "_"),
-                   symmetrize(DSE([_rotation(a), _rotation(b)], 2)))
+                   symmetrize(DSE([rotation(rat(a)), rotation(rat(b))], 2)))
                   for a, b in ROTATION_PAIRS]
     for name, d in symmetric:
         f = _write_dse(f"{name}.json", d)

@@ -324,6 +324,64 @@ def reference_take_by_rows(h, need):
     return GraphMultiset(taken)
 
 
+def reference_initial_division(g):
+    """The oriented part of ``division.initial_division`` built the atom
+    way: an Atom per kept cell of the base on twice its grid, then
+    ``GraphMultiset(entries)``."""
+    from dsekit.errors import UnsplittableDiagonal
+    from dsekit.maps import Atom
+    from dsekit.multiset import GraphMultiset
+
+    g = g._lift(2 * g._d)
+    d = g._d
+    entries = []
+    for (slope, offset), cells in g._fam.items():
+        for lo, hi, m in cells:
+            if slope == 1 and offset > 0:
+                entries.append((Atom._new(lo, hi, 1, offset, d), m))
+            elif slope == 1 and offset == 0:
+                if m % 2:
+                    raise UnsplittableDiagonal(
+                        f"diagonal cell [{Fraction(lo, d)},{Fraction(hi, d)})"
+                        f" has odd multiplicity {m}")
+                entries.append((Atom._new(lo, hi, 1, 0, d), m // 2))
+            elif slope == -1 and lo < offset // 2:
+                entries.append((Atom._new(lo, min(hi, offset // 2), -1,
+                                          offset, d), m))
+    return GraphMultiset(entries)
+
+
+def reference_pair_profiles(src, dst, d):
+    """``decompose.pair_profiles`` built the map way: one single-atom map
+    per paired chunk of the layered profiles, then ``from_maps``."""
+    from dsekit.maps import Atom, PartialMap, pair_chunks
+    from dsekit.multiset import GraphMultiset
+
+    def expand(cells):
+        top = max((m for _, _, m in cells), default=0)
+        return [(lo, hi) for layer in range(1, top + 1)
+                for lo, hi, m in cells if m >= layer]
+
+    src_q, dst_q = expand(src), expand(dst)
+    if sum(hi - lo for lo, hi in src_q) != sum(hi - lo for lo, hi in dst_q):
+        raise ValueError("profiles carry different total mass")
+    return GraphMultiset.from_maps(
+        PartialMap([Atom(Fraction(lo, d), Fraction(hi, d), 1,
+                         Fraction(shift, d))])
+        for lo, hi, shift in pair_chunks(src_q, dst_q))
+
+
+def reference_image_cover(maps, region):
+    """The multiset of ``peel``'s maps whose images partition the region,
+    built the map way: cover the region with the inverse maps, invert
+    each restriction back, then ``from_maps``."""
+    from dsekit.decompose import _cover
+    from dsekit.multiset import GraphMultiset
+
+    inverses = [m.invert() for m in maps]
+    return GraphMultiset.from_maps(m.invert() for m in _cover(inverses, region))
+
+
 def reference_extract_permutation(a):
     """The dense augmenting-path matcher, kept as the reference for the
     sparse rounds of ``bvn._permutations``.

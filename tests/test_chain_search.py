@@ -23,7 +23,7 @@ from dsekit import (DSE, EMPTY, FULL, Atom, IntervalSet, PartialMap,
 from dsekit import near_full_piece, near_perfect_division, pieces, symmetrize
 from dsekit.gallery import counterexample
 
-from conftest import cell_division, random_cell_dse
+from conftest import cell_division, random_cell_dse, rotation
 from oracles import (reference_backtrack, reference_backtrack_path,
                      reference_find_better_path, reference_find_extension)
 
@@ -93,9 +93,8 @@ def audit_live_steps(monkeypatch) -> list:
 def rotations_and_ce4() -> DSE:
     """Rotations by 1/3 and 1/5 plus the maps of counterexample(4): a
     non-dyadic element of multiplicity 4."""
-    def rot(a):
-        return PartialMap([Atom(0, 1 - a, 1, a), Atom(1 - a, 1, 1, a - 1)])
-    return DSE([rot(F(1, 3)), rot(F(1, 5)), *counterexample(4).maps], 4)
+    return DSE([rotation(F(1, 3)), rotation(F(1, 5)),
+                *counterexample(4).maps], 4)
 
 
 @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])

@@ -53,15 +53,13 @@ def test_pair_profiles_reproduces_masses():
     # profiles of grid numerators over d = 4
     src = ((0, 1, 2), (2, 3, 1))
     dst = ((1, 2, 1), (3, 4, 2))
-    maps = pair_profiles(src, dst, 4)
-    assert all(m._d == 4 for m in maps)
-    from dsekit.intervals import step_sum
-    rows = step_sum(((lo, hi, 1) for m in maps for lo, hi in m.domain._iv), 4)
-    cols = step_sum(((lo, hi, 1) for m in maps for lo, hi in m.image._iv), 4)
+    g = pair_profiles(src, dst, 4)
+    assert g._d == 4
+    rows, cols = g._degree(False), g._degree(True)
     assert tuple(c for c in rows if c[2]) == src
     assert tuple(c for c in cols if c[2]) == dst
     # the full steps, cells of level zero included, pair the same way
-    assert pair_profiles(rows, cols, 4) == maps
+    assert pair_profiles(rows, cols, 4) == g
 
 
 def test_peel_doubled_identity():

@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit import (DSE, EMPTY, FULL, Atom, Chain, PartialMap, division,
-                    initial_division, maximal_piece, near_full_piece,
-                    near_perfect_division, peel, pieces, symmetrize)
+from dsekit import (DSE, EMPTY, FULL, Chain, division, initial_division,
+                    maximal_piece, near_full_piece, near_perfect_division,
+                    peel, pieces, symmetrize)
 from dsekit.errors import BoundViolated, InvalidExtension, InvalidPath
 from dsekit.gallery import counterexample
 
-from conftest import random_cell_dse, shift
+from conftest import random_cell_dse, rotation, shift
 from oracles import reference_apply_better_paths, reference_apply_extensions
 
 
@@ -57,9 +57,7 @@ def fold_checked(monkeypatch) -> list:
 def rotations_and_ce4() -> DSE:
     """Rotations by 1/3, 1/5 and 1/7 plus the maps of counterexample(4):
     a non-dyadic element of multiplicity 5."""
-    def rot(a):
-        return PartialMap([Atom(0, 1 - a, 1, a), Atom(1 - a, 1, 1, a - 1)])
-    return DSE([rot(F(1, k)) for k in (3, 5, 7)]
+    return DSE([rotation(F(1, k)) for k in (3, 5, 7)]
                + list(counterexample(4).maps), 5)
 
 

@@ -3,7 +3,9 @@
 A family is swept only where two of its cells can meet; these tests check
 the constructor, ``add`` and ``flip`` against the routes that sweep every
 family, and ``distance`` of the same entries read as maps against the
-per-key sweep of their multisets (``tests/oracles.py``).
+per-key sweep of their multisets (``tests/oracles.py``).  The steps that
+build a multiset straight from cells rely on every family being canonical,
+which the last test checks after each step that makes one.
 """
 
 from fractions import Fraction as F
@@ -12,9 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit import DSE, Atom, PartialMap, distance
+from dsekit import DSE, Atom, PartialMap, distance, initial_division
+from dsekit.decompose import pair_profiles
+from dsekit.division import _take_by_rows
 from dsekit.multiset import GraphMultiset
 
+from conftest import symmetric_cells
 from oracles import (reference_flip_families, reference_l1_distance,
                      reference_multiset_families)
 
@@ -121,3 +126,30 @@ def test_a_lone_entry_is_its_own_cell_and_a_shared_key_is_swept():
         (1, 0): ((0, F(1, 4), 1), (F(1, 4), F(1, 2), 2), (F(1, 2), F(3, 4), 1)),
         (1, F(1, 4)): ((0, F(1, 2), 2),)}
     assert dict(g.flip().families())[(1, F(-1, 4))] == ((F(1, 4), F(3, 4), 2),)
+
+
+def assert_canonical(g: GraphMultiset) -> None:
+    """Every family's cells are sorted, disjoint and nonzero, and no two
+    touching cells have equal levels: the form ``__eq__`` compares."""
+    for key, cells in g._fam.items():
+        assert cells, key
+        assert all(lo < hi and m for lo, hi, m in cells), key
+        for (_, hi, m), (lo, _, n) in zip(cells, cells[1:]):
+            assert hi < lo or hi == lo and m != n, key
+
+
+@settings(max_examples=200, deadline=None)
+@given(multiset_pairs(), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_every_step_keeps_the_cells_canonical(pair, level, n, seed):
+    a, b = pair
+    g, h = GraphMultiset(a), GraphMultiset(b)
+    maps = [PartialMap([atom]) for atom, m in a for _ in range(m)]
+    rows = g._degree(False)
+    for out in (g, h, GraphMultiset.from_maps(maps), g.add(h),
+                g.add(h).subtract(h), g.flip(), g._lift(3 * g._d),
+                pair_profiles(rows, g._degree(True), g._d),
+                _take_by_rows(g, tuple((lo, hi, v - 1) for lo, hi, v in rows))):
+        assert_canonical(out)
+    g = symmetric_cells(seed, level, n)
+    assert_canonical(initial_division(g).oriented)

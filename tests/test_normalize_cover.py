@@ -6,6 +6,7 @@ same canonical atoms, so every artifact built from them is byte-identical.
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from dsekit import decompose as decompose_mod
 from dsekit.dse import _split_into_injective
 from dsekit.gallery import counterexample
 
-from conftest import random_cell_dse
+from conftest import random_cell_dse, rotation
 from oracles import reference_normalize_cover, reference_split_into_injective
 
 
@@ -35,11 +36,6 @@ def assert_matches_reference(m, n):
 def test_matches_reference_on_reflected_cells(level, n, seed):
     d = random_cell_dse(random.Random(seed), level, n, reflections=True)
     assert_matches_reference(d.matrix, n)
-
-
-def rotation(a: F) -> PartialMap:
-    """x -> x + a mod 1."""
-    return PartialMap([Atom(0, 1 - a, 1, a), Atom(1 - a, 1, 1, a - 1)])
 
 
 def reflection(a: F) -> PartialMap:
@@ -82,8 +78,17 @@ FOLD = [Atom(F(1, 4), F(1, 2), 1, 0),              # image [1/4, 1/2)
         Atom(F(1, 2), F(3, 4), -1, 1)]             # image [1/4, 1/2)
 
 
+def split(layer):
+    """_split_into_injective of a layer of atoms, given as grid cells on the
+    lcm of the atoms' grids."""
+    d = lcm(*(a._d for a in layer))
+    return _split_into_injective(
+        [(a._lo, a._hi, a.slope, a._off) for a in (a._lift(d) for a in layer)],
+        d)
+
+
 def assert_split(layer, expected):
-    got = _split_into_injective(layer)
+    got = split(layer)
     assert atoms_of(got) == atoms_of(reference_split_into_injective(layer))
     assert atoms_of(got) == atoms_of(PartialMap(e) for e in expected)
 
@@ -112,6 +117,6 @@ def test_split_crossing_with_doubled_denominator():
     side = Atom(F(2, 3), 1, -1, F(5, 3))           # image [2/3, 1)
     # offsets 1/3 and 2/5 cross at 11/30: no emitted endpoint may carry it
     assert_split([up, down, side], [[up, down, side]])
-    ends = [x for a in _split_into_injective([up, down, side])[0].atoms
+    ends = [x for a in split([up, down, side])[0].atoms
             for x in (a.lo, a.hi)]
     assert all(15 % x.denominator == 0 for x in ends)
