@@ -88,13 +88,13 @@ def _rebalance(m: GraphMultiset, a: GraphMultiset,
         pair_profiles(b._degree(False), a._degree(True), b._d))
 
 
-def _cover(maps, region: IntervalSet) -> list[PartialMap]:
-    """Restrictions of the maps whose domains partition the region."""
+def _cover(maps, region: IntervalSet, image: bool = False) -> list[PartialMap]:
+    """Restrictions of the maps whose domains (images) tile the region."""
     out, left = [], region
     for m in maps:
-        part = left.intersect(m.domain)
+        part = left.intersect(m.image if image else m.domain)
         if not part.is_empty():
-            out.append(m.restrict(part))
+            out.append(m.restrict(m.preimage_of(part) if image else part))
             left = left.subtract(part)
     check(left.is_empty(), "element does not cover the region")
     return out
@@ -124,14 +124,12 @@ def peel(d: DSE, eps) -> tuple[Automorphism, DSE, Fraction]:
     auto = Automorphism(complete_to_automorphism(tmap))
 
     resid = d.matrix.subtract(GraphMultiset.from_maps([tmap]))
-    # a full piece leaves nothing to rebalance; skipping the inversions,
-    # covers and rebalance is measurable on a decompose of automorphisms
+    # a full piece leaves nothing to rebalance; skipping the covers and
+    # rebalance is measurable on a decompose of automorphisms
     if not a_comp.is_empty():
-        phis = _cover(d.maps, a_comp)
-        # images partitioning b_comp: cover it with the inverses, then flip
-        inverses = [m.invert() for m in d.maps]
-        psis = GraphMultiset.from_maps(_cover(inverses, b_comp)).flip()
-        resid = _rebalance(resid, GraphMultiset.from_maps(phis), psis)
+        phis = GraphMultiset.from_maps(_cover(d.maps, a_comp))
+        psis = GraphMultiset.from_maps(_cover(d.maps, b_comp, image=True))
+        resid = _rebalance(resid, phis, psis)
     rest = normalize_cover(resid, n - 1)
 
     bound = 4 * a_comp.measure()

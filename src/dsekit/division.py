@@ -26,8 +26,8 @@ from .dse import DSE, distance, normalize_cover, symmetrize, validate
 from .errors import (AlreadyPerfect, InvalidPath, NotDoublyStochastic,
                      NotSymmetric, PreconditionViolated, UnsplittableDiagonal,
                      check)
-from .intervals import (EMPTY, IntervalSet, Step, positive_rat, step_integral,
-                        step_where)
+from .intervals import (EMPTY, IntervalSet, Step, _sizes, positive_rat,
+                        step_integral, step_where)
 from .maps import PartialMap
 from .multiset import GraphMultiset, _cells_sub
 from .decompose import _rebalance, pair_profiles
@@ -131,11 +131,12 @@ def _smain_piece(hmaps: Sequence[PartialMap], n: int, a: IntervalSet,
     map sends each point into a+b+t, so it finds the piece it would find
     over all of a+b.  For a in the over-oriented region and b
     balanced-or-over, counting both fibre masses of the oriented part gives
-    the exact lower bound mu(V) >= mu(a)/(2n) - mu(t)/2, checked here.
+    the exact lower bound mu(V) >= mu(a)/(2n) - mu(t)/2, checked here
+    times 2n, on the measures as integers over one grid.
     """
     piece = greedy_maximal_map(hmaps, live, a.union(b).union(t))
-    bound = a.measure() / (2 * n) - t.measure() / 2
-    check(piece.domain.measure() >= bound, "oriented piece misses its bound")
+    v, a_size, t_size = _sizes(piece.domain, a, t)
+    check(2 * n * v >= a_size - n * t_size, "oriented piece misses its bound")
     return piece
 
 

@@ -15,7 +15,9 @@ package (the reflection pivot of ``division.initial_division``) works on
 twice the grid.  Sums, differences and comparisons are plain ``int``
 arithmetic, and Lebesgue measure is an exact integer sum over ``d``.
 ``Fraction`` appears only in the public constructors, in read-outs
-(pairs, measures, atom endpoints, step cells) and in the bound checks.
+(pairs, measures, atom endpoints, step cells) and in the growth,
+improvement, error and distance checks; the counting bounds compare
+measures as integers over one grid (``_sizes``).
 
 The binary operations ``union``, ``intersect`` and ``subtract`` work only
 on the window where the two operands can interact.  Both operands are cut
@@ -112,6 +114,13 @@ def _fractions(rows: Iterable[tuple], d: int) -> tuple:
     Fraction endpoints; the rest is kept as it is."""
     return tuple((Fraction(lo, d), Fraction(hi, d), *rest)
                  for lo, hi, *rest in rows)
+
+
+def _sizes(*sets) -> list[int]:
+    """The measures of the interval sets as numerators over one grid, the
+    lcm of theirs."""
+    d = lcm(*(s._d for s in sets))
+    return [s._size() * (d // s._d) for s in sets]
 
 
 def _align(x, y):

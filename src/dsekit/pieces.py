@@ -37,7 +37,7 @@ from typing import Sequence
 from .dse import DSE
 from .errors import (AlreadyFull, InvalidExtension, PreconditionViolated,
                      check)
-from .intervals import EMPTY, FULL, IntervalSet, positive_rat
+from .intervals import EMPTY, FULL, IntervalSet, _sizes, positive_rat
 from .maps import EMPTY_MAP, PartialMap, glue
 
 _FAMILY_CAP = 100_000
@@ -103,14 +103,15 @@ def greedy_maximal_map(maps: Sequence[PartialMap], allowed: IntervalSet,
     Each step absorbs the whole currently-available source set of the map
     whose image stays clear of the forbidden set and of what was already
     taken.  Domains and images only grow, so a single pass leaves no
-    zero-depth enlargement.  A step works on sets first: ``good`` is the
-    map's image of the untaken allowed sources ``left``, less the taken and
-    forbidden images, and the part taken is the map on the preimage of
-    ``good`` (the map itself when that is its whole domain).
+    zero-depth enlargement.  A step works on sets first: ``good``, the
+    map's image of the untaken allowed sources ``left`` less the taken and
+    forbidden images, is read off one walk of the map (``_image_outside``),
+    and the part taken is the map on the preimage of ``good`` (the map
+    itself when that is its whole domain).
     """
     left, img, parts = allowed, forbidden, []
     for pm in maps:
-        good = pm.image_of(left).subtract(img)
+        good = pm._image_outside(left, img)
         if good.is_empty():
             continue
         src = pm.preimage_of(good)
@@ -134,7 +135,8 @@ def lemma_piece(d: DSE, a: IntervalSet, b: IntervalSet,
     The returned piece has source S inside a, image outside b and outside
     the blocker's image, and its measure satisfies the exact lower bound
         mu(S) >= (mu(a) - mu(b))/2 - ((n-1)/(2n)) * mu(domain(blocker)),
-    which follows from maximality by counting both fibre masses.
+    which follows from maximality by counting both fibre masses; it is
+    checked times 2n, on the measures as integers over one grid.
 
     ``live``, a part of a, names the sources that can still be taken: every
     map sends each point of a outside it into b or the blocker's image.  The
@@ -149,9 +151,9 @@ def lemma_piece(d: DSE, a: IntervalSet, b: IntervalSet,
     piece = maximal_piece(d, a if live is None else live,
                           b.union(blocker_map.image))
     n = d.multiplicity
-    bound = (a.measure() - b.measure()) / 2 \
-        - Fraction(n - 1, 2 * n) * blocker_map.domain.measure()
-    check(piece.measure() >= bound, "maximal piece misses its counting bound")
+    s, a_size, b_size, blocked = _sizes(piece.domain, a, b, blocker_map.domain)
+    check(2 * n * s >= n * (a_size - b_size) - (n - 1) * blocked,
+          "maximal piece misses its counting bound")
     return piece
 
 

@@ -382,6 +382,19 @@ def reference_image_cover(maps, region):
     return GraphMultiset.from_maps(m.invert() for m in _cover(inverses, region))
 
 
+def reference_lemma_bound(n, a, b, blocked):
+    """The counting bound of ``pieces.lemma_piece`` in its Fraction form:
+    (mu(a) - mu(b))/2 - ((n-1)/(2n)) * mu(domain of the blocker)."""
+    return ((a.measure() - b.measure()) / 2
+            - Fraction(n - 1, 2 * n) * blocked.measure())
+
+
+def reference_oriented_bound(n, a, t):
+    """The counting bound of ``division._smain_piece`` in its Fraction
+    form: mu(a)/(2n) - mu(t)/2."""
+    return a.measure() / (2 * n) - t.measure() / 2
+
+
 def reference_extract_permutation(a):
     """The dense augmenting-path matcher, kept as the reference for the
     sparse rounds of ``bvn._permutations``.

@@ -3,8 +3,9 @@ they replace, which ``tests/oracles.py`` keeps as references.
 
 ``initial_division`` builds its oriented part from the base's own cells,
 ``pair_profiles`` returns its correction multiset built from unit cells,
-and ``peel`` flips the multiset of the inverse maps that cover the image
-complement.  Each must give the multiset its atom route gives.
+and ``peel`` covers the image complement with the maps' own images,
+each map restricted to its preimage of its part.  Each must give the
+multiset its atom route gives.
 """
 
 from fractions import Fraction as F
@@ -75,9 +76,9 @@ def test_peel_image_cover_matches_the_inverted_back_maps(monkeypatch, k):
     regions, covers = [], []
     cover, rebalance = decompose_mod._cover, decompose_mod._rebalance
 
-    def spy_cover(host, region):
+    def spy_cover(host, region, image=False):
         regions.append(region)
-        return cover(host, region)
+        return cover(host, region, image)
 
     def spy_rebalance(m, a, b):
         covers.append(b)

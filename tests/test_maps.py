@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -256,6 +257,42 @@ def test_image_index_leaves_equality_and_hash(m, s):
     m.restrict(m.preimage_of(s))
     assert m == twin and twin == m
     assert hash(m) == before == hash(twin)
+
+
+# -- the greedy step's image kernel against image_of and subtract -------------
+
+
+@st.composite
+def set_kinds(draw):
+    """An empty, full, sparse (up to three intervals) or dense (a random
+    bitmap of cells) set, on a grid of 4 to 60 cells."""
+    kind = draw(st.sampled_from(["empty", "full", "sparse", "dense"]))
+    if kind in ("empty", "full"):
+        return IntervalSet() if kind == "empty" else iv(0, 1)
+    cells = draw(st.sampled_from([4, 6, 11, 30, 60]))
+    if kind == "sparse":
+        ends = sorted(draw(st.lists(st.integers(0, cells), max_size=6,
+                                    unique=True)))
+        return IntervalSet((F(lo, cells), F(hi, cells))
+                           for lo, hi in zip(ends[::2], ends[1::2]))
+    bits = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+    return IntervalSet((F(k, cells), F(k + 1, cells))
+                       for k, on in enumerate(bits) if on)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(partial_maps(), cell_maps()), set_kinds(), set_kinds(),
+       st.booleans())
+def test_image_outside_is_the_image_less_t(m, s, t, one_grid):
+    """Same pairs and same grid as ``image_of(s).subtract(t)``; on one grid
+    the sorted image pieces are cut in one walk, on two the plain route
+    runs."""
+    if one_grid:
+        d = lcm(m._d, s._d, t._d)
+        m, s, t = m._lift(d), s._lift(d), t._lift(d)
+    got, want = m._image_outside(s, t), m.image_of(s).subtract(t)
+    assert (got._iv, got._d) == (want._iv, want._d)
+    assert got == reference_image_of(m, s).subtract(t)
 
 
 # -- the one-pass constructor against the two-merge route ---------------------
