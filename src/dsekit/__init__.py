@@ -14,9 +14,8 @@ from .maps import (Atom, EMPTY_MAP, PartialMap, compose, glue, identity_map,
 from .multiset import GraphMultiset
 from .dse import (DSE, CoverageReport, distance, inverse, neighbor_set,
                   normalize_cover, symmetrize, validate)
-from .pieces import (Chain, Piece, apply_extension, enlarge_piece,
-                     find_extension, lemma_piece, maximal_piece,
-                     near_full_piece)
+from .pieces import (Chain, apply_extension, enlarge_piece, find_extension,
+                     greedy_maximal_map, lemma_piece, near_full_piece)
 from .decompose import (Automorphism, Decomposition, almost_decompose,
                         complete_to_automorphism, peel)
 from .division import (Division, apply_better_path, find_better_path,
@@ -33,8 +32,8 @@ __all__ = [
     "GraphMultiset",
     "DSE", "CoverageReport", "distance", "inverse", "neighbor_set",
     "normalize_cover", "symmetrize", "validate",
-    "Chain", "Piece", "apply_extension", "enlarge_piece",
-    "find_extension", "lemma_piece", "maximal_piece", "near_full_piece",
+    "Chain", "apply_extension", "enlarge_piece", "find_extension",
+    "greedy_maximal_map", "lemma_piece", "near_full_piece",
     "Automorphism", "Decomposition", "almost_decompose",
     "complete_to_automorphism", "peel",
     "Division", "apply_better_path", "find_better_path", "improve_division",

@@ -117,7 +117,7 @@ def peel(d: DSE, eps) -> tuple[Automorphism, DSE, Fraction]:
 
     theta = near_full_piece(d, eps / 8)
     top_up = greedy_maximal_map(d.maps, theta.domain.complement(), theta.image)
-    tmap = glue([theta.map, top_up])
+    tmap = glue([theta, top_up])
 
     a_comp = tmap.domain.complement()
     b_comp = tmap.image.complement()

@@ -308,8 +308,7 @@ def regular_graph_partial_automorphism(g: GraphMultiset, eps) -> PartialMap:
     degree = _regular_degree(g)
     psi = normalize_cover(g, degree)
     phi = symmetric_split(psi, eps)
-    piece = near_full_piece(phi, eps / 2)
-    inside = g.clip_to_support(piece.map)
+    inside = g.clip_to_support(near_full_piece(phi, eps / 2))
     check(inside.domain.measure() > 1 - eps,
           "partial automorphism misses measure 1 - eps")
     return inside

@@ -1,10 +1,14 @@
 """Pieces of a doubly stochastic element and the chain-search engine.
 
-A *piece* is a partial isomorphism whose graph sits inside the support of
-the element's associated matrix.  A maximal piece admits no immediate
-enlargement, but it can still be grown by an *extension*: an augmenting
-chain of pieces that reroutes part of the piece so its domain gains a set
-S_0 outside it and its image gains a set T_{k+1} outside the old image.
+A *piece* of an element is a ``PartialMap`` whose graph lies inside the
+support of the element's associated matrix; it is a property of the map,
+not a type.  Every piece built here is a restriction of the element's own
+maps, so only a caller's map needs the support check, and it gets it
+where it can enter and reach an output, ``validate_extension``.  A maximal
+piece admits no immediate enlargement, but it can still be grown by an
+*extension*: an augmenting chain of pieces that reroutes part of the piece
+so its domain gains a set S_0 outside it and its image gains a set
+T_{k+1} outside the old image.
 
 Extensions and the better paths of ``division`` are both found by one
 engine, ``_chain_search``: a chain of greedy maximal pieces grows until
@@ -41,32 +45,6 @@ from .intervals import EMPTY, FULL, IntervalSet, _sizes, positive_rat
 from .maps import EMPTY_MAP, PartialMap, glue
 
 _FAMILY_CAP = 100_000
-
-
-class Piece:
-    """A partial isomorphism living inside the support of a host element."""
-
-    __slots__ = ("map", "host")
-
-    def __init__(self, map: PartialMap, host: DSE):
-        if not host.matrix.contains_graph(map):
-            raise ValueError("graph of the map leaves the support of the host")
-        self.map = map
-        self.host = host
-
-    @property
-    def domain(self) -> IntervalSet:
-        return self.map.domain
-
-    @property
-    def image(self) -> IntervalSet:
-        return self.map.image
-
-    def measure(self) -> Fraction:
-        return self.map.domain.measure()
-
-    def __repr__(self) -> str:
-        return f"Piece<mass {self.measure()}>"
 
 
 @dataclass(frozen=True)
@@ -121,15 +99,9 @@ def greedy_maximal_map(maps: Sequence[PartialMap], allowed: IntervalSet,
     return glue(parts)
 
 
-def maximal_piece(d: DSE, allowed_sources: IntervalSet,
-                  forbidden_targets: IntervalSet) -> Piece:
-    """A piece that admits no zero-depth enlargement within the constraints."""
-    return Piece(greedy_maximal_map(d.maps, allowed_sources, forbidden_targets), d)
-
-
 def lemma_piece(d: DSE, a: IntervalSet, b: IntervalSet,
-                blocker: Piece | None = None, *,
-                live: IntervalSet | None = None) -> Piece:
+                blocker: PartialMap = EMPTY_MAP, *,
+                live: IntervalSet | None = None) -> PartialMap:
     """Maximal piece from a avoiding b and the blocker's image.
 
     The returned piece has source S inside a, image outside b and outside
@@ -143,28 +115,27 @@ def lemma_piece(d: DSE, a: IntervalSet, b: IntervalSet,
     greedy step then runs over ``live`` alone and returns the same piece,
     while the precondition and bound checks read a itself.
     """
-    blocker_map = blocker.map if blocker is not None else EMPTY_MAP
-    if not a.intersect(blocker_map.domain).is_empty():
+    if not a.intersect(blocker.domain).is_empty():
         raise PreconditionViolated("a meets the blocker's domain")
-    if not b.intersect(blocker_map.image).is_empty():
+    if not b.intersect(blocker.image).is_empty():
         raise PreconditionViolated("b meets the blocker's image")
-    piece = maximal_piece(d, a if live is None else live,
-                          b.union(blocker_map.image))
+    piece = greedy_maximal_map(d.maps, a if live is None else live,
+                               b.union(blocker.image))
     n = d.multiplicity
-    s, a_size, b_size, blocked = _sizes(piece.domain, a, b, blocker_map.domain)
+    s, a_size, b_size, blocked = _sizes(piece.domain, a, b, blocker.domain)
     check(2 * n * s >= n * (a_size - b_size) - (n - 1) * blocked,
           "maximal piece misses its counting bound")
     return piece
 
 
-def find_extension(d: DSE, piece: Piece, max_depth: int,
+def find_extension(d: DSE, theta: PartialMap, max_depth: int,
                    occupied: tuple[IntervalSet, IntervalSet] = (EMPTY, EMPTY),
                    ) -> Chain | None:
     """Search for an extension of depth <= max_depth avoiding occupied sets.
 
-    The chain starts with a maximal piece from the complement of the
-    piece's domain and is linked through theta: a chain image T_i inside
-    the piece's image opens the sources theta^-1(T_i) for the next step.
+    The chain starts with a maximal piece from the complement of theta's
+    domain and is linked through theta: a chain image T_i inside theta's
+    image opens the sources theta^-1(T_i) for the next step.
     Each step is a lemma piece with the first piece as its blocker and the
     occupied targets plus T_2..T_i forbidden, so its counting bound is the
     one proved for the chain.  The exit is the complement of the piece's
@@ -173,18 +144,17 @@ def find_extension(d: DSE, piece: Piece, max_depth: int,
     the accumulated family already carries the measure guaranteed by the
     counting argument.
     """
-    theta = piece.map
     occ_src, occ_tgt = occupied
     first = lemma_piece(d, theta.domain.complement().subtract(occ_src), occ_tgt)
     forbidden = occ_tgt
 
     def step(opened: IntervalSet, live: IntervalSet) -> PartialMap:
         nonlocal forbidden
-        pm = lemma_piece(d, opened, forbidden, first, live=live).map
+        pm = lemma_piece(d, opened, forbidden, first, live=live)
         forbidden = forbidden.union(pm.image)
         return pm
 
-    return _chain_search(first.map, step, theta, theta.image.complement(),
+    return _chain_search(first, step, theta, theta.image.complement(),
                          max_depth + 1)
 
 
@@ -280,13 +250,15 @@ def _harvest(find, occupy, occupied, kind: str) -> list[Chain]:
     return family
 
 
-def validate_extension(piece: Piece, *family: Chain) -> None:
-    """Check every extension invariant of each chain against the piece, and
-    that the family's sources, and its final targets, are pairwise disjoint;
+def validate_extension(d: DSE, theta: PartialMap, *family: Chain) -> None:
+    """Check that theta is a piece of d (else ValueError, before any chain
+    is read), every extension invariant of each chain against it, and that
+    the family's sources, and its final targets, are pairwise disjoint;
     exact.  A chain reads and changes the piece only on its own sets, so a
     chain of a disjoint family is valid against the piece as given exactly
     when it is valid against the piece the chains before it leave."""
-    theta = piece.map
+    if not d.matrix.contains_graph(theta):
+        raise ValueError("graph of the map leaves the support of the host")
     a_set, b_set = theta.domain, theta.image
     for ext in family:
         if not ext.pieces or ext.gain() == 0:
@@ -308,48 +280,48 @@ def validate_extension(piece: Piece, *family: Chain) -> None:
             if theta.preimage_of(ext.targets[i - 1]) != ext.sources[i]:
                 raise InvalidExtension(f"theta^-1(T_{i}) != S_{i}")
         for pm in ext.pieces:
-            if not piece.host.matrix.contains_graph(pm):
+            if not d.matrix.contains_graph(pm):
                 raise InvalidExtension("extension piece leaves the support")
 
 
-def apply_extension(piece: Piece, *family: Chain) -> Piece:
-    """Reroute the piece along a family of extensions; the domain gains
-    each S_0.  Each chain changes the piece only on its own sets, and the
-    family's are disjoint, so one glue builds the piece that applying the
-    chains one at a time would."""
-    validate_extension(piece, *family)
-    theta = piece.map
+def apply_extension(d: DSE, theta: PartialMap, *family: Chain) -> PartialMap:
+    """Reroute the piece theta of d along a family of extensions; the domain
+    gains each S_0.  Each chain changes the piece only on its own sets, and
+    the family's are disjoint, so one glue builds the piece that applying
+    the chains one at a time would; it is a piece of d, since theta and
+    every chain piece are."""
+    validate_extension(d, theta, *family)
     rerouted = IntervalSet.union_all(s for e in family for s in e.sources[1:])
     base = theta.restrict(theta.domain.subtract(rerouted))
-    return Piece(glue([base, *(pm for e in family for pm in e.pieces)]),
-                 piece.host)
+    return glue([base, *(pm for e in family for pm in e.pieces)])
 
 
-def enlarge_piece(d: DSE, piece: Piece) -> Piece:
-    """Grow the piece by a maximal family of depth-bounded extensions.
+def enlarge_piece(d: DSE, theta: PartialMap) -> PartialMap:
+    """Grow the piece theta by a maximal family of depth-bounded extensions.
 
     The growth is at least (gap / (7n + gap))^2 where gap is the measure
     of the domain complement; the inequality is checked exactly.
     """
-    gap = FULL.measure() - piece.measure()
+    size = theta.domain.measure()
+    gap = FULL.measure() - size
     if gap == 0:
         raise AlreadyFull("piece already covers the whole space")
     n = d.multiplicity
     depth_cap = int(Fraction(7 * n) / gap)
     family = _harvest(
-        lambda occ: find_extension(d, piece, depth_cap, occ),
+        lambda occ: find_extension(d, theta, depth_cap, occ),
         lambda occ, ext: (occ[0].union(IntervalSet.union_all(ext.sources)),
                           occ[1].union(IntervalSet.union_all(ext.targets))),
         (EMPTY, EMPTY), "extension")
-    grown = apply_extension(piece, *family)
+    grown = apply_extension(d, theta, *family)
     bound = (gap / (7 * n + gap)) ** 2
-    check(grown.measure() >= piece.measure() + bound,
-          f"growth bound violated: {grown.measure()} < "
-          f"{piece.measure()} + {bound}")
+    check(grown.domain.measure() >= size + bound,
+          f"growth bound violated: {grown.domain.measure()} < "
+          f"{size} + {bound}")
     return grown
 
 
-def near_full_piece(d: DSE, eps) -> Piece:
+def near_full_piece(d: DSE, eps) -> PartialMap:
     """A piece whose domain has measure strictly above 1 - eps.
 
     Starts from the greedy maximal piece and applies enlarge_piece until
@@ -357,7 +329,7 @@ def near_full_piece(d: DSE, eps) -> Piece:
     round forces the measures toward one, so the loop ends for any eps > 0.
     """
     eps = positive_rat(eps)
-    piece = maximal_piece(d, FULL, EMPTY)
-    while FULL.measure() - piece.measure() >= eps:
+    piece = greedy_maximal_map(d.maps, FULL, EMPTY)
+    while FULL.measure() - piece.domain.measure() >= eps:
         piece = enlarge_piece(d, piece)
     return piece

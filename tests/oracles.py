@@ -129,7 +129,7 @@ def reference_split_into_injective(atoms):
     return [PartialMap(v) for _, v in sorted(ranks.items())]
 
 
-def reference_find_extension(d, piece, max_depth, occupied=None):
+def reference_find_extension(d, theta, max_depth, occupied=None):
     """The extension search as it stood before the shared chain engine.
 
     Grows its own chain with a cached preimage per chain image and running
@@ -139,7 +139,6 @@ def reference_find_extension(d, piece, max_depth, occupied=None):
     from dsekit.intervals import EMPTY
     from dsekit.pieces import lemma_piece
 
-    theta = piece.map
     a_set, b_set = theta.domain, theta.image
     occ_src, occ_tgt = occupied or (EMPTY, EMPTY)
     b_comp = b_set.complement()
@@ -147,22 +146,22 @@ def reference_find_extension(d, piece, max_depth, occupied=None):
     chain = []
     preimages = []
     first = lemma_piece(d, a_set.complement().subtract(occ_src), occ_tgt)
-    if first.map.is_empty():
+    if first.is_empty():
         return None
-    chain.append(first.map)
-    hit = first.map.image.intersect(b_comp)
+    chain.append(first)
+    hit = first.image.intersect(b_comp)
     if not hit.is_empty():
         return reference_backtrack(theta, chain, preimages, hit)
 
-    preimages.append(theta.preimage_of(first.map.image))
+    preimages.append(theta.preimage_of(first.image))
     allowed = preimages[0]
     forbidden = occ_tgt
     for _ in range(max_depth):
         step = lemma_piece(d, allowed, forbidden, first)
-        if step.map.is_empty():
+        if step.is_empty():
             return None
-        chain.append(step.map)
-        image = step.map.image
+        chain.append(step)
+        image = step.image
         hit = image.intersect(b_comp)
         if not hit.is_empty():
             return reference_backtrack(theta, chain, preimages, hit)
@@ -719,18 +718,23 @@ def reference_partial_map(atoms, d):
 # the chains before it left, and a whole new piece or division built for it.
 
 
-def reference_apply_extensions(piece, family):
-    """Fold the extensions into the piece one at a time; each raises the
-    InvalidExtension that the single-chain check raised."""
+def reference_apply_extensions(d, theta, family):
+    """Fold the extensions into the piece theta of d one at a time; each
+    raises the InvalidExtension that the single-chain check raised, and
+    each new piece is checked against d's support, as the piece wrapper
+    did on construction."""
     from functools import reduce
 
     from dsekit.errors import InvalidExtension
     from dsekit.intervals import IntervalSet
     from dsekit.maps import glue
-    from dsekit.pieces import Piece
 
-    def apply(piece, ext):
-        theta = piece.map
+    def inside(theta):
+        if not d.matrix.contains_graph(theta):
+            raise ValueError("graph of the map leaves the support of the host")
+        return theta
+
+    def apply(theta, ext):
         a_set, b_set = theta.domain, theta.image
         if not ext.pieces or ext.gain() == 0:
             raise InvalidExtension("gain set S_0 has measure zero")
@@ -749,13 +753,13 @@ def reference_apply_extensions(piece, family):
             if theta.preimage_of(ext.targets[i - 1]) != ext.sources[i]:
                 raise InvalidExtension(f"theta^-1(T_{i}) != S_{i}")
         for pm in ext.pieces:
-            if not piece.host.matrix.contains_graph(pm):
+            if not d.matrix.contains_graph(pm):
                 raise InvalidExtension("extension piece leaves the support")
         rerouted = IntervalSet.union_all(ext.sources[1:])
         base = theta.restrict(theta.domain.subtract(rerouted))
-        return Piece(glue([base, *ext.pieces]), piece.host)
+        return inside(glue([base, *ext.pieces]))
 
-    return reduce(apply, family, piece)
+    return reduce(apply, family, inside(theta))
 
 
 def reference_apply_better_paths(d, paths):

@@ -34,10 +34,10 @@ def compare_extensions(monkeypatch) -> list:
     engine = pieces.find_extension
     outcomes = []
 
-    def both(d, piece, max_depth, occupied=None):
-        args = (d, piece, max_depth) + ((occupied,) if occupied else ())
+    def both(d, theta, max_depth, occupied=None):
+        args = (d, theta, max_depth) + ((occupied,) if occupied else ())
         got = engine(*args)
-        assert got == reference_find_extension(d, piece, max_depth, occupied)
+        assert got == reference_find_extension(d, theta, max_depth, occupied)
         outcomes.append(got is not None)
         return got
 
@@ -154,11 +154,11 @@ def test_extension_search_stops_at_its_depth_cap():
     """On counterexample(2) the shortest extension has two pieces, so depth
     0 stops the chain at its cap, and depth 1 lets it reach the exit."""
     d = counterexample(2)
-    theta = pieces.maximal_piece(d, FULL, EMPTY)
+    theta = pieces.greedy_maximal_map(d.maps, FULL, EMPTY)
     assert pieces.find_extension(d, theta, 0) is None
     ext = pieces.find_extension(d, theta, 1)
     assert ext is not None and ext.length == 2
-    pieces.validate_extension(theta, ext)
+    pieces.validate_extension(d, theta, ext)
 
 
 def test_path_search_stops_at_its_length_cap():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit import DSE, IntervalSet, Piece, division, identity_map, pieces
+from dsekit import DSE, IntervalSet, division, identity_map, pieces
 from dsekit.errors import BoundViolated
 from dsekit.pieces import lemma_piece
 
@@ -41,8 +41,8 @@ def identities(n: int) -> DSE:
 
 def run_lemma(monkeypatch, size, n, a, b, blocked):
     greedy_of_size(monkeypatch, pieces, size)
-    blocker = Piece(identity_map(blocked), identities(n))
-    return lemma_piece(identities(n), a, b, blocker).measure()
+    blocker = identity_map(blocked)
+    return lemma_piece(identities(n), a, b, blocker).domain.measure()
 
 
 def run_oriented(monkeypatch, size, n, a, t):

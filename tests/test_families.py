@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit import (DSE, EMPTY, FULL, Chain, division, initial_division,
-                    maximal_piece, near_full_piece, near_perfect_division,
+from dsekit import (DSE, EMPTY, FULL, Chain, division, greedy_maximal_map,
+                    initial_division, near_full_piece, near_perfect_division,
                     peel, pieces, symmetrize)
 from dsekit.errors import BoundViolated, InvalidExtension, InvalidPath
 from dsekit.gallery import counterexample
@@ -32,10 +32,10 @@ def fold_checked(monkeypatch) -> list:
     extend, reverse = pieces.apply_extension, division.apply_better_path
     sizes = []
 
-    def extensions(piece, *family):
-        got = extend(piece, *family)
-        want = reference_apply_extensions(piece, family)
-        assert got.map.atoms == want.map.atoms
+    def extensions(d, theta, *family):
+        got = extend(d, theta, *family)
+        want = reference_apply_extensions(d, theta, family)
+        assert got.atoms == want.atoms
         assert (got.domain, got.image) == (want.domain, want.image)
         sizes.append(len(family))
         return got
@@ -107,11 +107,11 @@ VIA_HALF = Chain((shift(F(7, 8), 1, 0), shift(F(3, 8), F(1, 2), -F(1, 4))))
 ], ids=["shared-sources", "shared-final-target"])
 def test_overlapping_extensions_are_rejected(family, message):
     d = counterexample(2)
-    theta = maximal_piece(d, FULL, EMPTY)
+    theta = greedy_maximal_map(d.maps, FULL, EMPTY)
     for ext in family:
-        pieces.validate_extension(theta, ext)
+        pieces.validate_extension(d, theta, ext)
     with pytest.raises(InvalidExtension) as exc:
-        pieces.apply_extension(theta, *family)
+        pieces.apply_extension(d, theta, *family)
     assert str(exc.value) == message
 
 
@@ -143,7 +143,7 @@ def test_an_empty_extension_family_trips_the_growth_bound(monkeypatch):
     d = counterexample(2)
     monkeypatch.setattr(pieces, "find_extension", lambda *args: None)
     with pytest.raises(BoundViolated, match="^growth bound violated"):
-        pieces.enlarge_piece(d, maximal_piece(d, FULL, EMPTY))
+        pieces.enlarge_piece(d, greedy_maximal_map(d.maps, FULL, EMPTY))
 
 
 def test_an_empty_path_family_trips_the_improvement_bound(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit import (DSE, EMPTY, FULL, Atom, EMPTY_MAP, IntervalSet,
-                    PartialMap, Piece, apply_extension, enlarge_piece,
-                    find_extension, identity_map,
-                    lemma_piece, maximal_piece, near_full_piece, neighbor_set,
+from dsekit import (DSE, EMPTY, FULL, Atom, EMPTY_MAP, GraphMultiset,
+                    IntervalSet, PartialMap, almost_decompose,
+                    apply_extension, enlarge_piece, find_extension,
+                    identity_map, lemma_piece, near_full_piece, neighbor_set,
                     symmetrize, validate)
 from dsekit.errors import AlreadyFull, InvalidExtension, PreconditionViolated
 from dsekit import pieces
@@ -28,80 +29,111 @@ def ce2():
     return counterexample(2)
 
 
-def piece_is_inside_host(p: Piece) -> bool:
+def piece_is_inside_host(d: DSE, p: PartialMap) -> bool:
     """Recover the piece from the host's maps by meeting graphs only."""
     covered = EMPTY
-    for m in p.host.maps:
-        covered = covered.union(reference_graph_intersect(p.map, m).domain)
-    return covered == p.map.domain
+    for m in d.maps:
+        covered = covered.union(reference_graph_intersect(p, m).domain)
+    return covered == p.domain
 
 
 def test_maximal_piece_empty_allowed(ce2):
-    p = maximal_piece(ce2, EMPTY, EMPTY)
-    assert p.map == EMPTY_MAP
+    p = greedy_maximal_map(ce2.maps, EMPTY, EMPTY)
+    assert p == EMPTY_MAP
 
 
 def test_maximal_piece_identity():
     d = DSE([identity_map()], 1)
-    p = maximal_piece(d, FULL, EMPTY)
-    assert p.measure() == 1
+    p = greedy_maximal_map(d.maps, FULL, EMPTY)
+    assert p.domain.measure() == 1
 
 
 def test_maximal_piece_counterexample(ce2):
-    p = maximal_piece(ce2, FULL, EMPTY)
+    p = greedy_maximal_map(ce2.maps, FULL, EMPTY)
     assert p.domain == iv(0, F(3, 4))
-    assert piece_is_inside_host(p)
+    assert piece_is_inside_host(ce2, p)
     # maximality: the neighbours of the leftover are already covered
     assert p.image.contains(neighbor_set(ce2, p.domain.complement()))
 
 
 def test_lemma_piece_empty_source(ce2):
     p = lemma_piece(ce2, EMPTY, EMPTY)
-    assert p.map.is_empty()
+    assert p.is_empty()
 
 
 def test_lemma_piece_identity_bound():
     d = DSE([identity_map()], 1)
     p = lemma_piece(d, iv(0, F(1, 2)), EMPTY)
-    assert p.measure() == F(1, 2) >= F(1, 4)
+    assert p.domain.measure() == F(1, 2) >= F(1, 4)
 
 
 def test_lemma_piece_vacuous_bound(ce2):
     p = lemma_piece(ce2, iv(F(3, 4), 1), iv(F(1, 4), 1))
-    assert p.measure() >= 0
+    assert p.domain.measure() >= 0
 
 
 def test_lemma_piece_precondition(ce2):
-    blocker = maximal_piece(ce2, iv(0, F(1, 4)), EMPTY)
+    blocker = greedy_maximal_map(ce2.maps, iv(0, F(1, 4)), EMPTY)
     with pytest.raises(PreconditionViolated):
         lemma_piece(ce2, iv(0, F(1, 2)), EMPTY, blocker)
 
 
 def test_lemma_piece_target_precondition(ce2):
     """The blocker carries [0,1/4) onto [1/2,3/4) by +1/2."""
-    blocker = maximal_piece(ce2, iv(0, F(1, 4)), EMPTY)
+    blocker = greedy_maximal_map(ce2.maps, iv(0, F(1, 4)), EMPTY)
     with pytest.raises(PreconditionViolated) as exc:
         lemma_piece(ce2, iv(F(3, 4), 1), iv(F(1, 2), F(5, 8)), blocker)
     assert str(exc.value) == "b meets the blocker's image"
 
 
-def test_piece_must_lie_inside_the_host(ce2):
-    """No map of ce(2) translates [0,1/2) by +1/4."""
-    with pytest.raises(ValueError) as exc:
-        Piece(shift(0, F(1, 2), F(1, 4)), ce2)
-    assert str(exc.value) == "graph of the map leaves the support of the host"
+def test_a_map_outside_the_host_is_refused_before_any_chain(
+        ce2, monkeypatch):
+    """No map of ce(2) translates [0,1/2) by +1/4.  Applying no extension,
+    a genuine one of the greedy piece, or a grown family to that map raises
+    the support error, and no chain invariant is read first."""
+    theta = shift(0, F(1, 2), F(1, 4))
+    ext = find_extension(ce2, greedy_maximal_map(ce2.maps, FULL, EMPTY), 2)
+    assert ext is not None
+    monkeypatch.setattr(Chain, "gain", lambda self: pytest.fail(
+        "a chain was read before the support check"))
+    for run in (lambda: apply_extension(ce2, theta),
+                lambda: apply_extension(ce2, theta, ext),
+                lambda: enlarge_piece(ce2, theta)):
+        with pytest.raises(ValueError) as exc:
+            run()
+        assert str(exc.value) == (
+            "graph of the map leaves the support of the host")
+
+
+def test_support_checks_run_only_where_a_map_can_enter(monkeypatch):
+    """Every piece the library builds restricts the host's own maps, so
+    over whole decompositions the support is checked only by
+    validate_extension: on the piece a caller hands in and on each chain
+    piece."""
+    callers = []
+    contains_graph = GraphMultiset.contains_graph
+
+    def recorded(self, m):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return contains_graph(self, m)
+
+    monkeypatch.setattr(GraphMultiset, "contains_graph", recorded)
+    for k in (4, 6, 8):
+        almost_decompose(counterexample(k), F(1, 16))
+    assert callers
+    assert set(callers) == {"validate_extension"}
 
 
 def test_find_extension_full_piece_returns_none():
     d = DSE([identity_map()], 1)
-    full = maximal_piece(d, FULL, EMPTY)
+    full = greedy_maximal_map(d.maps, FULL, EMPTY)
     assert find_extension(d, full, 3) is None
 
 
 def test_find_extension_depth_zero():
     t = half_shift()
     d = DSE([t, t.invert()], 2)
-    theta = Piece(t.restrict(iv(0, F(1, 2))), d)
+    theta = t.restrict(iv(0, F(1, 2)))
     ext = find_extension(d, theta, 0)
     assert ext is not None and ext.length == 1
     assert iv(F(1, 2), 1).contains(ext.sources[0])
@@ -109,11 +141,11 @@ def test_find_extension_depth_zero():
 
 
 def test_find_extension_counterexample_needs_depth(ce2):
-    theta = maximal_piece(ce2, FULL, EMPTY)
+    theta = greedy_maximal_map(ce2.maps, FULL, EMPTY)
     ext = find_extension(ce2, theta, 2)
     assert ext is not None
     assert ext.length >= 2  # the greedy piece is maximal, no 0-depth move
-    validate_extension(theta, ext)
+    validate_extension(ce2, theta, ext)
 
 
 
@@ -121,10 +153,9 @@ def test_find_extension_caches_piece_preimages(monkeypatch):
     """A chain of k steps calls theta.preimage_of at most 2k + 2 times: once
     per chain image inside the piece's image and once per rebuilt stage."""
     d = counterexample(6)
-    piece = maximal_piece(d, FULL, EMPTY)
+    theta = greedy_maximal_map(d.maps, FULL, EMPTY)
     for _ in range(3):
-        piece = pieces.enlarge_piece(d, piece)
-    theta = piece.map
+        theta = pieces.enlarge_piece(d, theta)
     steps = preimages = 0
     lemma = pieces.lemma_piece
     preimage_of = PartialMap.preimage_of
@@ -142,77 +173,80 @@ def test_find_extension_caches_piece_preimages(monkeypatch):
 
     monkeypatch.setattr(pieces, "lemma_piece", counted_lemma)
     monkeypatch.setattr(PartialMap, "preimage_of", counted_preimage)
-    gap = 1 - piece.measure()
-    ext = find_extension(d, piece, int(F(7 * d.multiplicity) / gap))
+    gap = 1 - theta.domain.measure()
+    ext = find_extension(d, theta, int(F(7 * d.multiplicity) / gap))
     assert ext is not None and ext.length >= 21
     assert steps >= ext.length
     assert preimages <= 2 * steps + 2
-    validate_extension(piece, ext)
+    validate_extension(d, theta, ext)
 
 
 def test_apply_extension_depth_zero_is_disjoint_union():
     t = half_shift()
     d = DSE([t, t.invert()], 2)
-    theta = Piece(t.restrict(iv(0, F(1, 2))), d)
+    theta = t.restrict(iv(0, F(1, 2)))
     ext = find_extension(d, theta, 0)
-    grown = apply_extension(theta, ext)
-    assert grown.measure() == theta.measure() + ext.sources[0].measure()
+    grown = apply_extension(d, theta, ext)
+    assert (grown.domain.measure()
+            == theta.domain.measure() + ext.sources[0].measure())
     assert grown.domain == theta.domain.union(ext.sources[0])
 
 
 def test_apply_extension_grows_counterexample(ce2):
-    theta = maximal_piece(ce2, FULL, EMPTY)
+    theta = greedy_maximal_map(ce2.maps, FULL, EMPTY)
     ext = find_extension(ce2, theta, 2)
-    grown = apply_extension(theta, ext)
-    assert grown.measure() == theta.measure() + ext.sources[0].measure()
-    assert grown.measure() > F(3, 4)
-    assert piece_is_inside_host(grown)
+    grown = apply_extension(ce2, theta, ext)
+    assert (grown.domain.measure()
+            == theta.domain.measure() + ext.sources[0].measure())
+    assert grown.domain.measure() > F(3, 4)
+    assert piece_is_inside_host(ce2, grown)
 
 
 def test_apply_extension_rejects_mismatched(ce2):
-    theta = maximal_piece(ce2, FULL, EMPTY)
+    theta = greedy_maximal_map(ce2.maps, FULL, EMPTY)
     ext = find_extension(ce2, theta, 2)
     # a piece whose domain already contains the extension's gain set
-    other = maximal_piece(ce2, iv(F(1, 2), 1), EMPTY)
+    other = greedy_maximal_map(ce2.maps, iv(F(1, 2), 1), EMPTY)
     assert other.domain.contains(ext.sources[0])
     with pytest.raises(InvalidExtension):
-        apply_extension(other, ext)
+        apply_extension(ce2, other, ext)
 
 
 def test_enlarge_piece_identity_from_empty():
     d = DSE([identity_map()], 1)
-    grown = enlarge_piece(d, Piece(EMPTY_MAP, d))
-    assert grown.measure() >= F(1, 64)  # bound (1/(7+1))^2; actual is 1
-    assert grown.measure() == 1
+    grown = enlarge_piece(d, EMPTY_MAP)
+    assert grown.domain.measure() >= F(1, 64)  # bound (1/(7+1))^2; actual 1
+    assert grown.domain.measure() == 1
 
 
 def test_enlarge_piece_counterexample_bound(ce2):
-    theta = maximal_piece(ce2, FULL, EMPTY)
+    theta = greedy_maximal_map(ce2.maps, FULL, EMPTY)
     grown = enlarge_piece(ce2, theta)
-    assert grown.measure() >= F(3, 4) + F(1, 57) ** 2
+    assert grown.domain.measure() >= F(3, 4) + F(1, 57) ** 2
 
 
 def test_enlarge_piece_already_full():
     d = DSE([identity_map()], 1)
     with pytest.raises(AlreadyFull):
-        enlarge_piece(d, maximal_piece(d, FULL, EMPTY))
+        enlarge_piece(d, greedy_maximal_map(d.maps, FULL, EMPTY))
 
 
 def test_near_full_identity():
     d = DSE([identity_map()], 1)
-    assert near_full_piece(d, F(1, 2)).measure() == 1
+    assert near_full_piece(d, F(1, 2)).domain.measure() == 1
 
 
 def test_near_full_symmetrized_shift():
     p = near_full_piece(symmetrize(DSE([half_shift()], 1)), F(1, 4))
-    assert p.measure() > F(3, 4)
-    assert p.measure() == 1  # the first map is already an automorphism
+    assert p.domain.measure() > F(3, 4)
+    assert p.domain.measure() == 1  # the first map is already an automorphism
 
 
 def test_near_full_counterexample_four():
-    p = near_full_piece(counterexample(4), F(1, 16))
-    assert p.measure() > F(15, 16)
-    assert piece_is_inside_host(p)
+    d = counterexample(4)
+    p = near_full_piece(d, F(1, 16))
+    assert p.domain.measure() > F(15, 16)
+    assert piece_is_inside_host(d, p)
 
 
 def test_near_full_requires_positive_eps(ce2):
@@ -252,9 +286,9 @@ BROKEN_EXTENSIONS = {
 @pytest.mark.parametrize("chain, message", BROKEN_EXTENSIONS.values(),
                          ids=BROKEN_EXTENSIONS.keys())
 def test_validate_extension_names_the_broken_invariant(ce2, chain, message):
-    theta = maximal_piece(ce2, FULL, EMPTY)
+    theta = greedy_maximal_map(ce2.maps, FULL, EMPTY)
     with pytest.raises(InvalidExtension) as exc:
-        validate_extension(theta, Chain(chain))
+        validate_extension(ce2, theta, Chain(chain))
     assert str(exc.value) == message
 
 
