@@ -10,8 +10,8 @@ drops has measure zero.  ``_move`` is the one place this rule is written.
 
 The map operations walk only the atoms that meet a set (``_cut``), in
 O(log k) plus the atoms and intervals met: by source, or by image through
-an index a map builds on first use and keeps.  An image less a set,
-``_image_outside``, cuts the walk's image pieces against that set directly.
+an index a map builds on first use and keeps (``pieces`` inlines the
+source walk in its greedy step).
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OverlapError
-from .intervals import (FULL, IntervalSet, _align, _Grid, _HI, _LO,
-                        _minus, _on_grid, rat)
+from .intervals import FULL, IntervalSet, _align, _Grid, _HI, _on_grid, rat
 
 
 def _move(slope: int, offset: int, lo: int, hi: int) -> tuple[int, int]:
@@ -199,23 +198,6 @@ class PartialMap(_Grid):
         d, cut = self._cut(s)
         return IntervalSet._merge_pairs(
             [_move(a.slope, a._off, lo, hi) for a, lo, hi in cut], d)
-
-    def _image_outside(self, s: IntervalSet, t: IntervalSet) -> IntervalSet:
-        """``image_of(s).subtract(t)``, grid and all, from one ``_cut`` walk,
-        with no image set built.  The map is injective, so its sorted image
-        pieces are disjoint: one ``_minus`` walk cuts them against the
-        window of t they span, and only what survives is merged.  A t on
-        another grid takes the plain route."""
-        d, cut = self._cut(s)
-        if not cut:
-            return IntervalSet._new((), d)
-        if t._d != d:
-            return self.image_of(s).subtract(t)
-        pieces = sorted([_move(a.slope, a._off, lo, hi) for a, lo, hi in cut])
-        tv = t._iv
-        window = tv[bisect_right(tv, pieces[0][0], key=_HI):
-                    bisect_left(tv, pieces[-1][1], key=_LO)]
-        return IntervalSet._merge_pairs(_minus(pieces, window), d)
 
     def preimage_of(self, s: IntervalSet) -> IntervalSet:
         d, cut = self._cut(s, image=True)

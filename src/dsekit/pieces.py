@@ -13,18 +13,13 @@ T_{k+1} outside the old image.
 Extensions and the better paths of ``division`` are both found by one
 engine, ``_chain_search``: a chain of greedy maximal pieces grows until
 an image meets an exit set, and is then backtracked through the smallest
-usable index into a genuine chain.  That index is bisected: the running
-unions of the opened sets only grow along the chain, so the first union
-a preimage meets has the index of the first opened set it meets.  The
+usable index, which ``_backtrack`` bisects, into a genuine chain.  The
 two searches differ only in their step, their exit and their *link*,
 which turns a chain image into the sources it opens for the next step:
 theta^-1 for an extension of the piece theta, the identity for a better
-path.  A step is offered only the *live* sources: the opened sets less
-the *dead* ones, which an earlier step was offered and did not take.  A
-step's forbidden set only grows along a chain and takes in each image,
-so every map still sends a dead source into it, and dropping the dead
-sources changes no piece; the bound checks still read the whole opened
-set.  One loop, ``_harvest``, collects both maximal disjoint families;
+path.  A step is offered only the *live* sources, the opened sets less
+those an earlier step was offered and did not take (``_chain_search``).
+One loop, ``_harvest``, collects both maximal disjoint families;
 the growth loop below applies families of depth-bounded extensions until
 the piece covers all but an arbitrarily small part of the space.  Every
 inequality is checked exactly.
@@ -32,17 +27,20 @@ inequality is checked exactly.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .dse import DSE
 from .errors import (AlreadyFull, InvalidExtension, PreconditionViolated,
                      check)
-from .intervals import EMPTY, FULL, IntervalSet, _sizes, positive_rat
-from .maps import EMPTY_MAP, PartialMap, glue
+from .intervals import (EMPTY, FULL, IntervalSet, _align, _HI, _LO, _minus,
+                        _sizes, positive_rat)
+from .maps import (EMPTY_MAP, Atom, PartialMap, _inverse_key, _move, _SHI,
+                   _SLO, glue)
 
 _FAMILY_CAP = 100_000
 
@@ -76,27 +74,56 @@ class Chain:
 
 def greedy_maximal_map(maps: Sequence[PartialMap], allowed: IntervalSet,
                        forbidden: IntervalSet) -> PartialMap:
-    """One greedy pass over the maps in list order.
+    """One greedy pass over the maps in list order, read once.
 
     Each step absorbs the whole currently-available source set of the map
     whose image stays clear of the forbidden set and of what was already
     taken.  Domains and images only grow, so a single pass leaves no
-    zero-depth enlargement.  A step works on sets first: ``good``, the
-    map's image of the untaken allowed sources ``left`` less the taken and
-    forbidden images, is read off one walk of the map (``_image_outside``),
-    and the part taken is the map on the preimage of ``good`` (the map
-    itself when that is its whole domain).
-    """
-    left, img, parts = allowed, forbidden, []
+    zero-depth enlargement.  A step runs on grid integers: ``_cut``'s
+    source walk over the untaken sources ``left``, inlined, gives image
+    pieces, cut in one ``_minus`` walk against the window of the taken
+    image ``img`` they span; each part left goes back through its atom,
+    and only atoms taken are built.  A map's atoms have disjoint images."""
+    d = lcm(allowed._d, forbidden._d)
+    left, img, taken = allowed._lift(d), forbidden._lift(d), []
     for pm in maps:
-        good = pm._image_outside(left, img)
-        if good.is_empty():
+        if not left._iv:
+            break
+        if pm._d != d:
+            pm, left = _align(pm, left)
+            d, img = left._d, img._lift(left._d)
+            taken = [a._lift(d) for a in taken]
+        atoms, iv = pm.atoms, left._iv
+        i = bisect_right(atoms, iv[0][0], key=_SHI)
+        n = bisect_left(atoms, iv[-1][1], key=_SLO)
+        j = bisect_right(iv, atoms[i]._lo, key=_HI) if i < n else 0
+        pieces = []
+        while i < n and j < len(iv):
+            a, (blo, bhi) = atoms[i], iv[j]
+            alo, ahi = a._lo, a._hi
+            lo, hi = alo if alo > blo else blo, ahi if ahi < bhi else bhi
+            if lo < hi:
+                pieces.append((*_move(a.slope, a._off, lo, hi), a))
+            if ahi < bhi:
+                i += 1
+            else:
+                j += 1
+        if not pieces:
             continue
-        src = pm.preimage_of(good)
-        parts.append(pm if src == pm.domain else pm.restrict(src))
-        left = left.subtract(src)
-        img = img.union(good)
-    return glue(parts)
+        pieces.sort()
+        tv, sources = img._iv, []
+        free = _minus([p[:2] for p in pieces],
+                      tv[bisect_right(tv, pieces[0][0], key=_HI):
+                         bisect_left(tv, pieces[-1][1], key=_LO)])
+        for lo, hi in free:
+            a = pieces[bisect_left(pieces, hi, key=_HI)][2]
+            sources.append(s := _move(*_inverse_key(a.slope, a._off), lo, hi))
+            taken.append(a if s == (a._lo, a._hi)
+                         else Atom._new(*s, a.slope, a._off, d))
+        if free:
+            left = left.subtract(IntervalSet._merge_pairs(sources, d))
+            img = img.union(IntervalSet._merge_pairs(free, d))
+    return PartialMap._new(taken, d) if taken else EMPTY_MAP
 
 
 def lemma_piece(d: DSE, a: IntervalSet, b: IntervalSet,
@@ -251,14 +278,18 @@ def _harvest(find, occupy, occupied, kind: str) -> list[Chain]:
 
 
 def validate_extension(d: DSE, theta: PartialMap, *family: Chain) -> None:
-    """Check that theta is a piece of d (else ValueError, before any chain
-    is read), every extension invariant of each chain against it, and that
-    the family's sources, and its final targets, are pairwise disjoint;
-    exact.  A chain reads and changes the piece only on its own sets, so a
-    chain of a disjoint family is valid against the piece as given exactly
-    when it is valid against the piece the chains before it leave."""
+    """ValueError unless theta is a piece of d, then ``_check_chains``."""
     if not d.matrix.contains_graph(theta):
         raise ValueError("graph of the map leaves the support of the host")
+    _check_chains(d, theta, family)
+
+
+def _check_chains(d: DSE, theta: PartialMap, family: Sequence[Chain]) -> None:
+    """Every extension invariant of each chain against the piece theta, each
+    chain piece in d's support, and the family's sources and final targets
+    pairwise disjoint; exact.  A chain reads and changes the piece only on
+    its own sets, so checking it against theta as given is checking it
+    against the piece the chains before it leave."""
     a_set, b_set = theta.domain, theta.image
     for ext in family:
         if not ext.pieces or ext.gain() == 0:
@@ -286,11 +317,16 @@ def validate_extension(d: DSE, theta: PartialMap, *family: Chain) -> None:
 
 def apply_extension(d: DSE, theta: PartialMap, *family: Chain) -> PartialMap:
     """Reroute the piece theta of d along a family of extensions; the domain
-    gains each S_0.  Each chain changes the piece only on its own sets, and
-    the family's are disjoint, so one glue builds the piece that applying
-    the chains one at a time would; it is a piece of d, since theta and
-    every chain piece are."""
-    validate_extension(d, theta, *family)
+    gains each S_0.  theta is checked first (``validate_extension``)."""
+    validate_extension(d, theta)
+    return _extended(d, theta, family)
+
+
+def _extended(d: DSE, theta: PartialMap, family: Sequence[Chain]) -> PartialMap:
+    """theta rerouted along the family, once ``_check_chains`` passes.  The
+    chains' sets are disjoint, so one glue builds the piece that applying
+    them one at a time would; it is a piece, as theta and each chain are."""
+    _check_chains(d, theta, family)
     rerouted = IntervalSet.union_all(s for e in family for s in e.sources[1:])
     base = theta.restrict(theta.domain.subtract(rerouted))
     return glue([base, *(pm for e in family for pm in e.pieces)])
@@ -299,13 +335,15 @@ def apply_extension(d: DSE, theta: PartialMap, *family: Chain) -> PartialMap:
 def enlarge_piece(d: DSE, theta: PartialMap) -> PartialMap:
     """Grow the piece theta by a maximal family of depth-bounded extensions.
 
-    The growth is at least (gap / (7n + gap))^2 where gap is the measure
-    of the domain complement; the inequality is checked exactly.
+    theta's support is checked before any chain is searched.  The growth
+    is at least (gap / (7n + gap))^2 where gap is the measure of the
+    domain complement; the inequality is checked exactly.
     """
     size = theta.domain.measure()
     gap = FULL.measure() - size
     if gap == 0:
         raise AlreadyFull("piece already covers the whole space")
+    validate_extension(d, theta)
     n = d.multiplicity
     depth_cap = int(Fraction(7 * n) / gap)
     family = _harvest(
@@ -313,7 +351,7 @@ def enlarge_piece(d: DSE, theta: PartialMap) -> PartialMap:
         lambda occ, ext: (occ[0].union(IntervalSet.union_all(ext.sources)),
                           occ[1].union(IntervalSet.union_all(ext.targets))),
         (EMPTY, EMPTY), "extension")
-    grown = apply_extension(d, theta, *family)
+    grown = _extended(d, theta, family)
     bound = (gap / (7 * n + gap)) ** 2
     check(grown.domain.measure() >= size + bound,
           f"growth bound violated: {grown.domain.measure()} < "

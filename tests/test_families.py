@@ -1,10 +1,11 @@
 """The family step of both growth lemmas against the fold it replaced.
 
 ``enlarge_piece`` and ``improve_division`` hand the maximal disjoint family
-that ``_harvest`` returns to ``apply_extension`` or ``apply_better_path``
-in one call.  ``tests/oracles.py`` keeps the fold: each chain validated
-against the piece or division the chains before it left, and a whole new
-one built for it.  On every family the growth loops apply, both must give
+that ``_harvest`` returns to ``pieces._extended`` (the step behind
+``apply_extension``) or ``apply_better_path`` in one call.
+``tests/oracles.py`` keeps the fold: each chain validated against the
+piece or division the chains before it left, and a whole new one built
+for it.  On every family the growth loops apply, both must give
 the same piece atom for atom, and the same oriented multiset.
 """
 
@@ -29,11 +30,11 @@ def fold_checked(monkeypatch) -> list:
     """Make every family step also run the fold on the same family, and
     assert equal results; returns each family's size, extensions and
     paths alike."""
-    extend, reverse = pieces.apply_extension, division.apply_better_path
+    extend, reverse = pieces._extended, division.apply_better_path
     sizes = []
 
-    def extensions(d, theta, *family):
-        got = extend(d, theta, *family)
+    def extensions(d, theta, family):
+        got = extend(d, theta, family)
         want = reference_apply_extensions(d, theta, family)
         assert got.atoms == want.atoms
         assert (got.domain, got.image) == (want.domain, want.image)
@@ -49,7 +50,7 @@ def fold_checked(monkeypatch) -> list:
         sizes.append(len(family))
         return got
 
-    monkeypatch.setattr(pieces, "apply_extension", extensions)
+    monkeypatch.setattr(pieces, "_extended", extensions)
     monkeypatch.setattr(division, "apply_better_path", paths)
     return sizes
 

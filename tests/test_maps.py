@@ -1,18 +1,17 @@
 from fractions import Fraction as F
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit import (Atom, IntervalSet, PartialMap, compose, glue, identity_map,
-                    monotone_pairing)
+from dsekit import (Atom, IntervalSet, PartialMap, compose, glue,
+                    greedy_maximal_map, identity_map, monotone_pairing)
 from dsekit.errors import OverlapError
 from dsekit.gallery import counterexample, forest_example
 
-from oracles import (reference_compose, reference_image_of,
-                     reference_partial_map, reference_preimage_of,
-                     reference_restrict)
+from oracles import (reference_compose, reference_greedy_maximal_map,
+                     reference_image_of, reference_partial_map,
+                     reference_preimage_of, reference_restrict)
 
 iv = IntervalSet.interval
 
@@ -259,7 +258,7 @@ def test_image_index_leaves_equality_and_hash(m, s):
     assert hash(m) == before == hash(twin)
 
 
-# -- the greedy step's image kernel against image_of and subtract -------------
+# -- the greedy kernel against the restrict route -----------------------------
 
 
 @st.composite
@@ -281,18 +280,17 @@ def set_kinds(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(partial_maps(), cell_maps()), set_kinds(), set_kinds(),
-       st.booleans())
-def test_image_outside_is_the_image_less_t(m, s, t, one_grid):
-    """Same pairs and same grid as ``image_of(s).subtract(t)``; on one grid
-    the sorted image pieces are cut in one walk, on two the plain route
-    runs."""
-    if one_grid:
-        d = lcm(m._d, s._d, t._d)
-        m, s, t = m._lift(d), s._lift(d), t._lift(d)
-    got, want = m._image_outside(s, t), m.image_of(s).subtract(t)
-    assert (got._iv, got._d) == (want._iv, want._d)
-    assert got == reference_image_of(m, s).subtract(t)
+@given(st.lists(st.one_of(partial_maps(), cell_maps()), min_size=1,
+                max_size=4), set_kinds(), set_kinds())
+def test_greedy_kernel_matches_the_restrict_route(maps, allowed, forbidden):
+    """One to four multi-atom maps with reflections, on non-dyadic grids or
+    on 1/8 cells, against sets on grids of 4 to 60 cells: the kernel's
+    piece is the one the restrict route of the reference takes, with the
+    same domain and image, and a one-shot iterator of the maps suffices."""
+    got = greedy_maximal_map(iter(maps), allowed, forbidden)
+    want = reference_greedy_maximal_map(maps, allowed, forbidden)
+    assert got == want
+    assert (got.domain, got.image) == (want.domain, want.image)
 
 
 # -- the one-pass constructor against the two-merge route ---------------------

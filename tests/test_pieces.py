@@ -90,12 +90,17 @@ def test_a_map_outside_the_host_is_refused_before_any_chain(
         ce2, monkeypatch):
     """No map of ce(2) translates [0,1/2) by +1/4.  Applying no extension,
     a genuine one of the greedy piece, or a grown family to that map raises
-    the support error, and no chain invariant is read first."""
+    the support error, and no chain invariant is read first; growing it
+    searches no chain."""
     theta = shift(0, F(1, 2), F(1, 4))
     ext = find_extension(ce2, greedy_maximal_map(ce2.maps, FULL, EMPTY), 2)
     assert ext is not None
     monkeypatch.setattr(Chain, "gain", lambda self: pytest.fail(
         "a chain was read before the support check"))
+    searches = []
+    find = pieces.find_extension
+    monkeypatch.setattr(pieces, "find_extension",
+                        lambda *args: searches.append(args) or find(*args))
     for run in (lambda: apply_extension(ce2, theta),
                 lambda: apply_extension(ce2, theta, ext),
                 lambda: enlarge_piece(ce2, theta)):
@@ -103,25 +108,30 @@ def test_a_map_outside_the_host_is_refused_before_any_chain(
             run()
         assert str(exc.value) == (
             "graph of the map leaves the support of the host")
+    assert searches == []
 
 
 def test_support_checks_run_only_where_a_map_can_enter(monkeypatch):
     """Every piece the library builds restricts the host's own maps, so
     over whole decompositions the support is checked only by
-    validate_extension: on the piece a caller hands in and on each chain
-    piece."""
-    callers = []
-    contains_graph = GraphMultiset.contains_graph
+    validate_extension, on the piece a caller hands in, once in each
+    growth round, and by the chain checks it shares with enlarge_piece,
+    on each chain piece."""
+    callers, rounds = [], []
+    contains_graph, enlarge = GraphMultiset.contains_graph, pieces.enlarge_piece
 
     def recorded(self, m):
         callers.append(sys._getframe(1).f_code.co_name)
         return contains_graph(self, m)
 
     monkeypatch.setattr(GraphMultiset, "contains_graph", recorded)
+    monkeypatch.setattr(pieces, "enlarge_piece",
+                        lambda *args: rounds.append(args) or enlarge(*args))
     for k in (4, 6, 8):
         almost_decompose(counterexample(k), F(1, 16))
-    assert callers
-    assert set(callers) == {"validate_extension"}
+    assert callers and rounds
+    assert set(callers) == {"validate_extension", "_check_chains"}
+    assert callers.count("validate_extension") == len(rounds)
 
 
 def test_find_extension_full_piece_returns_none():
