@@ -24,14 +24,20 @@ on the window where the two operands can interact.  Both operands are cut
 to that window by bisection on their sorted endpoints, and the intervals
 of the result that lie wholly before or after the window are copied as
 tuple slices.  On the window, ``union`` merges the concatenated pairs
-(``IntervalSet._merge_pairs``), ``intersect`` and ``_clip`` walk both pair
-lists with two pointers (``_meet``) and ``subtract`` does the same for the
-difference (``_minus``).  The copied parts are separated from the window
-by gaps, so the result is canonical by construction.  An operation with a
-single interval against a set of k intervals therefore costs O(log k)
-comparisons plus the intervals it actually touches.  The weighted cut
-sweep ``sweep`` is reserved for step functions and for the multiset
-families whose cells can meet (see ``multiset``).
+(``_merged``, the one merge loop, also behind ``IntervalSet._merge_pairs``),
+``intersect`` and ``_clip`` walk both pair lists with two pointers
+(``_meet``) and ``subtract`` does the same for the difference (``_minus``).
+The copied parts are separated from the window by gaps, so the result is
+canonical by construction.  An operation with a single interval against a
+set of k intervals therefore costs O(log k) comparisons plus the intervals
+it actually touches.  The greedy step of ``pieces`` keeps its two working
+sets as pair lists and splices the same walks into them in place: it
+replaces the window of its blocked image by ``_merged`` of it and the parts
+it takes, and the window of its untaken sources by ``_minus`` of the
+sources taken; an image piece inside one blocked interval costs it one
+bisection and no walk.  The weighted cut sweep ``sweep`` is reserved for
+step functions and for the multiset families whose cells can meet (see
+``multiset``).
 """
 
 from __future__ import annotations
@@ -170,19 +176,8 @@ class IntervalSet(_Grid):
 
     @classmethod
     def _merge_pairs(cls, pairs: Iterable, d: int) -> "IntervalSet":
-        """Canonicalize (lo, hi) grid tuples over d: sort, skip empty ones and
-        merge, in one pass."""
-        out: list[tuple[int, int]] = []
-        for p in sorted(pairs):
-            lo, hi = p
-            if lo >= hi:
-                continue
-            if out and lo <= out[-1][1]:
-                if hi > out[-1][1]:
-                    out[-1] = (out[-1][0], hi)
-            else:
-                out.append(p)
-        return cls._new(tuple(out), d)
+        """The set of the (lo, hi) grid tuples over d (``_merged``)."""
+        return cls._new(tuple(_merged(pairs)), d)
 
     def _scaled(self, f: int, d: int) -> "IntervalSet":
         return self._new(tuple((lo * f, hi * f) for lo, hi in self._iv), d)
@@ -237,7 +232,7 @@ class IntervalSet(_Grid):
         a1 = bisect_right(a, b[-1][1], key=_LO)
         b0 = bisect_left(b, a[0][0], key=_HI)
         b1 = bisect_right(b, a[-1][1], key=_LO)
-        mid = self._merge_pairs(a[a0:a1] + b[b0:b1], x._d)._iv
+        mid = tuple(_merged(a[a0:a1] + b[b0:b1]))
         return self._new(a[:a0] + b[:b0] + mid + a[a1:] + b[b1:], x._d)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
@@ -286,6 +281,22 @@ class IntervalSet(_Grid):
 
 _LO = itemgetter(0)
 _HI = itemgetter(1)
+
+
+def _merged(pairs: Iterable) -> list:
+    """Canonicalize (lo, hi) grid tuples: sort, skip empty ones and merge,
+    in one pass."""
+    out: list[tuple[int, int]] = []
+    for p in sorted(pairs):
+        lo, hi = p
+        if lo >= hi:
+            continue
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append(p)
+    return out
 
 
 def _meet(a, b) -> list:

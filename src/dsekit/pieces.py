@@ -37,7 +37,7 @@ from typing import Sequence
 from .dse import DSE
 from .errors import (AlreadyFull, InvalidExtension, PreconditionViolated,
                      check)
-from .intervals import (EMPTY, FULL, IntervalSet, _align, _HI, _LO, _minus,
+from .intervals import (EMPTY, FULL, IntervalSet, _HI, _LO, _merged, _minus,
                         _sizes, positive_rat)
 from .maps import (EMPTY_MAP, Atom, PartialMap, _inverse_key, _move, _SHI,
                    _SLO, glue)
@@ -79,31 +79,43 @@ def greedy_maximal_map(maps: Sequence[PartialMap], allowed: IntervalSet,
     Each step absorbs the whole currently-available source set of the map
     whose image stays clear of the forbidden set and of what was already
     taken.  Domains and images only grow, so a single pass leaves no
-    zero-depth enlargement.  A step runs on grid integers: ``_cut``'s
-    source walk over the untaken sources ``left``, inlined, gives image
-    pieces, cut in one ``_minus`` walk against the window of the taken
-    image ``img`` they span; each part left goes back through its atom,
-    and only atoms taken are built.  A map's atoms have disjoint images."""
+    zero-depth enlargement.  A step runs on grid integers, with the untaken
+    sources ``left`` and the blocked image ``img`` (forbidden or taken) as
+    canonical pair lists: ``_cut``'s source walk over ``left``, inlined,
+    gives image pieces, and a piece inside one interval of ``img`` is
+    dropped there by one bisection.  The rest are cut in one ``_minus`` walk
+    against the window of ``img`` they span; each part left goes back
+    through its atom, and only atoms taken are built.  A taking step
+    splices its free parts into that window of ``img`` and cuts its sources
+    out of the window of ``left`` they span.  A map's atoms have disjoint
+    images."""
     d = lcm(allowed._d, forbidden._d)
-    left, img, taken = allowed._lift(d), forbidden._lift(d), []
+    left, img = list(allowed._lift(d)._iv), list(forbidden._lift(d)._iv)
+    taken = []
     for pm in maps:
-        if not left._iv:
+        if not left:
             break
         if pm._d != d:
-            pm, left = _align(pm, left)
-            d, img = left._d, img._lift(left._d)
-            taken = [a._lift(d) for a in taken]
-        atoms, iv = pm.atoms, left._iv
-        i = bisect_right(atoms, iv[0][0], key=_SHI)
-        n = bisect_left(atoms, iv[-1][1], key=_SLO)
-        j = bisect_right(iv, atoms[i]._lo, key=_HI) if i < n else 0
+            e = lcm(pm._d, d)
+            pm, f, d = pm._lift(e), e // d, e
+            if f > 1:
+                left, img = ([(lo * f, hi * f) for lo, hi in s]
+                             for s in (left, img))
+                taken = [a._lift(d) for a in taken]
+        atoms = pm.atoms
+        i = bisect_right(atoms, left[0][0], key=_SHI)
+        n = bisect_left(atoms, left[-1][1], key=_SLO)
+        j = bisect_right(left, atoms[i]._lo, key=_HI) if i < n else 0
         pieces = []
-        while i < n and j < len(iv):
-            a, (blo, bhi) = atoms[i], iv[j]
+        while i < n and j < len(left):
+            a, (blo, bhi) = atoms[i], left[j]
             alo, ahi = a._lo, a._hi
             lo, hi = alo if alo > blo else blo, ahi if ahi < bhi else bhi
             if lo < hi:
-                pieces.append((*_move(a.slope, a._off, lo, hi), a))
+                lo, hi = _move(a.slope, a._off, lo, hi)
+                t = bisect_right(img, lo, key=_HI)
+                if t == len(img) or img[t][0] > lo or img[t][1] < hi:
+                    pieces.append((lo, hi, a))
             if ahi < bhi:
                 i += 1
             else:
@@ -111,18 +123,22 @@ def greedy_maximal_map(maps: Sequence[PartialMap], allowed: IntervalSet,
         if not pieces:
             continue
         pieces.sort()
-        tv, sources = img._iv, []
-        free = _minus([p[:2] for p in pieces],
-                      tv[bisect_right(tv, pieces[0][0], key=_HI):
-                         bisect_left(tv, pieces[-1][1], key=_LO)])
+        i = bisect_left(img, pieces[0][0], key=_HI)
+        k = bisect_right(img, pieces[-1][1], key=_LO)
+        free = _minus([p[:2] for p in pieces], img[i:k])
+        if not free:
+            continue
+        img[i:k] = _merged(img[i:k] + free)
+        sources = []
         for lo, hi in free:
             a = pieces[bisect_left(pieces, hi, key=_HI)][2]
             sources.append(s := _move(*_inverse_key(a.slope, a._off), lo, hi))
             taken.append(a if s == (a._lo, a._hi)
                          else Atom._new(*s, a.slope, a._off, d))
-        if free:
-            left = left.subtract(IntervalSet._merge_pairs(sources, d))
-            img = img.union(IntervalSet._merge_pairs(free, d))
+        sources.sort()
+        i = bisect_right(left, sources[0][0], key=_HI)
+        k = bisect_left(left, sources[-1][1], key=_LO)
+        left[i:k] = _minus(left[i:k], sources)
     return PartialMap._new(taken, d) if taken else EMPTY_MAP
 
 

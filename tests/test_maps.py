@@ -279,14 +279,56 @@ def set_kinds(draw):
                        for k, on in enumerate(bits) if on)
 
 
+@st.composite
+def endpoint_sets(draw, maps):
+    """A ``set_kinds`` set plus up to four intervals cut at the maps' own
+    source and image endpoints: an atom's source or image exactly, its
+    middle half, a stretch ending where it starts or starting where it
+    ends, or a span from the middle of one to the middle of another.
+    Images then lie on, inside, across or next to the intervals, and taken
+    sources split an interval at either end or in the middle.  Each
+    interval reads one atom, so later maps are often on other grids."""
+    spans = [span for m in maps for a in m.atoms
+             for span in ((a.lo, a.hi), (a.image_lo, a.image_hi))]
+    pairs = list(draw(set_kinds()).pairs)
+    for _ in range(draw(st.integers(0, 4)) if spans else 0):
+        lo, hi = draw(st.sampled_from(spans))
+        q = (hi - lo) / 4
+        kind = draw(st.sampled_from(["on", "inside", "before", "after",
+                                     "across"]))
+        if kind == "on":
+            pairs.append((lo, hi))
+        elif kind == "inside":
+            pairs.append((lo + q, hi - q))
+        elif kind == "before":
+            pairs.append((lo - min(lo, q), lo))
+        elif kind == "after":
+            pairs.append((hi, hi + min(1 - hi, q)))
+        else:
+            other = sum(draw(st.sampled_from(spans))) / 2
+            pairs.append(tuple(sorted(((lo + hi) / 2, other))))
+    return IntervalSet(pairs)
+
+
+@st.composite
+def greedy_cases(draw):
+    """One to four maps, then ``allowed`` and ``forbidden``, each a
+    ``set_kinds`` set or an ``endpoint_sets`` set of those maps."""
+    maps = draw(st.lists(st.one_of(partial_maps(), cell_maps()), min_size=1,
+                         max_size=4))
+    sets = st.one_of(set_kinds(), endpoint_sets(maps))
+    return maps, draw(sets), draw(sets)
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.one_of(partial_maps(), cell_maps()), min_size=1,
-                max_size=4), set_kinds(), set_kinds())
-def test_greedy_kernel_matches_the_restrict_route(maps, allowed, forbidden):
+@given(greedy_cases())
+def test_greedy_kernel_matches_the_restrict_route(case):
     """One to four multi-atom maps with reflections, on non-dyadic grids or
-    on 1/8 cells, against sets on grids of 4 to 60 cells: the kernel's
-    piece is the one the restrict route of the reference takes, with the
-    same domain and image, and a one-shot iterator of the maps suffices."""
+    on 1/8 cells, against sets on grids of 4 to 60 cells or cut at the
+    maps' own endpoints: the kernel's piece is the one the restrict route
+    of the reference takes, with the same domain and image, and a one-shot
+    iterator of the maps suffices."""
+    maps, allowed, forbidden = case
     got = greedy_maximal_map(iter(maps), allowed, forbidden)
     want = reference_greedy_maximal_map(maps, allowed, forbidden)
     assert got == want

@@ -11,7 +11,7 @@ from dsekit import (DSE, EMPTY, FULL, Atom, EMPTY_MAP, GraphMultiset,
                     IntervalSet, PartialMap, almost_decompose,
                     apply_extension, enlarge_piece, find_extension,
                     identity_map, lemma_piece, near_full_piece, neighbor_set,
-                    symmetrize, validate)
+                    symmetric_split, symmetrize, validate)
 from dsekit.errors import AlreadyFull, InvalidExtension, PreconditionViolated
 from dsekit import pieces
 from dsekit.gallery import amplification, counterexample, forest_example
@@ -157,6 +157,33 @@ def test_find_extension_counterexample_needs_depth(ce2):
     assert ext.length >= 2  # the greedy piece is maximal, no 0-depth move
     validate_extension(ce2, theta, ext)
 
+
+def test_the_greedy_step_cuts_no_piece_one_blocked_interval_holds(
+        monkeypatch):
+    """Over the split of sym(ce(6)) at 1/16, the greedy kernel hands
+    ``_minus`` 181 image pieces in 139 cuts, and none lies inside one
+    interval of the blocked window it is cut against: the walk drops those.
+    A visit cuts its image pieces first and then, when a part is free,
+    cuts its taken sources out of ``left``; that second cut is skipped
+    here."""
+    minus, cuts, handed, inside = pieces._minus, 0, 0, []
+    took = False
+
+    def watched(a, b):
+        nonlocal cuts, handed, took
+        out = minus(a, b)
+        if took:
+            took = False
+            return out
+        cuts, handed, took = cuts + 1, handed + len(a), bool(out)
+        inside.extend(p for p in a
+                      if any(lo <= p[0] and p[1] <= hi for lo, hi in b))
+        return out
+
+    monkeypatch.setattr(pieces, "_minus", watched)
+    symmetric_split(symmetrize(counterexample(6)), F(1, 16))
+    assert inside == []
+    assert (cuts, handed) == (139, 181)
 
 
 def test_find_extension_caches_piece_preimages(monkeypatch):
