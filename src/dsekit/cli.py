@@ -116,7 +116,7 @@ def _cmd_artifact(args, started: float) -> tuple[str, int]:
     eps = ser.parse_eps(args.eps)
 
     def emit(payload: dict):
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(args.out).write_text(ser.artifact_text(payload))
         return _read_json(args.out)
 
     bounds, result = args.artifact(d, eps, emit)

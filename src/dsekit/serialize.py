@@ -9,24 +9,36 @@ digits with an optional minus sign and spaces around them; spaces are the
 only whitespace, and a line of spaces alone is skipped.  The readers take
 exactly these shapes: an integer must be a JSON integer (not a float or a
 bool), and a value of another kind or length raises ValueError (a zero
-denominator, ZeroDivisionError).  Each rational is read to integers
-(p, q), with no ``Fraction`` (only ``parse_eps`` returns one), and each
-distinct "p/q" string once per value read: an element of coverage n
-repeats every cut point in about 2n atom fields.  JSON integers and other
-kinds are read at every occurrence, in the order lo, hi, slope, offset of
-each atom, so a malformed value meets the same first error.  Every atom
-and map of a value is built once, on the lcm of its denominators.  The
-writers read each "p/q" off the value's grid numerators, with one gcd.
+denominator, ZeroDivisionError).  An atom list is read in two passes.  The
+first checks the shape of each atom object and collects its values in the
+order lo, hi, slope, offset; between the passes the distinct "p/q" strings
+are parsed in one batch, in first-occurrence order (an element of coverage
+n repeats every cut point in about 2n atom fields), to integers (p, q) and
+no ``Fraction`` (only ``parse_eps`` returns one); the second pass builds
+every atom and map once, on the lcm of all the denominators.  When a check
+fails, ``_ratio`` reads the values in order, so a malformed value meets the
+same first error, with the same message, as when each value is parsed
+where it occurs.  The writers read each "p/q" off the value's grid
+numerators, with one gcd.  An artifact file is written by
+``artifact_text``, in the bytes of ``json.dumps(payload, indent=2)``, which
+runs its pure-Python encoder when it indents; each atom object is filled
+into one template instead.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from fractions import Fraction
+from itertools import islice, repeat, starmap
+from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
+from operator import floordiv, mul
 
 from .bvn import Rows, _check_square
 from .dse import CoverageReport, DSE
-from .intervals import _expect, _grid_str, _ratio, positive_rat, rat_str
+from .intervals import (_RATIONAL, _expect, _grid_str, _ratio, positive_rat,
+                        rat_str)
 from .maps import Atom, PartialMap
 from .multiset import GraphMultiset
 
@@ -34,6 +46,14 @@ from .multiset import GraphMultiset
 # nonzero digits
 _CSV_CHARS = str.maketrans(dict.fromkeys("0123456789 -,"))
 _CSV_MARKS = str.maketrans(dict.fromkeys("123456789", "x"))
+
+# "p/q" strings joined by newlines, each of the one syntax of _RATIONAL
+_RATIONALS = re.compile("(?:{0}\n)*{0}".format(_RATIONAL.pattern.strip("^$")))
+
+# the keys, in order, of the atom objects that artifact_text fills into its
+# template: an atom, and a multiset entry
+_ATOM_KEYS = ("src", "slope", "offset")
+_ENTRY_KEYS = (*_ATOM_KEYS, "multiplicity")
 
 
 def parse_eps(text: str) -> Fraction:
@@ -47,34 +67,77 @@ def _atom_json(lo: int, hi: int, slope: int, offset: int, d: int) -> dict:
             "offset": _grid_str(offset, d)}
 
 
-def _read_atom(data, ratio) -> tuple:
-    """An atom object as its ratios (lo, hi, offset) and its slope, read
-    in the order lo, hi, slope, offset; ``ratio`` reads each value."""
-    lo, hi = _expect(_expect(data, dict)["src"], list)
-    lo, hi, slope = ratio(lo), ratio(hi), _expect(data["slope"], int)
-    return lo, hi, ratio(data["offset"]), slope
+def _rationals(strings: list[str]) -> list[int]:
+    """The "p/q" strings as one flat list p0, q0, p1, q1, ... of integers,
+    parsed in one batch: one match of the strings joined by newlines, one
+    ``int`` map and one scan for a zero denominator.  If any of them fails,
+    ``_ratio`` reads the strings in order, so the first bad one raises as it
+    does on its own."""
+    text = "\n".join(strings)
+    # a newline inside a string would match as a second string
+    if text.count("\n") == len(strings) - 1 and _RATIONALS.fullmatch(text):
+        try:
+            nums = list(map(int, text.replace("\n", "/").split("/")))
+        except ValueError:  # a numeral past int's digit limit
+            pass
+        else:
+            if 0 not in nums[1::2]:
+                return nums
+    return [x for s in strings for x in _ratio(s)]
+
+
+def _grid_values(values: list) -> tuple[int, dict]:
+    """The lcm d of the denominators of JSON values, "p/q" strings and
+    integers, and each distinct value's numerator over d.  The distinct
+    strings go to ``_rationals`` in first-occurrence order; a value of any
+    other kind sends every value through ``_ratio`` in order, so the first
+    bad one raises as it does on its own."""
+    if set(map(type, values)) <= {str, int}:
+        keys = list(dict.fromkeys(values))
+        strings = [v for v in keys if type(v) is str]
+        nums = _rationals(strings)
+        ps, qs = nums[::2], nums[1::2]
+        if len(strings) < len(keys):  # JSON integers, of denominator 1
+            ints = [v for v in keys if type(v) is int]
+            keys, ps, qs = strings + ints, ps + ints, qs + [1] * len(ints)
+    else:
+        keys, (ps, qs) = values, zip(*map(_ratio, values))
+    d = lcm(*set(qs))
+    return d, dict(zip(keys, map(mul, ps, map(floordiv, repeat(d), qs))))
 
 
 def _atom_lists(lists: list) -> list[tuple[list[Atom], int]]:
     """JSON atom lists as (atoms, d): every atom is built once, on the lcm
-    d of all the denominators of all the lists.  Each distinct "p/q"
-    string is parsed once; any other value is read each time it occurs."""
-    seen: dict[str, tuple[int, int]] = {}
-
-    def ratio(value) -> tuple[int, int]:
-        # keyed by str only: a memo keyed by any value would take true as 1
-        if not isinstance(value, str):
-            return _ratio(value)
-        r = seen.get(value)
-        if r is None:
-            r = seen[value] = _ratio(value)
-        return r
-
-    rows = [[_read_atom(a, ratio) for a in _expect(m, list)] for m in lists]
-    # every value not in seen is a JSON integer, of denominator 1
-    d = lcm(*(q for _, q in seen.values()))
-    return [([Atom._new(lo * (d // q), hi * (d // r), slope, off * (d // t), d)
-              for (lo, q), (hi, r), (off, t), slope in m], d) for m in rows]
+    d of all the denominators of all the lists.  The first pass checks the
+    shape of each atom object and collects its lo, hi and offset in
+    reading order; ``_grid_values`` then reads them all.  A fault in the
+    first pass raises only after the values read before it are checked."""
+    values, slopes, sizes = [], [], []
+    try:
+        for m in lists:
+            if type(m) is not list:
+                _expect(m, list)
+            sizes.append(len(m))
+            for a in m:
+                if type(a) is not dict:
+                    _expect(a, dict)
+                src = a["src"]
+                if type(src) is not list:
+                    _expect(src, list)
+                lo, hi = src  # a src of another length raises here
+                values += src
+                slope = a["slope"]
+                if type(slope) is not int:
+                    _expect(slope, int)
+                slopes.append(slope)
+                values.append(a["offset"])
+    except (ValueError, KeyError):
+        _grid_values(values)
+        raise
+    d, grid = _grid_values(values)
+    nums = map(grid.__getitem__, values)
+    fields = zip(nums, nums, slopes, nums, repeat(d))
+    return [(list(starmap(Atom._new, islice(fields, k))), d) for k in sizes]
 
 
 def map_to_json(m: PartialMap) -> list:
@@ -104,6 +167,62 @@ def multiset_from_json(data) -> GraphMultiset:
     ((atoms, _),) = _atom_lists([entries])
     return GraphMultiset(zip(atoms, (_expect(e["multiplicity"], int)
                                      for e in entries)))
+
+
+def _atom_text(a: dict, pad: str) -> str | None:
+    """The json.dumps(indent=2) text of an atom object whose line starts at
+    pad, filled into one template, or None if it has another shape."""
+    keys = tuple(a)
+    if keys != _ATOM_KEYS and keys != _ENTRY_KEYS:
+        return None
+    src, slope, off = a["src"], a["slope"], a["offset"]
+    mult = a.get("multiplicity", 0)
+    if not (type(src) is list and len(src) == 2 and type(src[0]) is str
+            and type(src[1]) is str and type(slope) is int
+            and type(off) is str and type(mult) is int):
+        return None
+    tail = f',{pad}  "multiplicity": {mult}' if len(keys) == 4 else ""
+    return (f'{{{pad}  "src": [{pad}    {_quote(src[0])},{pad}    '
+            f'{_quote(src[1])}{pad}  ],{pad}  "slope": {slope},{pad}  '
+            f'"offset": {_quote(off)}{tail}{pad}}}')
+
+
+def _render(value, pad: str, out: list) -> None:
+    """Append to out the json.dumps(indent=2) text of value, whose line
+    starts at pad: dicts with str keys, lists, strings and ints here, any
+    other value, an empty list or dict included, by json.dumps itself."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(str(value))
+    elif kind is dict and value and (text := _atom_text(value, pad)):
+        out.append(text)
+    elif kind is dict and value and all(type(k) is str for k in value):
+        inner, sep = pad + "  ", "{"
+        for k, v in value.items():
+            out.append(f"{sep}{inner}{_quote(k)}: ")
+            _render(v, inner, out)
+            sep = ","
+        out.append(pad + "}")
+    elif kind is list and value:
+        inner, sep = pad + "  ", "["
+        for v in value:
+            out.append(sep + inner)
+            _render(v, inner, out)
+            sep = ","
+        out.append(pad + "]")
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", pad))
+
+
+def artifact_text(payload) -> str:
+    """``json.dumps(payload, indent=2) + "\n"``, the bytes of an artifact
+    file, with each atom object filled into one template."""
+    out: list[str] = []
+    _render(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def coverage_report_to_json(r: CoverageReport) -> dict:

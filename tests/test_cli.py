@@ -11,7 +11,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsekit import (Atom, DSE, PartialMap, discretize, distance,
@@ -19,11 +19,15 @@ from dsekit import (Atom, DSE, PartialMap, discretize, distance,
 from dsekit import cli
 from dsekit.cli import main
 from dsekit.gallery import amplification, counterexample
+from dsekit.intervals import rat_str
+from dsekit.multiset import GraphMultiset
 from dsekit import serialize as ser
 
 import golden
 from conftest import half_shift, random_cell_dse, shift
 from oracles import reference_atom_lists, reference_decompose_bvn
+from test_dse import element_pairs
+from test_multiset import multiset_pairs
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "dsekit" / "schemas"
 REPORT_SCHEMA = json.loads((SCHEMA_DIR / "report.schema.json").read_text())
@@ -277,17 +281,31 @@ def test_element_reader_builds_each_map_once(monkeypatch):
 
 
 def test_element_reader_parses_each_distinct_string_once(monkeypatch):
+    """The batch parse gets each distinct string once, in first-occurrence
+    order, and ``_ratio`` reads none; with one bad string, ``_ratio`` reads
+    the distinct strings in order up to it and no further."""
     data = ser.dse_to_json(counterexample(6))
     values = [v for m in data["maps"] for a in m for v in (*a["src"], a["offset"])]
-    parsed = []
-    ratio = ser._ratio
+    batches, parsed = [], []
+    rationals, ratio = ser._rationals, ser._ratio
+    monkeypatch.setattr(ser, "_rationals",
+                        lambda s: batches.append(list(s)) or rationals(s))
     monkeypatch.setattr(ser, "_ratio", lambda v: parsed.append(v) or ratio(v))
     d = ser.dse_from_json(data)
-    monkeypatch.undo()
     assert all(isinstance(v, str) for v in values)
     assert len(values) > len(set(values))
-    assert sorted(parsed) == sorted(set(values))
+    assert batches == [list(dict.fromkeys(values))]
+    assert parsed == []
     assert d == counterexample(6)
+
+    distinct = batches.pop()
+    data["maps"][1][0]["offset"] = "1/x"
+    with pytest.raises(ValueError, match="got '1/x'"):
+        ser.dse_from_json(data)
+    monkeypatch.undo()
+    assert "1/x" not in distinct and parsed[-1] == "1/x"
+    assert parsed[:-1] == distinct[:len(parsed) - 1]
+    assert 0 < len(parsed) - 1 < len(distinct)
 
 
 def _outcome(read, data):
@@ -312,11 +330,18 @@ def _reference_dse(data) -> list:
                       data["multiplicity"]))
 
 
-# repeated strings (one unreduced), JSON integers, values the readers
-# reject (true, 1.0, a float, a zero denominator, spaced, decimal and
-# plus-signed strings, null and a list), and slopes of each kind
-GOOD_VALUES = ("0/1", "1/4", "1/2", "2/4", "3/4", "1/1", "-1/4", "5/4", 0, 1)
-BAD_VALUES = (True, False, 1.0, 0.5, "1/0", " 1/2", "0.5", "+1/2", None, [])
+# repeated strings (one unreduced, one a signed zero, one with leading
+# zeros), JSON integers, values the readers reject (true, 1.0, a float, a
+# zero denominator, spaced, decimal and plus-signed strings, null and a
+# list), strings a batch parse of newline-joined strings could take (two
+# strings in one, an empty one, an underscore and Arabic-Indic digits,
+# which int reads, and a numeral past int's digit limit), and slopes of
+# each kind
+GOOD_VALUES = ("0/1", "1/4", "1/2", "2/4", "3/4", "1/1", "-1/4", "5/4", 0, 1,
+               "-0/1", "007/8")
+BAD_VALUES = (True, False, 1.0, 0.5, "1/0", " 1/2", "0.5", "+1/2", None, [],
+              "1/2\n3/4", "1/2\n", "", "/", "1/2/3", "1_0/2", "\u0661/\u0662",
+              "1" * 4301 + "/2")
 SLOPES = (1, -1, 1, -1, True, 1.0, "1/1", 2)
 
 
@@ -357,10 +382,25 @@ def valid_atom_lists(draw):
     return maps
 
 
+@st.composite
+def one_bad_value(draw):
+    """``valid_atom_lists`` with one lo, hi or offset a bad value."""
+    lists = draw(valid_atom_lists())
+    atom = draw(st.sampled_from([a for m in lists for a in m]))
+    at = draw(st.sampled_from((0, 1, None)))
+    if at is None:
+        atom["offset"] = draw(st.sampled_from(BAD_VALUES))
+    else:
+        atom["src"][at] = draw(st.sampled_from(BAD_VALUES))
+    return lists
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(valid_atom_lists(),
                  atom_lists(st.sampled_from(GOOD_VALUES)),
-                 atom_lists(st.sampled_from(GOOD_VALUES + BAD_VALUES))))
+                 atom_lists(st.sampled_from(GOOD_VALUES + BAD_VALUES)),
+                 one_bad_value()))
+@example([[{"src": ["0/1", "1/2\n3/4"], "slope": 1, "offset": "1/2"}]])
 def test_element_reader_matches_the_per_value_reference(lists):
     assert _outcome(ser._atom_lists, lists) == _outcome(reference_atom_lists,
                                                         lists)
@@ -381,6 +421,84 @@ def test_element_reader_reports_the_first_bad_value_in_reading_order():
         "ValueError", "expected a JSON int, got bool")
     assert _outcome(reference_atom_lists, lists) == _outcome(ser._atom_lists,
                                                              lists)
+    # a zero denominator read before a numeral int cannot convert
+    lists = [[{"src": ["0/1", "1/0"], "slope": 1, "offset": "1" * 4301 + "/2"}]]
+    assert _outcome(ser._atom_lists, lists) == (
+        "ZeroDivisionError", "zero denominator in '1/0'")
+    assert _outcome(reference_atom_lists, lists) == _outcome(ser._atom_lists,
+                                                             lists)
+
+
+@st.composite
+def artifact_payloads(draw):
+    """The payload of an artifact command on values the suite draws: an
+    element (split), its maps with a distance (decompose), or two
+    multisets with a degree and an error (divide)."""
+    a, _ = draw(element_pairs())
+    base, oriented = map(GraphMultiset, draw(multiset_pairs()))
+    ratio = rat_str(draw(st.fractions(0, 4)))
+    return draw(st.sampled_from((
+        ser.dse_to_json(a),
+        {"automorphisms": ser.dse_to_json(a)["maps"],
+         "achieved_distance": ratio},
+        {"base": ser.multiset_to_json(base),
+         "oriented": ser.multiset_to_json(oriented),
+         "degree": draw(st.integers(1, 4)), "error": ratio})))
+
+
+# plain "p/q" strings, and strings json.dumps escapes: non-ASCII, a lone
+# surrogate, a character past the BMP, a quote, a backslash and controls
+ODD_STRINGS = ("0/1", "1/2", "-3/4", "\u00e9/2", "\u0661/2", "\ud800",
+               "\U0001f600", 'a"b', "a\\b", "\n\t\x7f")
+
+
+@st.composite
+def atom_shapes(draw):
+    """An atom or entry object the template fills, or one changed so that
+    the generic path must write it: its keys in another order, a bool or
+    float slope, a src of one or three strings, an integer offset or a
+    multiplicity that is not an int.  Any string may need escapes."""
+    text = st.sampled_from(ODD_STRINGS)
+    fields = {"src": [draw(text), draw(text)],
+              "slope": draw(st.sampled_from((1, -1))), "offset": draw(text)}
+    if draw(st.booleans()):
+        fields["multiplicity"] = draw(st.integers(0, 3))
+    change = draw(st.sampled_from(
+        (None, "order", "slope", "src", "offset", "multiplicity")))
+    if change == "order":
+        fields = {k: fields[k] for k in draw(st.permutations(list(fields)))}
+    elif change == "slope":
+        fields["slope"] = draw(st.sampled_from((True, False, 1.0)))
+    elif change == "src":
+        fields["src"] = draw(st.sampled_from((1, 3))) * [draw(text)]
+    elif change == "offset":
+        fields["offset"] = draw(st.integers(-1, 1))
+    elif change == "multiplicity":
+        fields["multiplicity"] = draw(st.sampled_from((True, None, 0.5)))
+    return fields
+
+
+# JSON values with atom shapes among the leaves half the time, and dicts
+# with integer keys, which json.dumps writes as strings
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                     st.text(max_size=4), st.sampled_from(ODD_STRINGS))
+json_values = st.recursive(
+    st.one_of(atom_shapes(), _scalars,
+              st.dictionaries(st.integers(0, 2), _scalars, max_size=2)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(artifact_payloads(), json_values))
+@example([{"src": ["0/1", "1/2"], "slope": True, "offset": "1/2"}, [], {}])
+@example({"e": {"slope": 1, "src": ["0/1", "1/2"], "offset": "1/2"}})
+@example({"src": ["0/1", "1/4", "1/2"], "slope": -1, "offset": "3/4",
+          "multiplicity": 2})
+def test_artifact_text_is_json_dumps_with_indent_2(payload):
+    assert ser.artifact_text(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_zero_eps_flag_reads_as_the_library_tolerance_rule(tmp_path, capsys):

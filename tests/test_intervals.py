@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dsekit import EMPTY, FULL, IntervalSet, rat, rat_str
 from dsekit import serialize as ser
-from dsekit.intervals import _ratio, step_integral, step_sum, step_where
+from dsekit.intervals import step_integral, step_sum, step_where
 
 from oracles import brute_measure, reference_merge_pairs
 
@@ -79,12 +79,8 @@ def _outcome(call, *args):
                  st.text(st.sampled_from("0123456789/-+ _.eE\t\n\u0661"),
                          max_size=8)))
 def test_rat_and_the_json_reader_take_the_same_strings(text):
-    def read(s):
-        lo, _, _, _ = ser._read_atom({"src": [s, s], "slope": 1, "offset": s},
-                                     _ratio)
-        return F(*lo)
-
-    assert _outcome(rat, text) == _outcome(read, text)
+    assert _outcome(rat, text) == _outcome(lambda s: F(*ser._rationals([s])),
+                                           text)
 
 
 def test_clip_window():
