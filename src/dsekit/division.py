@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 from .dse import DSE, distance, normalize_cover, symmetrize, validate
@@ -123,18 +123,15 @@ def initial_division(g: GraphMultiset) -> Division:
 
 
 def _smain_piece(hmaps: Sequence[PartialMap], n: int, a: IntervalSet,
-                 b: IntervalSet, t: IntervalSet,
-                 live: IntervalSet) -> PartialMap:
+                 b: IntervalSet, t: IntervalSet) -> PartialMap:
     """Maximal piece inside H from a+b landing outside a+b+t.
 
-    The greedy step runs over ``live``, a part of a+b outside which every
-    map sends each point into a+b+t, so it finds the piece it would find
-    over all of a+b.  For a in the over-oriented region and b
-    balanced-or-over, counting both fibre masses of the oriented part gives
-    the exact lower bound mu(V) >= mu(a)/(2n) - mu(t)/2, checked here
-    times 2n, on the measures as integers over one grid.
+    For a in the over-oriented region and b balanced-or-over, counting both
+    fibre masses of the oriented part gives the exact lower bound
+    mu(V) >= mu(a)/(2n) - mu(t)/2, checked here times 2n, on the measures
+    as integers over one grid.
     """
-    piece = greedy_maximal_map(hmaps, live, a.union(b).union(t))
+    piece = greedy_maximal_map(hmaps, sources := a.union(b), sources.union(t))
     v, a_size, t_size = _sizes(piece.domain, a, t)
     check(2 * n * v >= a_size - n * t_size, "oriented piece misses its bound")
     return piece
@@ -151,14 +148,9 @@ def find_better_path(d: Division, max_length: int,
     for max_length steps certifies that the consumed family already
     carries the measure the improvement bound needs.
     """
-    n = d.n
     a = d.p_plus.subtract(consumed)
-    start = _smain_piece(d.maps, n, a, EMPTY, consumed, a)
-
-    def step(opened: IntervalSet, live: IntervalSet) -> PartialMap:
-        return _smain_piece(d.maps, n, start.domain, opened, consumed,
-                            start.domain.union(live))
-
+    start = _smain_piece(d.maps, d.n, a, EMPTY, consumed)
+    step = partial(_smain_piece, d.maps, d.n, start.domain, t=consumed)
     return _chain_search(start, step, None, d.p_minus, max_length)
 
 

@@ -17,12 +17,11 @@ usable index, which ``_backtrack`` bisects, into a genuine chain.  The
 two searches differ only in their step, their exit and their *link*,
 which turns a chain image into the sources it opens for the next step:
 theta^-1 for an extension of the piece theta, the identity for a better
-path.  A step is offered only the *live* sources, the opened sets less
-those an earlier step was offered and did not take (``_chain_search``).
-One loop, ``_harvest``, collects both maximal disjoint families;
-the growth loop below applies families of depth-bounded extensions until
-the piece covers all but an arbitrarily small part of the space.  Every
-inequality is checked exactly.
+path.  An extension step takes only the *live* opened sources
+(``find_extension``).  One loop, ``_harvest``, collects both maximal
+disjoint families; the growth loop below applies families of
+depth-bounded extensions until the piece covers all but an arbitrarily
+small part of the space.  Every inequality is checked exactly.
 """
 
 from __future__ import annotations
@@ -185,17 +184,21 @@ def find_extension(d: DSE, theta: PartialMap, max_depth: int,
     image.  If the chain runs max_depth+1 steps entirely inside the image,
     or stalls on an empty piece, no extension is reported; in that state
     the accumulated family already carries the measure guaranteed by the
-    counting argument.
+    counting argument.  A step's greedy pass runs over the *live* sources:
+    the opened set less what the step before was offered and left, which
+    every map still sends into the taken or forbidden set, as that set only
+    grows and takes in each image.
     """
     occ_src, occ_tgt = occupied
     first = lemma_piece(d, theta.domain.complement().subtract(occ_src), occ_tgt)
-    forbidden = occ_tgt
+    forbidden, offered, last = occ_tgt, EMPTY, EMPTY_MAP
 
-    def step(opened: IntervalSet, live: IntervalSet) -> PartialMap:
-        nonlocal forbidden
-        pm = lemma_piece(d, opened, forbidden, first, live=live)
-        forbidden = forbidden.union(pm.image)
-        return pm
+    def step(opened: IntervalSet) -> PartialMap:
+        nonlocal forbidden, offered, last
+        live = opened.subtract(offered.subtract(last.domain))
+        last = lemma_piece(d, opened, forbidden, first, live=live)
+        forbidden, offered = forbidden.union(last.image), opened
+        return last
 
     return _chain_search(first, step, theta, theta.image.complement(),
                          max_depth + 1)
@@ -208,56 +211,49 @@ def _chain_search(first: PartialMap, step, link: PartialMap | None,
 
     Every chain image W that misses the exit opens the source set
     link^-1(W) (W itself when ``link`` is None); preimages distribute over
-    unions, so each image is linked once.  ``step(opened, live)`` returns
-    the next piece given the running union ``opened`` of the opened sets
-    and its part ``live`` that a step can still take.  The rest, ``dead``,
-    is what earlier steps were offered and left: a step's forbidden set
-    only grows along the chain and takes in its image, so every map that
-    sent such a point into the taken or forbidden set still does.  The
-    first piece's domain plays the opened set of index 0; it lies outside
-    ``opened``, so no step is offered it.  Each running union is kept for
-    the bisection of ``_backtrack``.
+    unions, so each image is linked once.  ``step(opened)`` returns the
+    next piece given the running union ``opened`` of the opened sets; the
+    first piece's domain plays the opened set of index 0.  Each running
+    union is kept for the bisection of ``_backtrack``.
     """
-    chain = [first]
-    opened_at, unions = [first.domain], [EMPTY]
+    chain, unions = [first], [EMPTY]
     while not chain[-1].is_empty():
         image = chain[-1].image
         hit = image.intersect(exit_set)
         if not hit.is_empty():
-            return _backtrack(chain, opened_at, unions, link, hit)
+            return _backtrack(chain, unions, link, hit)
         if len(chain) >= max_len:
             return None
-        dead = unions[-1].subtract(chain[-1].domain)
         reached = image if link is None else link.preimage_of(image)
-        opened_at.append(reached)
         unions.append(opened := unions[-1].union(reached))
-        chain.append(step(opened, opened.subtract(dead)))
+        chain.append(step(opened))
     return None
 
 
-def _backtrack(chain: list[PartialMap], opened_at: list[IntervalSet],
-               unions: list[IntervalSet], link: PartialMap | None,
-               hit: IntervalSet) -> Chain:
+def _backtrack(chain: list[PartialMap], unions: list[IntervalSet],
+               link: PartialMap | None, hit: IntervalSet) -> Chain:
     """Descend from the exit hit through strictly decreasing chain indices,
     always to the smallest index whose opened set the current preimage
     meets, until index 0; then rebuild the chain forward from there.
 
-    ``unions[t]`` is the union of ``opened_at[1..t]``.  A level tests index
-    0, then bisects t over [1, i) on whether the preimage meets
-    ``unions[t]``: the unions grow with t and each point of ``unions[t]``
-    lies in some ``opened_at[s]``, s <= t, so the first union met has the
-    index of the first opened set met; O(log i) intersections a level.
-    The last piece's image, which lies in the exit, is not linked.
+    Index 0 is the first piece's domain, and ``unions[t]``, t >= 1, the
+    union of the opened sets 1..t.  A level tests index 0, then bisects t
+    over [1, i) on whether the preimage meets ``unions[t]``: the unions
+    grow with t, so the first union met has the index of the first opened
+    set met, and the preimage misses ``unions[t-1]``, so its part in
+    ``unions[t]`` is its part in the opened set t, the hop; O(log i)
+    intersections a level.  The last piece's image, which lies in the
+    exit, is not linked.
     """
     indices = []
     cur, i = hit, len(chain)
     while True:
         back = chain[i - 1].preimage_of(cur)
-        hop, t = back.intersect(opened_at[0]), 0
+        hop, t = back.intersect(chain[0].domain), 0
         if hop.is_empty():
             t = bisect_left(unions, True, 1, i,
                             key=lambda u: bool(back.intersect(u)))
-            hop = back.intersect(opened_at[t]) if t < i else EMPTY
+            hop = back.intersect(unions[t]) if t < i else EMPTY
         check(not hop.is_empty(), "descent lost the chain invariant")
         indices.append(i)
         if t == 0:

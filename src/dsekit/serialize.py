@@ -8,21 +8,22 @@ JSON lists of integer rows, or CSV with no header and one row per line
 digits with an optional minus sign and spaces around them; spaces are the
 only whitespace, and a line of spaces alone is skipped.  The readers take
 exactly these shapes: an integer must be a JSON integer (not a float or a
-bool), and a value of another kind or length raises ValueError (a zero
-denominator, ZeroDivisionError).  An atom list is read in two passes.  The
-first checks the shape of each atom object and collects its values in the
-order lo, hi, slope, offset; between the passes the distinct "p/q" strings
-are parsed in one batch, in first-occurrence order (an element of coverage
-n repeats every cut point in about 2n atom fields), to integers (p, q) and
-no ``Fraction`` (only ``parse_eps`` returns one); the second pass builds
-every atom and map once, on the lcm of all the denominators.  When a check
-fails, ``_ratio`` reads the values in order, so a malformed value meets the
-same first error, with the same message, as when each value is parsed
-where it occurs.  The writers read each "p/q" off the value's grid
-numerators, with one gcd.  An artifact file is written by
-``artifact_text``, in the bytes of ``json.dumps(payload, indent=2)``, which
-runs its pure-Python encoder when it indents; each atom object is filled
-into one template instead.
+bool), and a value of another kind or length, or an object key outside the
+shape, which the error names, raises ValueError (a zero denominator,
+ZeroDivisionError).  An atom list is read in two passes.  The first checks
+the shape of each atom object, its keys once its values are read, and
+collects the values in the order lo, hi, slope, offset; between the passes
+the distinct "p/q" strings are parsed in one batch, in first-occurrence
+order (an element of coverage n repeats every cut point in about 2n atom
+fields), to integers (p, q) and no ``Fraction`` (only ``parse_eps``
+returns one); the second pass builds every atom and map once, on the lcm
+of all the denominators.  When a check fails, ``_ratio`` reads the values
+in order, so a malformed value meets the same first error, with the same
+message, as when each value is parsed where it occurs.  The writers read
+each "p/q" off the value's grid numerators, with one gcd.  An artifact
+file is written by ``artifact_text``, in the bytes of
+``json.dumps(payload, indent=2)``, which runs its pure-Python encoder when
+it indents; each atom object is filled into one template instead.
 """
 
 from __future__ import annotations
@@ -59,6 +60,13 @@ _ENTRY_KEYS = (*_ATOM_KEYS, "multiplicity")
 def parse_eps(text: str) -> Fraction:
     """Tolerance flags: a positive "p/q" rational, spaces around it allowed."""
     return positive_rat(text.strip(" "))
+
+
+def _keyed(value, keys) -> dict:
+    """value itself, if it is a JSON object with no key outside keys."""
+    if extra := [k for k in _expect(value, dict) if k not in keys]:
+        raise ValueError(f"unexpected key {extra[0]!r}")
+    return value
 
 
 def _atom_json(lo: int, hi: int, slope: int, offset: int, d: int) -> dict:
@@ -106,12 +114,13 @@ def _grid_values(values: list) -> tuple[int, dict]:
     return d, dict(zip(keys, map(mul, ps, map(floordiv, repeat(d), qs))))
 
 
-def _atom_lists(lists: list) -> list[tuple[list[Atom], int]]:
+def _atom_lists(lists: list, keys=_ATOM_KEYS) -> list[tuple[list[Atom], int]]:
     """JSON atom lists as (atoms, d): every atom is built once, on the lcm
     d of all the denominators of all the lists.  The first pass checks the
-    shape of each atom object and collects its lo, hi and offset in
-    reading order; ``_grid_values`` then reads them all.  A fault in the
-    first pass raises only after the values read before it are checked."""
+    shape of each atom object, then that it has no key outside keys, and
+    collects its lo, hi and offset in reading order; ``_grid_values`` then
+    reads them all.  A fault in the first pass raises only after the values
+    read before it are checked."""
     values, slopes, sizes = [], [], []
     try:
         for m in lists:
@@ -131,6 +140,8 @@ def _atom_lists(lists: list) -> list[tuple[list[Atom], int]]:
                     _expect(slope, int)
                 slopes.append(slope)
                 values.append(a["offset"])
+                if len(a) > 3:  # src, slope and offset were read
+                    _keyed(a, keys)
     except (ValueError, KeyError):
         _grid_values(values)
         raise
@@ -150,7 +161,7 @@ def dse_to_json(d: DSE) -> dict:
 
 
 def dse_from_json(data) -> DSE:
-    data = _expect(data, dict)
+    data = _keyed(data, ("multiplicity", "maps"))
     maps, n = _expect(data["maps"], list), _expect(data["multiplicity"], int)
     return DSE((PartialMap._new(*f) for f in _atom_lists(maps)), n)
 
@@ -163,8 +174,8 @@ def multiset_to_json(g: GraphMultiset) -> dict:
 
 
 def multiset_from_json(data) -> GraphMultiset:
-    entries = _expect(_expect(data, dict)["entries"], list)
-    ((atoms, _),) = _atom_lists([entries])
+    entries = _expect(_keyed(data, ("entries",))["entries"], list)
+    ((atoms, _),) = _atom_lists([entries], _ENTRY_KEYS)
     return GraphMultiset(zip(atoms, (_expect(e["multiplicity"], int)
                                      for e in entries)))
 

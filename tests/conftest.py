@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from dsekit import (DSE, Atom, GraphMultiset, IntervalSet, PartialMap,
                     identity_map, symmetrize)
 from dsekit.division import Division
+from dsekit.gallery import counterexample
 
 
 def half_shift() -> PartialMap:
@@ -21,6 +22,21 @@ def half_shift() -> PartialMap:
 def rotation(a) -> PartialMap:
     """x -> x + a mod 1, for a rational a in (0, 1)."""
     return PartialMap([Atom(0, 1 - a, 1, a), Atom(1 - a, 1, 1, a - 1)])
+
+
+def rotations_3_5_7_and_ce4() -> DSE:
+    """Rotations by 1/3, 1/5 and 1/7 plus the maps of counterexample(4):
+    a non-dyadic element of multiplicity 5, the 3-rotation element of the
+    scale runs."""
+    return DSE([rotation(Fraction(1, k)) for k in (3, 5, 7)]
+               + list(counterexample(4).maps), 5)
+
+
+def rotations_3_5_and_ce4() -> DSE:
+    """Rotations by 1/3 and 1/5 plus the maps of counterexample(4): a
+    non-dyadic element of multiplicity 4."""
+    return DSE([rotation(Fraction(1, k)) for k in (3, 5)]
+               + list(counterexample(4).maps), 4)
 
 
 def shift(lo, hi, offset) -> PartialMap:

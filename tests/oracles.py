@@ -226,7 +226,7 @@ def reference_find_better_path(d, max_length, consumed=None):
     n = d.n
 
     allowed = p_plus.subtract(consumed)
-    start = _smain_piece(hmaps, n, allowed, EMPTY, consumed, allowed)
+    start = _smain_piece(hmaps, n, allowed, EMPTY, consumed)
     if start.is_empty():
         return None
     chain = [start]
@@ -236,8 +236,7 @@ def reference_find_better_path(d, max_length, consumed=None):
         return reference_backtrack_path(chain, wsets, hit)
     others = start.image
     for _ in range(max_length - 1):
-        step = _smain_piece(hmaps, n, wsets[0], others, consumed,
-                            wsets[0].union(others))
+        step = _smain_piece(hmaps, n, wsets[0], others, consumed)
         if step.is_empty():
             return None
         chain.append(step)
@@ -594,7 +593,7 @@ def reference_graph_intersect(f, g):
 
 def reference_atom_lists(lists):
     """JSON atom lists as (atoms, d), every value parsed where it occurs,
-    in the order lo, hi, slope, offset of each atom."""
+    in the order lo, hi, slope, offset of each atom, then its keys."""
     from math import lcm
 
     from dsekit.intervals import _expect, _ratio
@@ -603,7 +602,11 @@ def reference_atom_lists(lists):
     def read(data):
         lo, hi = _expect(_expect(data, dict)["src"], list)
         lo, hi, slope = _ratio(lo), _ratio(hi), _expect(data["slope"], int)
-        return lo, hi, _ratio(data["offset"]), slope
+        atom = lo, hi, _ratio(data["offset"]), slope
+        for key in data:
+            if key not in ("src", "slope", "offset"):
+                raise ValueError(f"unexpected key {key!r}")
+        return atom
 
     rows = [[read(a) for a in _expect(m, list)] for m in lists]
     d = lcm(*(q for m in rows for row in m for _, q in row[:3]))

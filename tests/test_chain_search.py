@@ -5,9 +5,9 @@ as they stood when each grew and backtracked its own chain, offering every
 step the whole running union of the opened sets.  Every call the growth
 and descent loops make is answered by both, and the answers must be equal
 atom for atom: the same pieces, whose domains and images are the sources
-and targets, or both None.  The engine offers a step only the live part
-of that union; a step-by-step audit checks that the greedy step gives the
-same map either way.
+and targets, or both None.  An extension step runs its greedy pass over
+only the live part of that union; a step-by-step audit checks that the
+lemma piece is the same either way.
 """
 
 import random
@@ -18,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit import (DSE, EMPTY, FULL, Atom, IntervalSet, PartialMap,
+from dsekit import (EMPTY, FULL, Atom, IntervalSet, PartialMap,
                     almost_decompose, division)
 from dsekit import near_full_piece, near_perfect_division, pieces, symmetrize
 from dsekit.gallery import counterexample
 
-from conftest import cell_division, random_cell_dse, rotation
+from conftest import cell_division, random_cell_dse, rotations_3_5_and_ce4
 from oracles import (reference_backtrack, reference_backtrack_path,
                      reference_find_better_path, reference_find_extension)
 
@@ -62,39 +62,21 @@ def compare_paths(monkeypatch) -> list:
 
 
 def audit_live_steps(monkeypatch) -> list:
-    """Make the greedy step of every chain step also run over the whole
-    opened set, and assert that it returns the map it gave over the live
-    set; returns, per step, whether the live set was smaller."""
-    engine, greedy = pieces._chain_search, pieces.greedy_maximal_map
-    offered, pruned = [], []
+    """Make every lemma piece built over live sources also be built over
+    all of its source set a, and assert that both are the same map;
+    returns, per such step, whether the live set was smaller than a."""
+    lemma = pieces.lemma_piece
+    pruned = []
 
-    def search(first, step, link, exit_set, max_len):
-        def audited(opened, live):
-            offered.append(opened)
-            pruned.append(live != opened)
-            try:
-                return step(opened, live)
-            finally:
-                offered.pop()
-        return engine(first, audited, link, exit_set, max_len)
-
-    def both(maps, allowed, forbidden):
-        got = greedy(maps, allowed, forbidden)
-        if offered:
-            assert got == greedy(maps, allowed.union(offered[-1]), forbidden)
+    def both(d, a, b, blocker=pieces.EMPTY_MAP, *, live=None):
+        got = lemma(d, a, b, blocker, live=live)
+        if live is not None:
+            assert got == lemma(d, a, b, blocker)
+            pruned.append(live != a)
         return got
 
-    for module in (pieces, division):
-        monkeypatch.setattr(module, "_chain_search", search)
-        monkeypatch.setattr(module, "greedy_maximal_map", both)
+    monkeypatch.setattr(pieces, "lemma_piece", both)
     return pruned
-
-
-def rotations_and_ce4() -> DSE:
-    """Rotations by 1/3 and 1/5 plus the maps of counterexample(4): a
-    non-dyadic element of multiplicity 4."""
-    return DSE([rotation(F(1, 3)), rotation(F(1, 5)),
-                *counterexample(4).maps], 4)
 
 
 @pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
@@ -124,7 +106,7 @@ def test_searches_match_reference_on_reflected_cells(level, n, seed):
 
 
 def test_searches_match_reference_on_a_non_dyadic_element(monkeypatch):
-    d = rotations_and_ce4()
+    d = rotations_3_5_and_ce4()
     outcomes = compare_extensions(monkeypatch)
     almost_decompose(d, F(1, 16))
     assert any(outcomes) and not all(outcomes)
@@ -133,20 +115,16 @@ def test_searches_match_reference_on_a_non_dyadic_element(monkeypatch):
     assert any(outcomes) and not all(outcomes)
 
 
-def test_live_sources_give_the_greedy_step_of_all_opened_sources():
-    pruned = []
-
-    @settings(max_examples=25, deadline=None, database=None)
-    @given(st.integers(2, 5), st.integers(2, 3), st.integers(0, 2 ** 32 - 1))
-    def chains(level, n, seed):
-        d = random_cell_dse(random.Random(seed), level, n, reflections=True)
-        with pytest.MonkeyPatch.context() as mp:
-            steps = audit_live_steps(mp)
-            near_full_piece(d, F(1, 64))
-            near_perfect_division(symmetrize(d).matrix, F(1, 64))
-        pruned.extend(steps)
-
-    chains()
+@pytest.mark.parametrize("grow", [
+    lambda: near_full_piece(counterexample(8), F(1, 64)),
+    lambda: almost_decompose(rotations_3_5_and_ce4(), F(1, 16))],
+    ids=["ce8", "rotations"])
+def test_live_sources_give_the_lemma_piece_of_all_opened_sources(
+        monkeypatch, grow):
+    """The greedy piece of the rotation element covers the space, so its
+    extension steps come from the later peels of a decomposition."""
+    pruned = audit_live_steps(monkeypatch)
+    grow()
     assert any(pruned), "no chain step had a dead source to skip"
 
 
@@ -185,17 +163,16 @@ def cell_map(src: int, dst: int, width: int = 1) -> PartialMap:
 
 
 def engine_backtrack(chain, link, exit_set):
-    """``_backtrack`` of a hand-built chain on the sets ``_chain_search``
-    keeps: the first domain, each image but the last opened through the
-    link, and the running unions from index 1; also the opened sets and
-    the exit hit, for the references."""
+    """``_backtrack`` of a hand-built chain on the running unions
+    ``_chain_search`` keeps of the images but the last, each opened through
+    the link; also the opened sets, the first piece's domain at index 0,
+    and the exit hit, for the references."""
     opened_at = [chain[0].domain] + [
         pm.image if link is None else link.preimage_of(pm.image)
         for pm in chain[:-1]]
     unions = list(accumulate(opened_at[1:], IntervalSet.union, initial=EMPTY))
     hit = chain[-1].image.intersect(exit_set)
-    return (pieces._backtrack(chain, opened_at, unions, link, hit),
-            opened_at, hit)
+    return pieces._backtrack(chain, unions, link, hit), opened_at, hit
 
 
 @pytest.mark.parametrize("last, length", [
@@ -230,6 +207,39 @@ def test_extension_descent_finds_the_smallest_index(last, length):
     assert got == reference_backtrack(theta, chain, opened_at[1:], hit)
     assert got.length == length
     assert got.sources[0] == cells(0, 1)
+
+
+@pytest.mark.parametrize("last, length, start", [
+    (0, 1, 0), (11, 2, 1), (12, 3, 1), (13, 4, 1)])
+def test_path_descent_through_overlapping_opened_sets(last, length, start):
+    """W_0 = 64ths 0-1 goes onto W_1 = 10-11, then 10-11 -> 11-12 makes
+    W_2, which overlaps W_1, and 11-12 -> 12-13 makes W_3, which overlaps
+    W_2.  A fourth piece leaves ``last`` for the exit: 11 lies in W_1 and
+    W_2, and the descent takes the first; 12 and 13 lie first in W_2 and
+    W_3.  Each descent ends on the 64th ``start`` of W_0."""
+    chain = [cell_map(0, 10, 2), cell_map(10, 11, 2), cell_map(11, 12, 2),
+             cell_map(last, 40)]
+    got, opened_at, hit = engine_backtrack(chain, None, cells(40, 64))
+    assert got == reference_backtrack_path(chain, opened_at, hit)
+    assert got.length == length
+    assert got.sources[0] == cells(start, start + 1)
+
+
+@pytest.mark.parametrize("last, length", [(16, 2), (17, 2), (18, 3), (19, 3)])
+def test_extension_descent_through_overlapping_opened_sets(last, length):
+    """theta carries 64ths 16-31 onto 32-47.  The chain goes 0-1 -> 32-33,
+    which opens 16-17; 16-17 -> 34-35, which opens 18-19; and 18-19 ->
+    33-34, which opens 17-18, overlapping both.  A fourth piece leaves
+    ``last`` for the exit; the descent takes the first opened set holding
+    it, then walks down to the first piece's domain."""
+    theta = cell_map(16, 32, 16)
+    chain = [cell_map(0, 32, 2), cell_map(16, 34, 2), cell_map(18, 33, 2),
+             cell_map(last, 60)]
+    got, opened_at, hit = engine_backtrack(chain, theta,
+                                           theta.image.complement())
+    assert got == reference_backtrack(theta, chain, opened_at[1:], hit)
+    assert got.length == length
+    assert got.sources[0].measure() == F(1, 64)
 
 
 def test_descent_levels_cost_logarithmic_intersections(monkeypatch):

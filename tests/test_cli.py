@@ -196,6 +196,10 @@ MALFORMED = {
     "trailing-space-offset": (("maps", 0, 1, "offset"), "0/1 "),
     "trailing-newline-endpoint": (("maps", 0, 1, "src", 1), "1/1\n"),
     "arabic-indic-digits": (("maps", 0, 1, "src", 1), "\u0661/\u0661"),
+    "misspelled-atom-key": (("maps", 0, 0, "slpoe"), -1),
+    "extra-atom-key": (("maps", 0, 1, "multiplicity"), 1),
+    "element-comment": (("comment",), "identity"),
+    "element-extra-key": (("entries",), []),
 }
 
 
@@ -207,6 +211,20 @@ def test_malformed_element_is_parse_error(path, value, tmp_path, capsys):
     code, report = run(capsys, "validate", "--in", str(f))
     assert code == 1
     assert report["error_type"] == "ValueError"
+
+
+def test_readers_name_a_key_outside_the_schema():
+    element = replaced(IDENTITY, ("maps", 0, 1, "slpoe"), -1)
+    with pytest.raises(ValueError, match="^unexpected key 'slpoe'$"):
+        ser.dse_from_json(element)
+    with pytest.raises(ValueError, match="^unexpected key 'comment'$"):
+        ser.dse_from_json(replaced(IDENTITY, ("comment",), "x"))
+    g = ser.multiset_to_json(GraphMultiset([(Atom(0, 1, 1, 0), 2)]))
+    assert ser.multiset_from_json(g) == GraphMultiset([(Atom(0, 1, 1, 0), 2)])
+    with pytest.raises(ValueError, match="^unexpected key 'mult'$"):
+        ser.multiset_from_json(replaced(g, ("entries", 0, "mult"), 2))
+    with pytest.raises(ValueError, match="^unexpected key 'maps'$"):
+        ser.multiset_from_json(replaced(g, ("maps",), []))
 
 
 def test_exponent_rational_is_rejected_before_it_is_built(tmp_path, capsys):
@@ -348,13 +366,15 @@ SLOPES = (1, -1, 1, -1, True, 1.0, "1/1", 2)
 @st.composite
 def atom_lists(draw, values):
     """One to three maps of up to four atom objects; one in sixteen lacks
-    a key."""
+    a key, and one in sixteen has a key outside the schema."""
     def atom():
         fields = {"src": [draw(values), draw(values)],
                   "slope": draw(st.sampled_from(SLOPES)),
                   "offset": draw(values)}
         if draw(st.integers(0, 15)) == 0:
             del fields[draw(st.sampled_from(sorted(fields)))]
+        if draw(st.integers(0, 15)) == 0:
+            fields[draw(st.sampled_from(("slpoe", "multiplicity")))] = 1
         return fields
 
     return [[atom() for _ in range(draw(st.integers(0, 4)))]

@@ -47,8 +47,7 @@ def run_lemma(monkeypatch, size, n, a, b, blocked):
 
 def run_oriented(monkeypatch, size, n, a, t):
     greedy_of_size(monkeypatch, division, size)
-    return division._smain_piece([], n, a, IntervalSet(), t,
-                                 a).domain.measure()
+    return division._smain_piece([], n, a, IntervalSet(), t).domain.measure()
 
 
 def test_lemma_bound_holds_at_equality_and_fires_one_unit_below(monkeypatch):

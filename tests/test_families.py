@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit import (DSE, EMPTY, FULL, Chain, division, greedy_maximal_map,
+from dsekit import (EMPTY, FULL, Chain, division, greedy_maximal_map,
                     initial_division, near_full_piece, near_perfect_division,
                     peel, pieces, symmetrize)
 from dsekit.errors import BoundViolated, InvalidExtension, InvalidPath
 from dsekit.gallery import counterexample
 
-from conftest import random_cell_dse, rotation, shift
+from conftest import random_cell_dse, rotations_3_5_7_and_ce4, shift
 from oracles import reference_apply_better_paths, reference_apply_extensions
 
 
@@ -55,13 +55,6 @@ def fold_checked(monkeypatch) -> list:
     return sizes
 
 
-def rotations_and_ce4() -> DSE:
-    """Rotations by 1/3, 1/5 and 1/7 plus the maps of counterexample(4):
-    a non-dyadic element of multiplicity 5."""
-    return DSE([rotation(F(1, k)) for k in (3, 5, 7)]
-               + list(counterexample(4).maps), 5)
-
-
 @pytest.mark.parametrize("k", [2, 4, 6, 8])
 def test_families_on_counterexamples_match_the_fold(monkeypatch, k):
     sizes = fold_checked(monkeypatch)
@@ -83,7 +76,7 @@ def test_families_on_reflected_cells_match_the_fold(level, n, seed):
 def test_families_on_the_rotation_element_match_the_fold(monkeypatch):
     """Its first three peels, and a division of its symmetrization, apply
     families of several chains."""
-    d = rest = rotations_and_ce4()
+    d = rest = rotations_3_5_7_and_ce4()
     sizes = fold_checked(monkeypatch)
     for eps in (F(1, 16), F(1, 32), F(1, 64)):
         _, rest, _ = peel(rest, eps)
