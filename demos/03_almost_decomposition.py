@@ -3,8 +3,9 @@
 
 Every doubly stochastic element can be approximated, in the exact L1
 distance on associated matrices, by a union of measure-preserving
-bijections of the whole interval.  The doubled-space example even
-decomposes on the nose.
+bijections of the whole interval: plain partial maps whose domain and
+image are both [0, 1).  The doubled-space example even decomposes on the
+nose.
 """
 
 from fractions import Fraction as F
@@ -15,7 +16,7 @@ from dsekit.gallery import amplification, counterexample
 ce = counterexample(5)
 print("peeling one automorphism off counterexample(5):")
 auto, rest, bound = peel(ce, F(1, 8))
-print("  automorphism with", len(auto.map.atoms), "atoms")
+print("  automorphism with", len(auto.atoms), "atoms")
 print("  residual multiplicity:", rest.multiplicity,
       "(valid:", validate(rest).ok, ")")
 print("  guaranteed distance bound:", bound)

@@ -16,7 +16,7 @@ from .dse import (DSE, CoverageReport, distance, inverse, neighbor_set,
                   normalize_cover, symmetrize, validate)
 from .pieces import (Chain, apply_extension, enlarge_piece, find_extension,
                      greedy_maximal_map, lemma_piece, near_full_piece)
-from .decompose import (Automorphism, Decomposition, almost_decompose,
+from .decompose import (Decomposition, almost_decompose,
                         complete_to_automorphism, peel)
 from .division import (Division, apply_better_path, find_better_path,
                        improve_division, initial_division,
@@ -34,8 +34,7 @@ __all__ = [
     "normalize_cover", "symmetrize", "validate",
     "Chain", "apply_extension", "enlarge_piece", "find_extension",
     "greedy_maximal_map", "lemma_piece", "near_full_piece",
-    "Automorphism", "Decomposition", "almost_decompose",
-    "complete_to_automorphism", "peel",
+    "Decomposition", "almost_decompose", "complete_to_automorphism", "peel",
     "Division", "apply_better_path", "find_better_path", "improve_division",
     "initial_division", "near_perfect_division",
     "regular_graph_partial_automorphism", "symmetric_split",

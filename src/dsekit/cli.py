@@ -72,7 +72,8 @@ def _cmd_distance(args, started: float) -> tuple[str, int]:
 
 def _run_decompose(d: DSE, eps, emit) -> tuple[dict, dict]:
     dec = almost_decompose(d, eps)
-    emitted = emit({"automorphisms": ser.dse_to_json(dec.as_dse())["maps"],
+    emitted = emit({"automorphisms": [ser.map_to_json(m)
+                                      for m in dec.automorphisms],
                     "achieved_distance": rat_str(dec.achieved_distance)})
     back = ser.dse_from_json({"multiplicity": d.multiplicity,
                               "maps": emitted["automorphisms"]})

@@ -4,8 +4,9 @@ One automorphism is peeled off at a time: a near-full piece is completed
 to an automorphism by the monotone rearrangement of the leftover sets, the
 residual matrix is repaired with exact correction maps so that it is again
 doubly stochastic of multiplicity n-1, and the construction repeats on it
-with a halved budget.  The achieved distance is always recomputed from the
-output, never trusted from intermediate bounds.
+with a halved budget; each automorphism is a plain map, made and checked
+by ``complete_to_automorphism``.  The achieved distance is always
+recomputed from the output, never trusted from intermediate bounds.
 """
 
 from __future__ import annotations
@@ -22,24 +23,12 @@ from .pieces import greedy_maximal_map, near_full_piece
 
 
 @dataclass(frozen=True)
-class Automorphism:
-    """A measure-preserving bijection of the whole interval."""
-
-    map: PartialMap
-
-    def __post_init__(self):
-        if self.map.domain != FULL or self.map.image != FULL:
-            raise ValueError("not defined on (or onto) the whole interval")
-
-
-@dataclass(frozen=True)
 class Decomposition:
-    automorphisms: tuple[Automorphism, ...]
+    automorphisms: tuple[PartialMap, ...]
     achieved_distance: Fraction
 
     def as_dse(self) -> DSE:
-        return DSE((a.map for a in self.automorphisms),
-                   len(self.automorphisms))
+        return DSE(self.automorphisms, len(self.automorphisms))
 
 
 def complete_to_automorphism(piece: PartialMap) -> PartialMap:
@@ -47,9 +36,14 @@ def complete_to_automorphism(piece: PartialMap) -> PartialMap:
 
     The complement of the domain is carried onto the complement of the
     image by the unique monotone order isomorphism with slope +1 pieces.
+    Every automorphism is made here: a result whose domain or image is not
+    FULL is a defect (BoundViolated).
     """
     rest_dom = piece.domain.complement()
-    return glue([piece, monotone_pairing(rest_dom, piece.image.complement())])
+    auto = glue([piece, monotone_pairing(rest_dom, piece.image.complement())])
+    check(auto.domain == FULL and auto.image == FULL,
+          "completed map is not defined on (or onto) the whole interval")
+    return auto
 
 
 def pair_profiles(src: Step, dst: Step, d: int) -> GraphMultiset:
@@ -100,7 +94,7 @@ def _cover(maps, region: IntervalSet, image: bool = False) -> list[PartialMap]:
     return out
 
 
-def peel(d: DSE, eps) -> tuple[Automorphism, DSE, Fraction]:
+def peel(d: DSE, eps) -> tuple[PartialMap, DSE, Fraction]:
     """Split off one automorphism within distance 4*mu(A^c) < eps/2.
 
     A piece with domain measure above 1 - eps/8 is grown, topped up so that
@@ -121,7 +115,7 @@ def peel(d: DSE, eps) -> tuple[Automorphism, DSE, Fraction]:
 
     a_comp = tmap.domain.complement()
     b_comp = tmap.image.complement()
-    auto = Automorphism(complete_to_automorphism(tmap))
+    auto = complete_to_automorphism(tmap)
 
     resid = d.matrix.subtract(GraphMultiset.from_maps([tmap]))
     # a full piece leaves nothing to rebalance; skipping the covers and
@@ -133,7 +127,7 @@ def peel(d: DSE, eps) -> tuple[Automorphism, DSE, Fraction]:
     rest = normalize_cover(resid, n - 1)
 
     bound = 4 * a_comp.measure()
-    dist = distance(d, DSE(rest.maps + (auto.map,), n))
+    dist = distance(d, DSE(rest.maps + (auto,), n))
     check(dist <= bound < eps / 2,
           f"peel distance {dist} exceeds {bound} or eps/2 = {eps / 2}")
     return auto, rest, bound
@@ -157,9 +151,10 @@ def almost_decompose(d: DSE, eps) -> Decomposition:
         auto, rest, _ = peel(rest, budget)
         autos.append(auto)
         budget /= 2
-    autos.append(Automorphism(glue(normalize_cover(rest.matrix, 1).maps)))
+    autos.append(complete_to_automorphism(
+        glue(normalize_cover(rest.matrix, 1).maps)))
     autos.reverse()
-    final = DSE(tuple(a.map for a in autos), d.multiplicity)
+    final = DSE(autos, d.multiplicity)
     dist = distance(d, final)
     check(dist < eps, f"decomposition distance {dist} is not below {eps}")
     return Decomposition(tuple(autos), dist)

@@ -10,8 +10,8 @@ drops has measure zero.  ``_move`` is the one place this rule is written.
 
 The map operations walk only the atoms that meet a set (``_cut``), in
 O(log k) plus the atoms and intervals met: by source, or by image through
-an index a map builds on first use and keeps (``pieces`` inlines the
-source walk in its greedy step).
+the atoms' image order, which a map keeps from its construction
+(``pieces`` inlines the source walk in its greedy step).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OverlapError
-from .intervals import FULL, IntervalSet, _align, _Grid, _HI, _on_grid, rat
+from .intervals import IntervalSet, _align, _Grid, _HI, _on_grid, rat
 
 
 def _move(slope: int, offset: int, lo: int, hi: int) -> tuple[int, int]:
@@ -116,8 +116,8 @@ class PartialMap(_Grid):
 
     def _set(self, fields: tuple[Iterable[Atom], int]) -> None:
         """Sorts the atoms by source and, in one pass, merges contiguous ones
-        of one (slope, offset) and builds the domain; one pass over the sorted
-        image pairs builds the image.  Any overlap is an OverlapError."""
+        of one (slope, offset) and builds the domain; one pass in image order,
+        kept for ``_cut``, builds the image.  Any overlap is an OverlapError."""
         atoms, d = fields
         merged, dom, img = [], [], []
         for a in sorted(atoms, key=_SLO):
@@ -133,14 +133,16 @@ class PartialMap(_Grid):
                     merged[-1] = Atom._new(p._lo, a._hi, a.slope, a._off, a._d)
                 else:
                     merged.append(a)
-        for lo, hi in sorted((a._ilo, a._ihi) for a in merged):
+        by_image = sorted(merged, key=_ILO)
+        for a in by_image:
+            lo, hi = a._ilo, a._ihi
             if img and lo <= img[-1][1]:
                 if lo < img[-1][1]:
                     raise OverlapError("images overlap (injectivity violated)")
                 img[-1] = (img[-1][0], hi)
             else:
                 img.append((lo, hi))
-        self.atoms, self._d, self._image_order = tuple(merged), d, None
+        self.atoms, self._d, self._image_order = tuple(merged), d, by_image
         self.domain = IntervalSet._new(tuple(dom), d)
         self.image = IntervalSet._new(tuple(img), d)
 
@@ -167,8 +169,6 @@ class PartialMap(_Grid):
         m, s = _align(self, s)
         atoms, iv, lo_of, hi_of = m.atoms, s._iv, _SLO, _SHI
         if image:
-            if m._image_order is None:
-                m._image_order = sorted(atoms, key=_ILO)
             atoms, lo_of, hi_of = m._image_order, _ILO, _IHI
         if not iv:
             return m._d, []
@@ -218,9 +218,8 @@ class PartialMap(_Grid):
 EMPTY_MAP = PartialMap()
 
 
-def identity_map(on: IntervalSet = FULL) -> PartialMap:
-    return PartialMap._new([Atom._new(lo, hi, 1, 0, on._d)
-                            for lo, hi in on._iv], on._d)
+def identity_map() -> PartialMap:
+    return PartialMap._new([Atom._new(0, 1, 1, 0, 1)], 1)
 
 
 def _source(a: Atom) -> IntervalSet:

@@ -271,9 +271,9 @@ def _backtrack(chain: list[PartialMap], unions: list[IntervalSet],
 
 def _disjoint(sets: Sequence[IntervalSet]) -> bool:
     """Whether the sets are pairwise disjoint: exactly when the measure of
-    their union is the sum of their measures."""
-    return (IntervalSet.union_all(sets).measure()
-            == sum(s.measure() for s in sets))
+    their union is the sum of their measures, read as grid integers."""
+    union, *sizes = _sizes(IntervalSet.union_all(sets), *sets)
+    return union == sum(sizes)
 
 
 def _harvest(find, occupy, occupied, kind: str) -> list[Chain]:
@@ -304,7 +304,7 @@ def _check_chains(d: DSE, theta: PartialMap, family: Sequence[Chain]) -> None:
     against the piece the chains before it leave."""
     a_set, b_set = theta.domain, theta.image
     for ext in family:
-        if not ext.pieces or ext.gain() == 0:
+        if not ext.pieces or ext.sources[0].is_empty():
             raise InvalidExtension("gain set S_0 has measure zero")
         if not a_set.complement().contains(ext.sources[0]):
             raise InvalidExtension("S_0 leaves the domain complement")

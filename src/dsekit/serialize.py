@@ -9,21 +9,22 @@ digits with an optional minus sign and spaces around them; spaces are the
 only whitespace, and a line of spaces alone is skipped.  The readers take
 exactly these shapes: an integer must be a JSON integer (not a float or a
 bool), and a value of another kind or length, or an object key outside the
-shape, which the error names, raises ValueError (a zero denominator,
-ZeroDivisionError).  An atom list is read in two passes.  The first checks
-the shape of each atom object, its keys once its values are read, and
-collects the values in the order lo, hi, slope, offset; between the passes
-the distinct "p/q" strings are parsed in one batch, in first-occurrence
-order (an element of coverage n repeats every cut point in about 2n atom
-fields), to integers (p, q) and no ``Fraction`` (only ``parse_eps``
-returns one); the second pass builds every atom and map once, on the lcm
-of all the denominators.  When a check fails, ``_ratio`` reads the values
-in order, so a malformed value meets the same first error, with the same
-message, as when each value is parsed where it occurs.  The writers read
-each "p/q" off the value's grid numerators, with one gcd.  An artifact
-file is written by ``artifact_text``, in the bytes of
-``json.dumps(payload, indent=2)``, which runs its pure-Python encoder when
-it indents; each atom object is filled into one template instead.
+shape, which the error names (also where it replaces a key of the shape),
+raises ValueError (a zero denominator, ZeroDivisionError).  An atom list
+is read in two passes.  The first checks the shape of each atom object,
+its keys once its values are read, and collects the values in the order
+lo, hi, slope, offset; between the passes the distinct "p/q" strings are
+parsed in one batch, in first-occurrence order (an element of coverage n
+repeats every cut point in about 2n atom fields), to integers (p, q) and
+no ``Fraction`` (only ``parse_eps`` returns one); the second pass builds
+every atom and map once, on the lcm of all the denominators.  When a check
+fails, ``_ratio`` reads the values in order, so a malformed value meets
+the same first error, with the same message, as when each value is parsed
+where it occurs.  The writers read each "p/q" off the value's grid
+numerators, with one gcd.  An artifact file is written by
+``artifact_text``, in the bytes of ``json.dumps(payload, indent=2)``,
+which runs its pure-Python encoder when it indents; each atom object is
+filled into one template instead.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def _atom_lists(lists: list, keys=_ATOM_KEYS) -> list[tuple[list[Atom], int]]:
     shape of each atom object, then that it has no key outside keys, and
     collects its lo, hi and offset in reading order; ``_grid_values`` then
     reads them all.  A fault in the first pass raises only after the values
-    read before it are checked."""
+    read before it are checked; a missing key, after the object's keys too."""
     values, slopes, sizes = [], [], []
     try:
         for m in lists:
@@ -142,8 +143,10 @@ def _atom_lists(lists: list, keys=_ATOM_KEYS) -> list[tuple[list[Atom], int]]:
                 values.append(a["offset"])
                 if len(a) > 3:  # src, slope and offset were read
                     _keyed(a, keys)
-    except (ValueError, KeyError):
+    except (ValueError, KeyError) as e:
         _grid_values(values)
+        if type(e) is KeyError:
+            _keyed(a, keys)
         raise
     d, grid = _grid_values(values)
     nums = map(grid.__getitem__, values)

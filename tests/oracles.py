@@ -593,19 +593,27 @@ def reference_graph_intersect(f, g):
 
 def reference_atom_lists(lists):
     """JSON atom lists as (atoms, d), every value parsed where it occurs,
-    in the order lo, hi, slope, offset of each atom, then its keys."""
+    in the order lo, hi, slope, offset of each atom, then its keys; a
+    missing key is a KeyError only once the atom's keys are checked."""
     from math import lcm
 
     from dsekit.intervals import _expect, _ratio
     from dsekit.maps import Atom
 
-    def read(data):
-        lo, hi = _expect(_expect(data, dict)["src"], list)
-        lo, hi, slope = _ratio(lo), _ratio(hi), _expect(data["slope"], int)
-        atom = lo, hi, _ratio(data["offset"]), slope
+    def keys(data):
         for key in data:
             if key not in ("src", "slope", "offset"):
                 raise ValueError(f"unexpected key {key!r}")
+
+    def read(data):
+        try:
+            lo, hi = _expect(_expect(data, dict)["src"], list)
+            lo, hi, slope = _ratio(lo), _ratio(hi), _expect(data["slope"], int)
+            atom = lo, hi, _ratio(data["offset"]), slope
+        except KeyError:
+            keys(data)
+            raise
+        keys(data)
         return atom
 
     rows = [[read(a) for a in _expect(m, list)] for m in lists]

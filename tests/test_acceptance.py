@@ -90,7 +90,7 @@ def test_05_almost_decomposition():
     dec = almost_decompose(counterexample(8), F(1, 16))
     assert len(dec.automorphisms) == 2
     for auto in dec.automorphisms:
-        assert auto.map.domain == FULL and auto.map.image == FULL
+        assert auto.domain == FULL and auto.image == FULL
     assert dec.achieved_distance < F(1, 16)
 
     amp, _ = amplification(2)

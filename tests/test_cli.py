@@ -153,15 +153,23 @@ def test_zero_denominator_is_parse_error(tmp_path, capsys):
     assert report["error_type"] == "ZeroDivisionError"
 
 
+class Renamed(str):
+    """An edit for ``replaced`` that moves the node at its path to this key."""
+
+
 def replaced(node, path, value):
-    """A copy of the tree with the node at path replaced by value."""
+    """A copy of the tree with the node at path replaced by value, or moved
+    to the key value if it is ``Renamed``."""
     if not path:
         return value
     node = json.loads(json.dumps(node))
     parent = node
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = value
+    if isinstance(value, Renamed):
+        parent[value] = parent.pop(path[-1])
+    else:
+        parent[path[-1]] = value
     return node
 
 
@@ -197,6 +205,7 @@ MALFORMED = {
     "trailing-newline-endpoint": (("maps", 0, 1, "src", 1), "1/1\n"),
     "arabic-indic-digits": (("maps", 0, 1, "src", 1), "\u0661/\u0661"),
     "misspelled-atom-key": (("maps", 0, 0, "slpoe"), -1),
+    "renamed-atom-key": (("maps", 0, 0, "slope"), Renamed("slpoe")),
     "extra-atom-key": (("maps", 0, 1, "multiplicity"), 1),
     "element-comment": (("comment",), "identity"),
     "element-extra-key": (("entries",), []),
@@ -217,12 +226,19 @@ def test_readers_name_a_key_outside_the_schema():
     element = replaced(IDENTITY, ("maps", 0, 1, "slpoe"), -1)
     with pytest.raises(ValueError, match="^unexpected key 'slpoe'$"):
         ser.dse_from_json(element)
+    # a key put in place of a required one is named, not the missing key
+    with pytest.raises(ValueError, match="^unexpected key 'slpoe'$"):
+        ser.dse_from_json(replaced(IDENTITY, ("maps", 0, 1, "slope"),
+                                   Renamed("slpoe")))
     with pytest.raises(ValueError, match="^unexpected key 'comment'$"):
         ser.dse_from_json(replaced(IDENTITY, ("comment",), "x"))
     g = ser.multiset_to_json(GraphMultiset([(Atom(0, 1, 1, 0), 2)]))
     assert ser.multiset_from_json(g) == GraphMultiset([(Atom(0, 1, 1, 0), 2)])
     with pytest.raises(ValueError, match="^unexpected key 'mult'$"):
         ser.multiset_from_json(replaced(g, ("entries", 0, "mult"), 2))
+    with pytest.raises(ValueError, match="^unexpected key 'mult'$"):
+        ser.multiset_from_json(replaced(g, ("entries", 0, "multiplicity"),
+                                        Renamed("mult")))
     with pytest.raises(ValueError, match="^unexpected key 'maps'$"):
         ser.multiset_from_json(replaced(g, ("maps",), []))
 

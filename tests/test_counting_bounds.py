@@ -31,7 +31,7 @@ def greedy_of_size(monkeypatch, module, size):
     """Make ``module``'s greedy step return the identity on [0, size)."""
     monkeypatch.setattr(module, "greedy_maximal_map",
                         lambda maps, allowed, forbidden:
-                        identity_map(iv(0, size)))
+                        identity_map().restrict(iv(0, size)))
 
 
 def identities(n: int) -> DSE:
@@ -41,7 +41,7 @@ def identities(n: int) -> DSE:
 
 def run_lemma(monkeypatch, size, n, a, b, blocked):
     greedy_of_size(monkeypatch, pieces, size)
-    blocker = identity_map(blocked)
+    blocker = identity_map().restrict(blocked)
     return lemma_piece(identities(n), a, b, blocker).domain.measure()
 
 

@@ -14,7 +14,7 @@ from dsekit import (DSE, FULL, Atom, IntervalSet, PartialMap, almost_decompose,
                     validate)
 from dsekit import decompose as decompose_mod
 from dsekit import serialize as ser
-from dsekit.decompose import Automorphism, pair_profiles
+from dsekit.decompose import pair_profiles
 from dsekit.errors import BoundViolated, InvalidDSE, PreconditionViolated
 from dsekit.gallery import amplification, counterexample
 
@@ -38,9 +38,12 @@ def test_complete_shift_half():
     assert complete_to_automorphism(half) == half_shift()
 
 
-def test_automorphism_requires_fullness():
-    with pytest.raises(ValueError):
-        Automorphism(identity_map().restrict(iv(0, F(1, 2))))
+def test_complete_to_automorphism_checks_fullness(monkeypatch):
+    # the completion is full by construction; a map that is not is a defect
+    monkeypatch.setattr(decompose_mod, "monotone_pairing",
+                        lambda src, dst: PartialMap())
+    with pytest.raises(BoundViolated, match="whole interval"):
+        complete_to_automorphism(identity_map().restrict(iv(0, F(1, 2))))
 
 
 def test_pair_profiles_needs_equal_total_mass():
@@ -66,7 +69,7 @@ def test_peel_doubled_identity():
     d = DSE([identity_map(), identity_map()], 2)
     auto, rest, bound = peel(d, F(1, 4))
     assert bound == 0
-    assert auto.map == identity_map()
+    assert auto == identity_map()
     assert rest == DSE([identity_map()], 1)
 
 
@@ -75,7 +78,7 @@ def test_peel_symmetrized_shift():
     d = DSE([t, t.invert()], 2)
     auto, rest, bound = peel(d, F(1, 4))
     assert bound == 0
-    assert auto.map == t
+    assert auto == t
     assert rest == DSE([t.invert()], 1)
 
 
@@ -83,8 +86,8 @@ def test_peel_counterexample():
     ce = counterexample(4)
     auto, rest, bound = peel(ce, F(1, 8))
     assert validate(rest).ok and rest.multiplicity == 1
-    assert auto.map.domain == FULL
-    recomputed = distance(ce, DSE(rest.maps + (auto.map,), 2))
+    assert auto.domain == FULL and auto.image == FULL
+    recomputed = distance(ce, DSE(rest.maps + (auto,), 2))
     assert recomputed <= bound < F(1, 16)
 
 
@@ -112,8 +115,9 @@ def test_almost_decompose_counterexample():
     assert len(dec.automorphisms) == 2
     assert dec.achieved_distance < F(1, 8)
     for auto in dec.automorphisms:
-        assert auto.map.domain == FULL and auto.map.image == FULL
-        assert validate(DSE([auto.map], 1)).ok
+        assert isinstance(auto, PartialMap)
+        assert auto.domain == FULL and auto.image == FULL
+        assert validate(DSE([auto], 1)).ok
 
 
 def test_decomposition_as_dse_validates():
@@ -166,7 +170,7 @@ def test_many_peels_do_not_hit_the_recursion_limit():
         dec = almost_decompose(DSE([identity_map()] * 200, 200),
                                Fraction(1, 16))
         ok = (len(dec.automorphisms) == 200 and dec.achieved_distance == 0
-              and all(a.map == identity_map() for a in dec.automorphisms))
+              and all(a == identity_map() for a in dec.automorphisms))
         sys.exit(0 if ok else 5)
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -170,7 +170,7 @@ def test_distance_from_the_atoms_matches_the_matrix_sweep(pair):
 
 def test_distance_is_zero_up_to_cutting():
     i, r = identity_map(), PartialMap([Atom(0, 1, -1, 1)])
-    halves = [identity_map(iv(0, F(1, 2))), identity_map(iv(F(1, 2), 1)),
+    halves = [i.restrict(iv(0, F(1, 2))), i.restrict(iv(F(1, 2), 1)),
               r.restrict(iv(0, F(1, 3))), r.restrict(iv(F(1, 3), 1))]
     assert distance(DSE([i, r], 2), DSE(halves, 2)) == 0
 

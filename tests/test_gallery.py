@@ -143,7 +143,7 @@ def test_decomposed_forest_is_generated_by_automorphism():
     d = forest_to_dse(packed_shift_pieces())
     dec = almost_decompose(d, F(1, 4))
     assert dec.achieved_distance == 0
-    t1, t2 = (a.map for a in dec.automorphisms)
+    t1, t2 = dec.automorphisms
     gen = compose(t2.invert(), t1)
     line = DSE([gen], 1).matrix
     line = line.add(line.flip())

@@ -137,6 +137,17 @@ def test_map_ops_on_three_grids_match_membership_oracle(f, g, s):
         assert fg(x) == (None if gx is None else f(gx))
 
 
+@settings(max_examples=120, deadline=None)
+@given(grid_maps(), grid_maps(), grid_sets())
+def test_maps_keep_their_atoms_in_image_order(f, g, s):
+    # preimage_of and compose walk a map's atoms in the image order it keeps
+    # from its construction, on every path that builds a map
+    (_, f), (_, g), (_, s) = f, g, s
+    for m in (f, f.invert(), f.restrict(s), compose(f, g), glue([f]),
+              f._lift(3 * f._d)):
+        assert m._image_order == sorted(m.atoms, key=lambda a: a.image_lo)
+
+
 @settings(max_examples=60, deadline=None)
 @given(grid_maps(), grid_maps())
 def test_multisets_on_two_grids_compare_by_value(f, g):
