@@ -27,9 +27,6 @@ class Decomposition:
     automorphisms: tuple[PartialMap, ...]
     achieved_distance: Fraction
 
-    def as_dse(self) -> DSE:
-        return DSE(self.automorphisms, len(self.automorphisms))
-
 
 def complete_to_automorphism(piece: PartialMap) -> PartialMap:
     """Extend a partial map to a full automorphism.

@@ -25,9 +25,8 @@ to that window by bisection on their sorted endpoints, and the intervals
 of the result that lie wholly before or after the window are copied as
 tuple slices.  On the window, ``union`` merges the concatenated pairs
 (``_merged``, the one merge loop, also behind ``IntervalSet._merge_pairs``),
-``intersect`` walks both pair lists with two pointers (``_meet``), ``_clip``
-clamps the ends of its window to its one interval, and ``subtract`` walks
-both lists for the difference (``_minus``).
+``intersect`` walks both pair lists with two pointers (``_meet``), and
+``subtract`` walks both lists for the difference (``_minus``).
 The copied parts are separated from the window by gaps, so the result is
 canonical by construction.  An operation with a single interval against a
 set of k intervals therefore costs O(log k) comparisons plus the intervals
@@ -182,12 +181,6 @@ class IntervalSet(_Grid):
 
     def _scaled(self, f: int, d: int) -> "IntervalSet":
         return self._new(tuple((lo * f, hi * f) for lo, hi in self._iv), d)
-
-    def _clip(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        """Grid pairs of the intersection with the window [lo, hi); sorted."""
-        iv = self._iv
-        window = iv[bisect_right(iv, lo, key=_HI):bisect_left(iv, hi, key=_LO)]
-        return [(max(a, lo), min(b, hi)) for a, b in window]
 
     @classmethod
     def interval(cls, lo, hi) -> "IntervalSet":

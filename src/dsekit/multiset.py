@@ -15,18 +15,23 @@ cells by two or more parts goes through ``sweep``, one given a single part
 keeps its cells, so a lone entry is its own cell and ``flip`` (whose
 ``_inverse_key`` is injective) only moves cells.  ``_maps_l1`` reads the
 L1 distance of two lists of maps off their atoms, building no multiset.
+Support is read off the cells too: ``contains_graph`` and
+``clip_to_support`` bisect an atom's family cells to the first that ends
+after the atom starts and walk on while cells start before it ends; no
+second structure is built or kept.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
 from math import lcm
 from typing import Iterable, Iterator
 
-from .intervals import (IntervalSet, Step, StepReadout, _align, _fractions,
-                        _Grid, step_sum, sweep)
+from .intervals import (Step, StepReadout, _align, _fractions, _Grid, _HI,
+                        step_integral, step_sum, sweep)
 from .maps import Atom, PartialMap, _inverse_key, _move
 
 Cells = tuple[tuple[int, int, int], ...]
@@ -54,11 +59,6 @@ def _gather(parts: Iterable[tuple[tuple[int, int], Cells]]) -> dict:
             for k, v in grouped.items()}
 
 
-def _l1(cells: Cells) -> int:
-    """The integral of |level| over the cells, times the grid d."""
-    return sum((hi - lo) * abs(v) for lo, hi, v in cells)
-
-
 def _maps_l1(a: Iterable[PartialMap], b: Iterable[PartialMap],
              d: int) -> Fraction:
     """The integral of |M(a) - M(b)| against the counting measure, M
@@ -75,17 +75,18 @@ def _maps_l1(a: Iterable[PartialMap], b: Iterable[PartialMap],
     for key, pa in fa.items():
         pb = fb.pop(key, None)
         if pb is None:
-            total += _l1(pa)
+            total += step_integral(pa, abs)
         elif (len(pa) != len(pb)
               or sorted(p[:2] for p in pa) != sorted(p[:2] for p in pb)):
-            total += _l1(sweep(pa + pb, sparse=True))
-    return Fraction(total + sum(map(_l1, fb.values())), d)
+            total += step_integral(sweep(pa + pb, sparse=True), abs)
+    total += sum(step_integral(p, abs) for p in fb.values())
+    return Fraction(total, d)
 
 
 class GraphMultiset(_Grid):
     """Multiset of graph atoms with integer multiplicities (the matrix M)."""
 
-    __slots__ = ("_fam", "_support_cache")
+    __slots__ = ("_fam",)
 
     def __init__(self, entries: Iterable[tuple[Atom, int]] = ()):
         entries = list(entries)
@@ -103,7 +104,6 @@ class GraphMultiset(_Grid):
         fam, d = fields
         self._fam = dict(sorted((k, v) for k, v in fam.items() if v))
         self._d = d
-        self._support_cache: dict[tuple[int, int], IntervalSet] = {}
 
     def _scaled(self, f: int, d: int) -> "GraphMultiset":
         return self._new({(s, o * f): tuple((lo * f, hi * f, m)
@@ -121,15 +121,6 @@ class GraphMultiset(_Grid):
         return (((s, Fraction(o, d)), _fractions(cells, d))
                 for (s, o), cells in self._fam.items())
 
-    def _support(self, key: tuple[int, int]) -> IntervalSet:
-        """The source set of the family of a grid key, cached."""
-        cached = self._support_cache.get(key)
-        if cached is None:
-            cached = IntervalSet._merge_pairs(
-                [(lo, hi) for lo, hi, _ in self._fam.get(key, ())], self._d)
-            self._support_cache[key] = cached
-        return cached
-
     def _family_map(self, key: tuple[int, int]) -> PartialMap:
         """The family of a grid key as a partial map (multiplicity ignored)."""
         return PartialMap._new([Atom._new(lo, hi, *key, self._d)
@@ -138,7 +129,8 @@ class GraphMultiset(_Grid):
 
     def mass(self) -> Fraction:
         """Counting measure: total multiplicity-weighted source length."""
-        return Fraction(sum(map(_l1, self._fam.values())), self._d)
+        return Fraction(sum(step_integral(c, abs) for c in self._fam.values()),
+                        self._d)
 
     def _degree(self, image: bool) -> Step:
         """The row mass (the column mass, with image) as a step function of
@@ -147,19 +139,29 @@ class GraphMultiset(_Grid):
                          for (s, o), cells in self._fam.items()
                          for lo, hi, m in cells), self._d)
 
+    def _inside(self, a: Atom) -> Iterator[tuple[int, int]]:
+        """The parts of a grid atom's source inside its family's cells, one
+        per cell met, in order: the cells are sorted and disjoint."""
+        cells = self._fam.get((a.slope, a._off), ())
+        k = bisect_right(cells, a._lo, key=_HI)
+        while k < len(cells) and cells[k][0] < a._hi:
+            lo, hi, _ = cells[k]
+            yield max(lo, a._lo), min(hi, a._hi)
+            k += 1
+
     def contains_graph(self, m: PartialMap) -> bool:
-        """True when every atom of m lies inside the matching family support."""
+        """True when every atom of m lies inside the matching family support:
+        its parts inside the family's cells add up to its length."""
         g, m = _align(self, m)
-        return all(g._support((a.slope, a._off))._clip(a._lo, a._hi)
-                   == [(a._lo, a._hi)] for a in m.atoms)
+        return all(sum(hi - lo for lo, hi in g._inside(a)) == a._hi - a._lo
+                   for a in m.atoms)
 
     def clip_to_support(self, m: PartialMap) -> PartialMap:
         """Restrict m to the part of its graph inside this multiset's support."""
         g, m = _align(self, m)
-        return PartialMap._new(
-            [Atom._new(lo, hi, a.slope, a._off, g._d) for a in m.atoms
-             for lo, hi in g._support((a.slope, a._off))._clip(a._lo, a._hi)],
-            g._d)
+        return PartialMap._new([Atom._new(lo, hi, a.slope, a._off, g._d)
+                                for a in m.atoms for lo, hi in g._inside(a)],
+                               g._d)
 
     # -- arithmetic ---------------------------------------------------------
 

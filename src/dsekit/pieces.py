@@ -124,9 +124,8 @@ def greedy_maximal_map(maps: Sequence[PartialMap], allowed: IntervalSet,
         pieces.sort()
         i = bisect_left(img, pieces[0][0], key=_HI)
         k = bisect_right(img, pieces[-1][1], key=_LO)
+        # not empty: no kept piece lies in one img interval, and none touch
         free = _minus([p[:2] for p in pieces], img[i:k])
-        if not free:
-            continue
         img[i:k] = _merged(img[i:k] + free)
         sources = []
         for lo, hi in free:

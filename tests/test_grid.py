@@ -110,12 +110,6 @@ def test_set_ops_on_two_grids_match_membership_oracle(a, b):
     width = F(1, 2 * lcm(qa, qb))
     assert inter.measure() == width * 2 * sum(member(inter, x) for x in points)
     assert a.contains(b) == all(member(a, x) for x in points if member(b, x))
-    lo, hi = F(1, qa), 1 - F(1, qb)
-    if lo < hi:
-        g = a._lift(lcm(a._d, qa, qb))
-        clipped = g._clip(int(lo * g._d), int(hi * g._d))
-        assert (IntervalSet._merge_pairs(clipped, g._d)
-                == a.intersect(IntervalSet.interval(lo, hi)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -146,6 +140,55 @@ def test_maps_keep_their_atoms_in_image_order(f, g, s):
     for m in (f, f.invert(), f.restrict(s), compose(f, g), glue([f]),
               f._lift(3 * f._d)):
         assert m._image_order == sorted(m.atoms, key=lambda a: a.image_lo)
+
+
+@st.composite
+def supports(draw):
+    """A map on one grid 1/q and a multiset on another, 1/r, over the map's
+    families.  Each family holds random cells of 1/r (cut to where the
+    family's atoms stay in [0, 1)) of multiplicity 1 or 2, so touching cells
+    of different multiplicity and gaps between cells both occur; at random
+    the map's own atoms of a family are added to its cells, or all of them
+    to the whole multiset, so that some maps lie inside it."""
+    q, m = draw(grid_maps())
+    r = draw(denominators)
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    whole = rng.random() < 0.3
+    entries = []
+    for s, o in sorted({(a.slope, a.offset) for a in m.atoms}):
+        if s == 1:
+            lo, hi = max(0, -o), min(1, 1 - o)
+        else:
+            lo, hi = max(0, o - 1), min(1, o)
+        for k in range(r):
+            clo, chi = max(lo, F(k, r)), min(hi, F(k + 1, r))
+            if clo < chi and rng.random() < 0.5:
+                entries.append((Atom(clo, chi, s, o), rng.choice((1, 2))))
+        if whole or rng.random() < 0.3:
+            entries += [(a, 1) for a in m.atoms if (a.slope, a.offset) == (s, o)]
+    return lcm(q, r), m, GraphMultiset(entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(supports())
+def test_support_reads_match_membership_oracle(drawn):
+    # every endpoint lies on the grid 1/n, so the midpoints of that grid
+    # decide both reads: x is in the support when a cell of the family of
+    # m's atom at x holds x
+    n, m, g = drawn
+    cells = dict(g.families())
+    clipped = g.clip_to_support(m)
+    assert_same_on_a_fresh_grid(clipped)
+    inside = []
+    for x in midpoints(n):
+        a = next((a for a in m.atoms if a.lo <= x < a.hi), None)
+        held = a is not None and any(
+            lo <= x < hi for lo, hi, _ in cells.get((a.slope, a.offset), ()))
+        assert clipped(x) == (m(x) if held else None)
+        if a is not None:
+            inside.append(held)
+    assert g.contains_graph(m) == all(inside)
+    assert g.contains_graph(clipped)
 
 
 @settings(max_examples=60, deadline=None)

@@ -83,11 +83,6 @@ def test_rat_and_the_json_reader_take_the_same_strings(text):
                                            text)
 
 
-def test_clip_window():
-    s = IntervalSet([(F(0), F(1, 4)), (F(1, 2), F(3, 4))])._lift(8)
-    assert s._clip(1, 5) == [(1, 2), (4, 5)]
-
-
 frac = st.fractions(min_value=0, max_value=1, max_denominator=32)
 
 

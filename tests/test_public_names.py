@@ -1,9 +1,12 @@
-"""Every public name has a caller outside the tests.
+"""Every public name, and every public method of a public class, has a
+caller outside the tests.
 
 A name in ``dsekit.__all__`` must be read somewhere in ``src/dsekit`` (other
 than ``__init__.py``, which only re-exports), ``demos/`` or ``bench/`` (other
-than its tests), outside its own definition.  A name that only tests call
-is code that no user of the package needs.
+than its tests), outside its own definition.  So must a method that a class
+in ``dsekit.__all__`` defines in its body, if its name does not start with
+an underscore.  A name that only tests call is code that no user of the
+package needs.
 """
 
 import ast
@@ -48,9 +51,31 @@ def callers() -> set:
     return found
 
 
+def public_methods() -> set:
+    """(class, method) for each public method defined in the body of a
+    class in ``dsekit.__all__``."""
+    found = set()
+    for path in sorted((ROOT / "src" / "dsekit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and node.name in dsekit.__all__:
+                found |= {(node.name, f.name) for f in node.body
+                          if isinstance(f, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))
+                          and not f.name.startswith("_")}
+    return found
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     unread = sorted(set(dsekit.__all__) - callers())
     assert not unread, f"public names that only tests read: {unread}"
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    methods = public_methods()
+    assert ("PartialMap", "restrict") in methods
+    read = callers()
+    unread = sorted(f"{c}.{m}" for c, m in methods if m not in read)
+    assert not unread, f"public methods that only tests read: {unread}"
 
 
 def test_a_self_reference_is_not_a_caller():
