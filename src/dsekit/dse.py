@@ -90,8 +90,10 @@ def validate(d: DSE, raise_on_fail: bool = True) -> CoverageReport:
 
 def distance(a: DSE, b: DSE) -> Fraction:
     """Exact L1 distance of the associated matrices (a metric on classes),
-    read off the atoms with no matrix built: a one-sided family adds its
-    length, equal sorted pairs 0, others a signed sweep; coverage unchecked."""
+    read off the atoms with no matrix built: both sides' length, less twice
+    what each shared family shares, read off equal sorted pairs, off an
+    intersection of pairs apart on each side, or off a signed sweep where
+    pairs stack (``multiset._maps_l1``); coverage unchecked."""
     if a.multiplicity != b.multiplicity:
         raise MultiplicityMismatch(
             f"multiplicities differ: {a.multiplicity} vs {b.multiplicity}")

@@ -35,9 +35,12 @@ sets as pair lists and splices the same walks into them in place: it
 replaces the window of its blocked image by ``_merged`` of it and the parts
 it takes, and the window of its untaken sources by ``_minus`` of the
 sources taken; an image piece inside one blocked interval costs it one
-bisection and no walk.  The weighted cut sweep ``sweep`` is reserved for
-step functions and for the multiset families whose cells can meet (see
-``multiset``).
+bisection and no walk.  The L1 distance of two lists of maps takes
+``_meet`` of each family found on both sides whose source pairs lie apart
+on each side.  The weighted cut sweep ``sweep`` is reserved for step
+functions and for the multiset families whose cells can meet: in a
+multiset's constructor, ``add`` and ``subtract``, and in the distance, for
+a family whose source pairs stack on a side (see ``multiset``).
 """
 
 from __future__ import annotations
@@ -294,7 +297,9 @@ def _merged(pairs: Iterable) -> list:
 
 
 def _meet(a, b) -> list:
-    """Intersection of two canonical pair sequences, by two pointers."""
+    """Intersection of two sorted pair sequences, by two pointers; each
+    needs disjoint pairs, which may touch, as one family's source pairs
+    gathered from several maps do in ``multiset._shared``."""
     out = []
     i = j = 0
     while i < len(a) and j < len(b):

@@ -47,8 +47,8 @@ class Atom(_Grid):
     """One affine piece of a partial isomorphism.
 
     Stores grid numerators over its ``_d``, the lcm of the denominators it
-    was built from; ``lo``, ``hi``, ``offset``, ``image_lo`` and
-    ``image_hi`` read them out as Fractions.
+    was built from; ``lo``, ``hi`` and ``offset`` read them out as
+    Fractions, and the image is the source of ``invert()``.
     """
 
     __slots__ = ("_lo", "_hi", "slope", "_off", "_ilo", "_ihi")
@@ -71,8 +71,7 @@ class Atom(_Grid):
         self._lo, self._hi, self.slope, self._off = lo, hi, slope, off
         self._ilo, self._ihi, self._d = ilo, ihi, d
 
-    lo, hi, offset, image_lo, image_hi = map(
-        _readout, ("_lo", "_hi", "_off", "_ilo", "_ihi"))
+    lo, hi, offset = map(_readout, ("_lo", "_hi", "_off"))
 
     def _scaled(self, f: int, d: int) -> "Atom":
         return Atom._new(self._lo * f, self._hi * f, self.slope,
@@ -114,35 +113,54 @@ class PartialMap(_Grid):
         d = lcm(*(a._d for a in atoms))
         self._set(([a._lift(d) for a in atoms], d))
 
-    def _set(self, fields: tuple[Iterable[Atom], int]) -> None:
+    def _set(self, fields: tuple[list[Atom], int]) -> None:
         """Sorts the atoms by source and, in one pass, merges contiguous ones
         of one (slope, offset) and builds the domain; one pass in image order,
-        kept for ``_cut``, builds the image.  Any overlap is an OverlapError."""
+        kept for ``_cut``, builds the image.  Any overlap is an OverlapError.
+        Each pass carries the ends of the interval it is building and writes
+        the interval once, at the gap after it; a run of touching atoms of
+        one family becomes one atom when the run ends."""
         atoms, d = fields
-        merged, dom, img = [], [], []
+        if len(atoms) == 1:  # nothing to sort, merge or check
+            a = atoms[0]
+            self.atoms, self._d, self._image_order = (a,), d, [a]
+            self.domain = IntervalSet._new(((a._lo, a._hi),), d)
+            self.image = IntervalSet._new(((a._ilo, a._ihi),), d)
+            return
+        kept, dom, img = [], [], []
+        lo = hi = -1  # the domain interval being built
+        p = None  # the last atom kept, whose run of one family ends at hi
         for a in sorted(atoms, key=_SLO):
-            p = merged[-1] if merged else None
-            if p is None or p._hi < a._lo:
-                merged.append(a)
-                dom.append((a._lo, a._hi))
-            elif a._lo < p._hi:
+            if a._lo > hi:
+                if kept:
+                    dom.append((lo, hi))
+                lo = a._lo
+            elif a._lo < hi:
                 raise OverlapError(f"sources overlap at {a.lo}")
-            else:
-                dom[-1] = (dom[-1][0], a._hi)
-                if p.slope == a.slope and p._off == a._off:
-                    merged[-1] = Atom._new(p._lo, a._hi, a.slope, a._off, a._d)
-                else:
-                    merged.append(a)
-        by_image = sorted(merged, key=_ILO)
+            elif a._off == p._off and a.slope == p.slope:
+                hi = a._hi
+                continue
+            if kept and p._hi != hi:
+                kept[-1] = Atom._new(p._lo, hi, p.slope, p._off, d)
+            kept.append(p := a)
+            hi = a._hi
+        if kept:
+            if p._hi != hi:
+                kept[-1] = Atom._new(p._lo, hi, p.slope, p._off, d)
+            dom.append((lo, hi))
+        by_image = sorted(kept, key=_ILO)
+        lo = hi = -1
         for a in by_image:
-            lo, hi = a._ilo, a._ihi
-            if img and lo <= img[-1][1]:
-                if lo < img[-1][1]:
-                    raise OverlapError("images overlap (injectivity violated)")
-                img[-1] = (img[-1][0], hi)
-            else:
-                img.append((lo, hi))
-        self.atoms, self._d, self._image_order = tuple(merged), d, by_image
+            if a._ilo > hi:
+                if lo >= 0:
+                    img.append((lo, hi))
+                lo = a._ilo
+            elif a._ilo < hi:
+                raise OverlapError("images overlap (injectivity violated)")
+            hi = a._ihi
+        if kept:
+            img.append((lo, hi))
+        self.atoms, self._d, self._image_order = tuple(kept), d, by_image
         self.domain = IntervalSet._new(tuple(dom), d)
         self.image = IntervalSet._new(tuple(img), d)
 

@@ -14,7 +14,11 @@ states this once for the constructor, ``add`` and ``flip``: a family given
 cells by two or more parts goes through ``sweep``, one given a single part
 keeps its cells, so a lone entry is its own cell and ``flip`` (whose
 ``_inverse_key`` is injective) only moves cells.  ``_maps_l1`` reads the
-L1 distance of two lists of maps off their atoms, building no multiset.
+L1 distance of two lists of maps off their atoms, building no multiset:
+the total length of both sides, less twice what each family found on both
+sides shares, which equal sorted source pairs read as their length, pairs
+apart on each side as their intersection (``_meet``), and only pairs that
+stack on a side off a signed ``sweep`` of that family.
 Support is read off the cells too: ``contains_graph`` and
 ``clip_to_support`` bisect an atom's family cells to the first that ends
 after the atom starts and walk on while cells start before it ends; no
@@ -31,7 +35,7 @@ from math import lcm
 from typing import Iterable, Iterator
 
 from .intervals import (Step, StepReadout, _align, _fractions, _Grid, _HI,
-                        step_integral, step_sum, sweep)
+                        _meet, step_integral, step_sum, sweep)
 from .maps import Atom, PartialMap, _inverse_key, _move
 
 Cells = tuple[tuple[int, int, int], ...]
@@ -59,27 +63,55 @@ def _gather(parts: Iterable[tuple[tuple[int, int], Cells]]) -> dict:
             for k, v in grouped.items()}
 
 
+def _length(pairs) -> int:
+    return sum(hi - lo for lo, hi in pairs)
+
+
+def _apart(pairs: list) -> bool:
+    """True when no two sorted (lo, hi) pairs overlap; they may touch."""
+    end = 0
+    for lo, hi in pairs:
+        if lo < end:
+            return False
+        end = hi
+    return True
+
+
+def _shared(pa: list, pb: list) -> int:
+    """Twice what the sorted source pairs of one family on two sides share,
+    read as multisets A and B: |A| + |B| less the integral of |A - B|.
+    Equal lists share their length; lists apart on each side share their
+    intersection (``_meet``), as for sets the integral of |1_A - 1_B| is
+    |A| + |B| - 2|A & B|; only pairs that stack on a side are swept."""
+    if pa == pb:
+        return 2 * _length(pa)
+    if _apart(pa) and _apart(pb):
+        return 2 * _length(_meet(pa, pb))
+    cells = sweep(chain(((lo, hi, 1) for lo, hi in pa),
+                        ((lo, hi, -1) for lo, hi in pb)), sparse=True)
+    return _length(chain(pa, pb)) - step_integral(cells, abs)
+
+
 def _maps_l1(a: Iterable[PartialMap], b: Iterable[PartialMap],
              d: int) -> Fraction:
     """The integral of |M(a) - M(b)| against the counting measure, M
-    counting the atoms of maps on grids dividing d, family by family: one
-    side's family adds its length (weights of one sign cannot cancel), equal
-    sorted source pairs add 0, and any other family is swept once, signed."""
+    counting the atoms of maps on grids dividing d: the total length of
+    both sides, less what each family found on both sides shares
+    (``_shared``).  A family on one side only adds its length and is
+    never looked at on its own; the lengths are the maps' domain sizes."""
+    total = 0
     fa, fb = sides = (defaultdict(list), defaultdict(list))
-    for fam, maps, w in zip(sides, (a, b), (1, -1)):
+    for fam, maps in zip(sides, (a, b)):
         for m in maps:
             f = d // m._d
+            total += m.domain._size() * f
             for t in m.atoms:
-                fam[t.slope, t._off * f].append((t._lo * f, t._hi * f, w))
-    total = 0
+                fam[t.slope, t._off * f].append((t._lo * f, t._hi * f))
     for key, pa in fa.items():
-        pb = fb.pop(key, None)
-        if pb is None:
-            total += step_integral(pa, abs)
-        elif (len(pa) != len(pb)
-              or sorted(p[:2] for p in pa) != sorted(p[:2] for p in pb)):
-            total += step_integral(sweep(pa + pb, sparse=True), abs)
-    total += sum(step_integral(p, abs) for p in fb.values())
+        if (pb := fb.get(key)) is not None:
+            pa.sort()
+            pb.sort()
+            total -= _shared(pa, pb)
     return Fraction(total, d)
 
 

@@ -141,7 +141,9 @@ def _atom_lists(lists: list, keys=_ATOM_KEYS) -> list[tuple[list[Atom], int]]:
                     _expect(slope, int)
                 slopes.append(slope)
                 values.append(a["offset"])
-                if len(a) > 3:  # src, slope and offset were read
+                # src, slope and offset were read, so a key is foreign only
+                # beyond the shape's count or in place of its last key
+                if len(a) > len(keys) or keys[-1] not in a:
                     _keyed(a, keys)
     except (ValueError, KeyError) as e:
         _grid_values(values)

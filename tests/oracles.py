@@ -101,7 +101,8 @@ def reference_split_into_injective(atoms):
 
     if not atoms:
         return []
-    cuts = {x for a in atoms for x in (a.image_lo, a.image_hi)}
+    images = [(a, *_reference_image(a)) for a in atoms]
+    cuts = {x for _, lo, hi in images for x in (lo, hi)}
     for a in atoms:
         if a.slope != 1:
             continue
@@ -114,7 +115,7 @@ def reference_split_into_injective(atoms):
     ranks = {}
     for k in range(len(ordered) - 1):
         lo, hi = ordered[k], ordered[k + 1]
-        branches = [a for a in atoms if a.image_lo <= lo and hi <= a.image_hi]
+        branches = [a for a, ilo, ihi in images if ilo <= lo and hi <= ihi]
         if not branches:
             continue
         mid = (lo + hi) / 2
@@ -489,6 +490,11 @@ def _reference_move(slope, offset, lo, hi):
                                                           offset - lo)
 
 
+def _reference_image(a):
+    """The image of the atom a, read off its public Fraction read-outs."""
+    return _reference_move(a.slope, a.offset, a.lo, a.hi)
+
+
 def _reference_back(a, lo, hi):
     """The source of the image part [lo, hi) of the atom a."""
     return _reference_move(a.slope, -a.offset if a.slope == 1 else a.offset,
@@ -522,7 +528,7 @@ def reference_preimage_of(m, s):
 
     return IntervalSet(
         _reference_back(a, lo, hi) for a in m.atoms
-        for lo, hi in _reference_clip(s, a.image_lo, a.image_hi))
+        for lo, hi in _reference_clip(s, *_reference_image(a)))
 
 
 def reference_restrict_image(m, s):
@@ -530,7 +536,7 @@ def reference_restrict_image(m, s):
 
     return PartialMap(Atom(*_reference_back(a, lo, hi), a.slope, a.offset)
                       for a in m.atoms
-                      for lo, hi in _reference_clip(s, a.image_lo, a.image_hi))
+                      for lo, hi in _reference_clip(s, *_reference_image(a)))
 
 
 def reference_greedy_maximal_map(maps, allowed, forbidden):
@@ -564,7 +570,8 @@ def reference_compose(f, g):
     out = []
     for ag in g.atoms:
         for af in f.atoms:
-            lo, hi = max(ag.image_lo, af.lo), min(ag.image_hi, af.hi)
+            ilo, ihi = _reference_image(ag)
+            lo, hi = max(ilo, af.lo), min(ihi, af.hi)
             if lo < hi:
                 out.append(Atom(*_reference_back(ag, lo, hi),
                                 af.slope * ag.slope,

@@ -243,6 +243,28 @@ def test_readers_name_a_key_outside_the_schema():
         ser.multiset_from_json(replaced(g, ("maps",), []))
 
 
+def test_valid_entries_are_read_without_a_key_check(tmp_path, capsys,
+                                                    monkeypatch):
+    f = write_dse(tmp_path / "sym.json", symmetrize(counterexample(3)))
+    out = tmp_path / "division.json"
+    code, _ = run(capsys, "divide", "--in", f, "--eps", "1/8",
+                  "--out", str(out))
+    assert code == 0
+    artifact = json.loads(out.read_text())
+    checked, keyed = [], ser._keyed
+    monkeypatch.setattr(ser, "_keyed", lambda value, keys: (
+        checked.append(keys), keyed(value, keys))[1])
+    for part in ("base", "oriented"):
+        assert ser.multiset_from_json(artifact[part]).mass() > 0
+    # each multiset's top-level object is checked, none of its entries
+    assert checked == [("entries",)] * 2
+    # a foreign key in place of "multiplicity" is still named
+    entry = {"src": ["0/1", "1/1"], "slope": 1, "offset": "0/1", "weight": 2}
+    with pytest.raises(ValueError, match="^unexpected key 'weight'$"):
+        ser.multiset_from_json({"entries": [entry]})
+    assert checked[2:] == [("entries",), ser._ENTRY_KEYS]
+
+
 def test_exponent_rational_is_rejected_before_it_is_built(tmp_path, capsys):
     # Fraction("1e-3000000") builds a three-million-digit denominator
     f = tmp_path / "exp.json"

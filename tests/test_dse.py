@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dsekit import (DSE, Atom, GraphMultiset, IntervalSet, PartialMap,
@@ -166,6 +166,105 @@ def test_distance_from_the_atoms_matches_the_matrix_sweep(pair):
     a, b = pair
     assert distance(a, b) == reference_l1_distance(a.matrix, b.matrix) > 0
     assert distance(b, a) == distance(a, b)
+
+
+def _apart(pairs) -> bool:
+    return all(p[1] <= q[0] for p, q in zip(pairs, pairs[1:]))
+
+
+def family_cases(a: DSE, b: DSE) -> set:
+    """How the distance kernel meets each family of two elements: on one
+    side only, with equal sorted source pairs, with pairs apart on each
+    side, or stacked on a side; "touching" when pairs apart on each side
+    touch on a side."""
+    sides = ({}, {})
+    for fam, e in zip(sides, (a, b)):
+        for m in e.maps:
+            for t in m.atoms:
+                fam.setdefault((t.slope, t.offset), []).append((t.lo, t.hi))
+    cases = set()
+    for key in sides[0].keys() | sides[1].keys():
+        pa, pb = (sorted(fam.get(key, ())) for fam in sides)
+        case = ("one-sided" if not pa or not pb else "equal" if pa == pb
+                else "apart" if _apart(pa) and _apart(pb) else "stacked")
+        cases.add(case)
+        if case == "apart" and any(p[1] == q[0] for s in (pa, pb)
+                                   for p, q in zip(s, s[1:])):
+            cases.add("touching")
+    return cases
+
+
+@st.composite
+def apart_atoms(draw, key, d, touching=False):
+    """One or more atoms of the family key on the grid d, pairwise apart
+    (touching allowed): drawn segments between drawn cut points, sorted;
+    with touching, the first two segments, which touch, are both taken."""
+    start, stop = _span(key, d)
+    cuts = sorted(draw(st.sets(st.integers(start, stop),
+                               min_size=2 + touching)))
+    segs = [s for i, s in enumerate(zip(cuts, cuts[1:]))
+            if touching and i < 2 or draw(st.booleans())]
+    return [Atom(F(lo, d), F(hi, d), *key) for lo, hi in segs or [cuts[:2]]]
+
+
+def _cell(draw, key, d: int) -> Atom:
+    """An atom of the family key on one cell [k/d, (k + 1)/d) of the grid
+    d; its own grid is d, as no factor of d above 1 divides k and k + 1."""
+    start, stop = _span(key, d)
+    k = draw(st.integers(start, stop - 1))
+    return Atom(F(k, d), F(k + 1, d), *key)
+
+
+@st.composite
+def family_case_pairs(draw):
+    """Two multiplicity-1 elements on two grids da != db whose common grid
+    g is at least 2, with a family of each kernel case in every example: a
+    family on each side only; one with equal atoms on both sides; one whose
+    atoms lie apart on each side and differ between the sides, every other
+    atom in a second map so that touching atoms stay two source pairs, two
+    of them touching on the side of the finer grid; and one where side a
+    stacks two overlapping atoms against one atom of side b.  The other
+    maps are single atoms, in drawn order."""
+    da, db = draw(st.sampled_from([(p, q) for p in GRIDS for q in GRIDS
+                                   if p != q and gcd(p, q) > 1]))
+    equal_key, apart_key, stack_key = draw(st.permutations(
+        _keys(gcd(da, db))))[:3]
+    shared = (equal_key, apart_key, stack_key)
+    only_a = draw(st.sampled_from([k for k in _keys(da) if k not in shared]))
+    only_b = draw(st.sampled_from([k for k in _keys(db)
+                                   if k not in (*shared, only_a)]))
+    # the family spans at least two cells of a grid finer than gcd(da, db)
+    fine = da if da > gcd(da, db) else db
+    apart = [draw(apart_atoms(apart_key, d, d == fine)) for d in (da, db)]
+    assume(apart[0] != apart[1])
+    apart = [[PartialMap(ts[::2])] + [PartialMap(ts[1::2])] * (len(ts) > 1)
+             for ts in apart]
+    (whole,) = draw(atoms_on(stack_key, da, 1))
+    lo, hi = int(whole.lo * da), int(whole.hi * da)
+    start, stop = _span(stack_key, da)
+    top_lo = draw(st.integers(start, hi - 1))
+    top_hi = draw(st.integers(max(top_lo, lo) + 1, stop))
+    equal = draw(atoms_on(equal_key, gcd(da, db), draw(st.integers(1, 3))))
+    # a one-sided cell of each grid puts each side on its own grid
+    a = equal + [_cell(draw, only_a, da), whole,
+                 Atom(F(top_lo, da), F(top_hi, da), *stack_key)]
+    a += draw(atoms_on(only_a, da, draw(st.integers(0, 1))))
+    b = (equal[::-1] + [_cell(draw, only_b, db)]
+         + draw(atoms_on(stack_key, db, 1)))
+    return tuple(DSE(draw(st.permutations(ms + [PartialMap([t]) for t in s])),
+                     1) for ms, s in zip(apart, (a, b)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_case_pairs())
+def test_distance_meets_every_family_case_like_the_oracles(pair):
+    a, b = pair
+    assert a._d != b._d
+    assert family_cases(a, b) == {"one-sided", "equal", "apart", "stacked",
+                                  "touching"}
+    want = brute_distance(a, b)
+    assert distance(a, b) == distance(b, a) == want > 0
+    assert want == reference_l1_distance(a.matrix, b.matrix)
 
 
 def test_distance_is_zero_up_to_cutting():

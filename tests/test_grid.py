@@ -139,7 +139,7 @@ def test_maps_keep_their_atoms_in_image_order(f, g, s):
     (_, f), (_, g), (_, s) = f, g, s
     for m in (f, f.invert(), f.restrict(s), compose(f, g), glue([f]),
               f._lift(3 * f._d)):
-        assert m._image_order == sorted(m.atoms, key=lambda a: a.image_lo)
+        assert m._image_order == sorted(m.atoms, key=lambda a: a.invert().lo)
 
 
 @st.composite

@@ -9,7 +9,8 @@ from dsekit import (Atom, IntervalSet, PartialMap, compose, glue,
 from dsekit.errors import OverlapError
 from dsekit.gallery import counterexample, forest_example
 
-from oracles import (reference_compose, reference_greedy_maximal_map,
+from oracles import (_reference_image, reference_compose,
+                     reference_greedy_maximal_map,
                      reference_image_of, reference_partial_map,
                      reference_preimage_of, reference_restrict)
 
@@ -186,8 +187,8 @@ def test_transport_rule(m, s):
     assert m.preimage_of(s) == m.invert().image_of(s)
     for a in m.atoms:
         b = a.invert()
-        assert (b.lo, b.hi) == (a.image_lo, a.image_hi)
-        assert (b.image_lo, b.image_hi) == (a.lo, a.hi)
+        assert (b.lo, b.hi) == _reference_image(a)
+        assert _reference_image(b) == (a.lo, a.hi)
         assert b.invert() == a
 
 
@@ -289,7 +290,7 @@ def endpoint_sets(draw, maps):
     sources split an interval at either end or in the middle.  Each
     interval reads one atom, so later maps are often on other grids."""
     spans = [span for m in maps for a in m.atoms
-             for span in ((a.lo, a.hi), (a.image_lo, a.image_hi))]
+             for span in ((a.lo, a.hi), _reference_image(a))]
     pairs = list(draw(set_kinds()).pairs)
     for _ in range(draw(st.integers(0, 4)) if spans else 0):
         lo, hi = draw(st.sampled_from(spans))
@@ -385,6 +386,30 @@ def reference_built(atoms) -> tuple:
 
 
 CONSTRUCTOR_CASES = {
+    "no atom": ([], ((), (), ())),
+    "one atom": (
+        [grid_atom(3, 9, 1, 20)],
+        ((grid_atom(3, 9, 1, 20),), ((3, 9),), ((20, 26),))),
+    "one reflection atom": (
+        [grid_atom(0, 5, -1, 27)],
+        ((grid_atom(0, 5, -1, 27),), ((0, 5),), ((27, 32),))),
+    # three atoms of one family make one, closed where the next family starts
+    "a run of three, then a touching atom of another family": (
+        [grid_atom(2, 5, 1, 10), grid_atom(6, 8, -1, 0),
+         grid_atom(0, 2, 1, 8), grid_atom(5, 6, 1, 13)],
+        ((grid_atom(0, 6, 1, 8), grid_atom(6, 8, -1, 0)), ((0, 8),),
+         ((0, 2), (8, 14)))),
+    # runs closed by a gap and by the last atom
+    "runs before a gap and at the end": (
+        [grid_atom(12, 16, 1, 22), grid_atom(2, 4, 1, 10),
+         grid_atom(10, 12, 1, 20), grid_atom(0, 2, 1, 8)],
+        ((grid_atom(0, 4, 1, 8), grid_atom(10, 16, 1, 20)),
+         ((0, 4), (10, 16)), ((8, 12), (20, 26)))),
+    # 6-7 lies inside the run 0-8, past the end of the first atom kept
+    "a source overlapping a merged run": (
+        [grid_atom(0, 4, 1, 8), grid_atom(4, 8, 1, 12),
+         grid_atom(6, 7, 1, 0)],
+        (OverlapError, "sources overlap at 3/16")),
     # 0-4 and 4-8 both shift by 8: one atom
     "same family neighbours merge": (
         [grid_atom(4, 8, 1, 12), grid_atom(0, 4, 1, 8)],

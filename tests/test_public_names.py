@@ -1,10 +1,11 @@
-"""Every public name, and every public method of a public class, has a
-caller outside the tests.
+"""Every public name, and every public method and property of a public
+class, has a caller outside the tests.
 
 A name in ``dsekit.__all__`` must be read somewhere in ``src/dsekit`` (other
 than ``__init__.py``, which only re-exports), ``demos/`` or ``bench/`` (other
 than its tests), outside its own definition.  So must a method that a class
-in ``dsekit.__all__`` defines in its body, if its name does not start with
+in ``dsekit.__all__`` defines in its body, and a property it has, whether
+made by ``@property`` or by an assignment, if the name does not start with
 an underscore.  A name that only tests call is code that no user of the
 package needs.
 """
@@ -65,6 +66,15 @@ def public_methods() -> set:
     return found
 
 
+def public_properties() -> set:
+    """(class, property) for each public property of a class in
+    ``dsekit.__all__``: one assigned in the class body is not a ``def``."""
+    return {(c, name) for c in dsekit.__all__
+            if isinstance(cls := getattr(dsekit, c), type)
+            for name, value in vars(cls).items()
+            if isinstance(value, property) and not name.startswith("_")}
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     unread = sorted(set(dsekit.__all__) - callers())
     assert not unread, f"public names that only tests read: {unread}"
@@ -76,6 +86,15 @@ def test_every_public_method_has_a_caller_outside_the_tests():
     read = callers()
     unread = sorted(f"{c}.{m}" for c, m in methods if m not in read)
     assert not unread, f"public methods that only tests read: {unread}"
+
+
+def test_every_public_property_has_a_caller_outside_the_tests():
+    properties = public_properties()
+    # Atom's read-outs are assigned, IntervalSet.pairs is decorated
+    assert {("Atom", "lo"), ("IntervalSet", "pairs")} <= properties
+    read = callers()
+    unread = sorted(f"{c}.{p}" for c, p in properties if p not in read)
+    assert not unread, f"public properties that only tests read: {unread}"
 
 
 def test_a_self_reference_is_not_a_caller():
