@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable
 
@@ -29,8 +30,6 @@ class DSE:
     Its maps are lifted to one grid, ``_d``, the lcm of theirs.
     """
 
-    __slots__ = ("maps", "multiplicity", "_matrix", "_d")
-
     def __init__(self, maps: Iterable[PartialMap], multiplicity: int):
         if multiplicity < 1:
             raise ValueError("multiplicity must be a positive integer")
@@ -38,13 +37,10 @@ class DSE:
         self._d = lcm(*(m._d for m in maps))
         self.maps = tuple(m._lift(self._d) for m in maps)
         self.multiplicity = multiplicity
-        self._matrix = None
 
-    @property
+    @cached_property
     def matrix(self) -> GraphMultiset:
-        if self._matrix is None:
-            self._matrix = GraphMultiset.from_maps(self.maps)
-        return self._matrix
+        return GraphMultiset.from_maps(self.maps)
 
     def __eq__(self, other) -> bool:
         # Equality of DSEs is equivalence: same associated matrix.

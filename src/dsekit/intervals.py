@@ -24,23 +24,16 @@ on the window where the two operands can interact.  Both operands are cut
 to that window by bisection on their sorted endpoints, and the intervals
 of the result that lie wholly before or after the window are copied as
 tuple slices.  On the window, ``union`` merges the concatenated pairs
-(``_merged``, the one merge loop, also behind ``IntervalSet._merge_pairs``),
-``intersect`` walks both pair lists with two pointers (``_meet``), and
-``subtract`` walks both lists for the difference (``_minus``).
+(``_merged``, the one merge loop, which also builds every set from loose
+pairs), ``intersect`` walks both pair lists with two pointers (``_meet``),
+and ``subtract`` walks both lists for the difference (``_minus``).
 The copied parts are separated from the window by gaps, so the result is
 canonical by construction.  An operation with a single interval against a
 set of k intervals therefore costs O(log k) comparisons plus the intervals
-it actually touches.  The greedy step of ``pieces`` keeps its two working
-sets as pair lists and splices the same walks into them in place: it
-replaces the window of its blocked image by ``_merged`` of it and the parts
-it takes, and the window of its untaken sources by ``_minus`` of the
-sources taken; an image piece inside one blocked interval costs it one
-bisection and no walk.  The L1 distance of two lists of maps takes
-``_meet`` of each family found on both sides whose source pairs lie apart
-on each side.  The weighted cut sweep ``sweep`` is reserved for step
-functions and for the multiset families whose cells can meet: in a
-multiset's constructor, ``add`` and ``subtract``, and in the distance, for
-a family whose source pairs stack on a side (see ``multiset``).
+it actually touches.  Outside this module, ``maps`` builds images and
+preimages with ``_merged``, the greedy step of ``pieces`` splices
+``_merged`` and ``_minus`` into its working pair lists, and ``multiset``
+takes ``_meet`` and the weighted cut sweep ``sweep`` for its families.
 """
 
 from __future__ import annotations
@@ -172,15 +165,10 @@ class IntervalSet(_Grid):
             if lo < hi and (lo < ZERO or hi > ONE):
                 raise ValueError(f"interval [{lo},{hi}) leaves [0,1)")
         d, ends = _on_grid(*(x.as_integer_ratio() for p in cleaned for x in p))
-        self._set((self._merge_pairs(zip(ends[::2], ends[1::2]), d)._iv, d))
+        self._set((tuple(_merged(zip(ends[::2], ends[1::2]))), d))
 
     def _set(self, fields: tuple[tuple, int]) -> None:
         self._iv, self._d = fields
-
-    @classmethod
-    def _merge_pairs(cls, pairs: Iterable, d: int) -> "IntervalSet":
-        """The set of the (lo, hi) grid tuples over d (``_merged``)."""
-        return cls._new(tuple(_merged(pairs)), d)
 
     def _scaled(self, f: int, d: int) -> "IntervalSet":
         return self._new(tuple((lo * f, hi * f) for lo, hi in self._iv), d)
@@ -193,7 +181,8 @@ class IntervalSet(_Grid):
     def union_all(cls, sets: Iterable["IntervalSet"]) -> "IntervalSet":
         sets = list(sets)
         d = lcm(*(s._d for s in sets))
-        return cls._merge_pairs([p for s in sets for p in s._lift(d)._iv], d)
+        return cls._new(
+            tuple(_merged([p for s in sets for p in s._lift(d)._iv])), d)
 
     @property
     def pairs(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -400,8 +389,8 @@ def step_sum(weighted: Iterable[tuple[int, int, int]], d: int) -> Step:
 def step_where(s: Step, predicate, d: int) -> IntervalSet:
     """Interval set of the cells whose value satisfies the predicate, for
     a step of grid numerators over d."""
-    return IntervalSet._merge_pairs(
-        [(lo, hi) for lo, hi, v in s if predicate(v)], d)
+    return IntervalSet._new(
+        tuple(_merged([(lo, hi) for lo, hi, v in s if predicate(v)])), d)
 
 
 def step_integral(s: Step, fn=lambda v: v) -> int:

@@ -23,7 +23,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import OverlapError
-from .intervals import IntervalSet, _align, _Grid, _HI, _on_grid, rat
+from .intervals import IntervalSet, _align, _Grid, _HI, _merged, _on_grid, rat
 
 
 def _move(slope: int, offset: int, lo: int, hi: int) -> tuple[int, int]:
@@ -214,14 +214,14 @@ class PartialMap(_Grid):
 
     def image_of(self, s: IntervalSet) -> IntervalSet:
         d, cut = self._cut(s)
-        return IntervalSet._merge_pairs(
-            [_move(a.slope, a._off, lo, hi) for a, lo, hi in cut], d)
+        return IntervalSet._new(tuple(_merged(
+            [_move(a.slope, a._off, lo, hi) for a, lo, hi in cut])), d)
 
     def preimage_of(self, s: IntervalSet) -> IntervalSet:
         d, cut = self._cut(s, image=True)
-        return IntervalSet._merge_pairs(
+        return IntervalSet._new(tuple(_merged(
             [_move(*_inverse_key(a.slope, a._off), lo, hi)
-             for a, lo, hi in cut], d)
+             for a, lo, hi in cut])), d)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PartialMap) and self.atoms == other.atoms
@@ -240,17 +240,14 @@ def identity_map() -> PartialMap:
     return PartialMap._new([Atom._new(0, 1, 1, 0, 1)], 1)
 
 
-def _source(a: Atom) -> IntervalSet:
-    return IntervalSet._new(((a._lo, a._hi),), a._d)
-
-
 def compose(f: PartialMap, g: PartialMap) -> PartialMap:
     """f after g, defined on g^{-1}(domain(f)); slopes multiply, exact."""
     f, g = _align(f, g)
     return PartialMap._new(
         [Atom._new(*_move(*_inverse_key(ag.slope, ag._off), lo, hi),
                    af.slope * ag.slope, af.slope * ag._off + af._off, f._d)
-         for af in f.atoms for ag, lo, hi in g._cut(_source(af), True)[1]],
+         for af in f.atoms for ag, lo, hi in g._cut(
+             IntervalSet._new(((af._lo, af._hi),), f._d), True)[1]],
         f._d)
 
 

@@ -18,7 +18,8 @@ parsed in one batch, in first-occurrence order (an element of coverage n
 repeats every cut point in about 2n atom fields), to integers (p, q) and
 no ``Fraction`` (only ``parse_eps`` returns one); the second pass builds
 every atom and map once, on the lcm of all the denominators.  When a check
-fails, ``_ratio`` reads the values in order, so a malformed value meets
+fails, or a value is a JSON integer (which the writers never write),
+``_ratio`` reads the values in order instead, so a malformed value meets
 the same first error, with the same message, as when each value is parsed
 where it occurs.  The writers read each "p/q" off the value's grid
 numerators, with one gcd.  An artifact file is written by
@@ -97,18 +98,15 @@ def _rationals(strings: list[str]) -> list[int]:
 
 def _grid_values(values: list) -> tuple[int, dict]:
     """The lcm d of the denominators of JSON values, "p/q" strings and
-    integers, and each distinct value's numerator over d.  The distinct
-    strings go to ``_rationals`` in first-occurrence order; a value of any
-    other kind sends every value through ``_ratio`` in order, so the first
-    bad one raises as it does on its own."""
-    if set(map(type, values)) <= {str, int}:
+    integers, and each distinct value's numerator over d.  If all are
+    strings, the distinct ones go to ``_rationals`` in first-occurrence
+    order; otherwise, a JSON integer among them too, every value goes
+    through ``_ratio`` in order, so the first bad one raises as it does on
+    its own."""
+    if set(map(type, values)) <= {str}:
         keys = list(dict.fromkeys(values))
-        strings = [v for v in keys if type(v) is str]
-        nums = _rationals(strings)
+        nums = _rationals(keys)
         ps, qs = nums[::2], nums[1::2]
-        if len(strings) < len(keys):  # JSON integers, of denominator 1
-            ints = [v for v in keys if type(v) is int]
-            keys, ps, qs = strings + ints, ps + ints, qs + [1] * len(ints)
     else:
         keys, (ps, qs) = values, zip(*map(_ratio, values))
     d = lcm(*set(qs))

@@ -364,6 +364,32 @@ def test_element_reader_parses_each_distinct_string_once(monkeypatch):
     assert 0 < len(parsed) - 1 < len(distinct)
 
 
+def test_element_reader_reads_json_integers_value_by_value(monkeypatch):
+    """With a JSON integer among the values, no string goes to the batch
+    parse: ``_ratio`` reads the values in reading order, up to the first
+    bad one, and the atoms or the first error are the per-value
+    reference's."""
+    lists = [[{"src": [0, "2/4"], "slope": 1, "offset": "3/6"},
+              {"src": ["3/6", 1], "slope": 1, "offset": "-2/4"}]]
+    batches, parsed = [], []
+    rationals, ratio = ser._rationals, ser._ratio
+    monkeypatch.setattr(ser, "_rationals",
+                        lambda s: batches.append(list(s)) or rationals(s))
+    monkeypatch.setattr(ser, "_ratio", lambda v: parsed.append(v) or ratio(v))
+    got = _outcome(ser._atom_lists, lists)
+    assert batches == [] and parsed == [0, "2/4", "3/6", "3/6", 1, "-2/4"]
+    assert got == _outcome(reference_atom_lists, lists)
+    assert got[0][1] == 12  # the lcm of 1, 4 and 6
+
+    lists[0][0]["offset"] = "1/0"
+    lists[0][1]["src"][0] = "1/x"
+    parsed.clear()
+    got = _outcome(ser._atom_lists, lists)
+    assert got == ("ZeroDivisionError", "zero denominator in '1/0'")
+    assert batches == [] and parsed == [0, "2/4", "1/0"]
+    assert got == _outcome(reference_atom_lists, lists)
+
+
 def _outcome(read, data):
     """What a reader gives, as the grid fields of every atom with the grid
     of each list, or as the first exception's type and message."""

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dsekit import EMPTY, FULL, IntervalSet, rat, rat_str
 from dsekit import serialize as ser
-from dsekit.intervals import step_integral, step_sum, step_where
+from dsekit.intervals import _merged, step_integral, step_sum, step_where
 
 from oracles import brute_measure, reference_merge_pairs
 
@@ -222,7 +222,6 @@ def test_step_sum_and_integral():
 @example([(4, 8), (0, 4), (8, 9), (12, 12)])  # touching, one empty
 @example([(0, 10), (2, 3), (2, 9), (9, 10)])  # nested
 def test_merge_pairs_matches_the_two_pass_merge(pairs):
-    merged = IntervalSet._merge_pairs(pairs, 16)
-    assert merged._iv == reference_merge_pairs(pairs)
-    assert merged._d == 16
-    assert all(type(p) is tuple for p in merged._iv)
+    merged = _merged(pairs)
+    assert merged == list(reference_merge_pairs(pairs))
+    assert all(type(p) is tuple for p in merged)
