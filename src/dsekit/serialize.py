@@ -17,15 +17,15 @@ lo, hi, slope, offset; between the passes the distinct "p/q" strings are
 parsed in one batch, in first-occurrence order (an element of coverage n
 repeats every cut point in about 2n atom fields), to integers (p, q) and
 no ``Fraction`` (only ``parse_eps`` returns one); the second pass builds
-every atom and map once, on the lcm of all the denominators.  When a check
-fails, or a value is a JSON integer (which the writers never write),
-``_ratio`` reads the values in order instead, so a malformed value meets
-the same first error, with the same message, as when each value is parsed
-where it occurs.  The writers read each "p/q" off the value's grid
-numerators, with one gcd.  An artifact file is written by
-``artifact_text``, in the bytes of ``json.dumps(payload, indent=2)``,
-which runs its pure-Python encoder when it indents; each atom object is
-filled into one template instead.
+every atom and map once, on the lcm of all the denominators, each atom
+with one ``Atom._set`` call on its fields.  When a check fails, or a value
+is a JSON integer (which the writers never write), ``_ratio`` reads the
+values in order instead, so a malformed value meets the same first error,
+with the same message, as when each value is parsed where it occurs.  The
+writers read each "p/q" off the value's grid numerators, with one gcd.  An
+artifact file is written by ``artifact_text``, in the bytes of
+``json.dumps(payload, indent=2)``, which runs its pure-Python encoder when
+it indents; each atom object is filled into one template instead.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import islice, repeat, starmap
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 from operator import floordiv, mul
@@ -150,8 +150,12 @@ def _atom_lists(lists: list, keys=_ATOM_KEYS) -> list[tuple[list[Atom], int]]:
         raise
     d, grid = _grid_values(values)
     nums = map(grid.__getitem__, values)
-    fields = zip(nums, nums, slopes, nums, repeat(d))
-    return [(list(starmap(Atom._new, islice(fields, k))), d) for k in sizes]
+    # one _set call per atom on its zipped fields, in order (_set returns
+    # None, so any makes every call); Atom._set is read here, not at import
+    atoms = list(map(object.__new__, repeat(Atom, len(slopes))))
+    any(map(Atom._set, atoms, zip(nums, nums, slopes, nums, repeat(d))))
+    rest = iter(atoms)
+    return [(list(islice(rest, k)), d) for k in sizes]
 
 
 def map_to_json(m: PartialMap) -> list:
@@ -277,7 +281,7 @@ def matrix_from_csv(text: str) -> tuple[Rows, list[int]]:
                 "-").isdigit() for c in cells.values()):
             raise ValueError("CSV rows must be comma-separated integers")
         rows.append({j: x for j, c in cells.items() if (x := int(c))})
-        widths.append(line.count(",") + 1)
+        widths.append(col)  # the walk ends one past the last cell
     return rows, widths
 
 

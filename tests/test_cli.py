@@ -1,5 +1,6 @@
 import contextlib
 import fractions
+import gc
 import io
 import json
 import os
@@ -794,6 +795,7 @@ def test_missing_file_is_io_error(capsys):
     assert code == 1
 
 
+
 @pytest.mark.parametrize("argv, command", [
     (["bvn", "--in", "x.csv", "--n", "abc"], "bvn"),
     (["decompose", "--in", "x.json", "--eps", "-1/2", "--out", "o.json"],
@@ -904,6 +906,110 @@ def test_main_reports_every_fuzzed_input(run):
     lines = out.getvalue().splitlines()
     assert len(lines) == 1
     jsonschema.validate(json.loads(lines[0]), REPORT_SCHEMA)
+
+
+def _edited(payload, edit):
+    """A copy of a JSON payload, changed in place by edit."""
+    payload = json.loads(json.dumps(payload))
+    edit(payload)
+    return payload
+
+
+# input files of GC_RUNS: name -> JSON payload, or the text of the file
+GC_FILES = {
+    "ce2.json": CE2,
+    "sym.json": SYM_CE2,
+    "one.json": ser.dse_to_json(DSE([identity_map()], 1)),
+    "flip.json": ser.dse_to_json(DSE([PartialMap([Atom(0, 1, -1, 1)])], 1)),
+    "uncovered.json": ser.dse_to_json(DSE([identity_map()], 2)),
+    "zero.json": _edited(CE2, lambda p: p["maps"][0][0].update(offset="1/0")),
+    "no-src.json": _edited(CE2, lambda p: p["maps"][1][0].pop("src")),
+    "deep.json": "[" * 100_000 + "]" * 100_000,
+    "m.csv": "1,1,0\n0,1,1\n1,0,1\n",
+    "m.json": MATRIX,
+    "underscore.csv": "1_0,0\n0,1_0\n",
+    "irregular.csv": "1,1\n0,1\n",
+}
+
+
+def _artifact(command: str, infile: str) -> list[str]:
+    return [command, "--in", infile, "--eps", "1/4", "--out", "out.json"]
+
+
+# name -> (exit code, argv), each file name an input under one directory:
+# every subcommand, then parse, domain, usage, missing-file and
+# multiplicity errors
+GC_RUNS = {
+    "validate": (0, ["validate", "--in", "ce2.json"]),
+    "distance": (0, ["distance", "--a", "ce2.json", "--b", "ce2.json"]),
+    "decompose": (0, _artifact("decompose", "ce2.json")),
+    "divide": (0, _artifact("divide", "sym.json")),
+    "split": (0, _artifact("split", "sym.json")),
+    "bvn-csv": (0, ["bvn", "--in", "m.csv", "--n", "2", "--decompose"]),
+    "bvn-json": (0, ["bvn", "--in", "m.json", "--n", "2"]),
+    "demo": (0, ["demo", "--name", "forest", "--level", "3"]),
+    "zero-denominator": (1, ["validate", "--in", "zero.json"]),
+    "missing-key": (1, ["validate", "--in", "no-src.json"]),
+    "nested-too-deeply": (1, ["validate", "--in", "deep.json"]),
+    "bad-eps": (1, ["decompose", "--in", "ce2.json", "--eps", "0.5",
+                    "--out", "out.json"]),
+    "bad-csv-cell": (1, ["bvn", "--in", "underscore.csv", "--n", "10"]),
+    "unknown-command": (1, ["frobnicate"]),
+    "missing-flag": (1, ["decompose", "--in", "ce2.json", "--eps", "1/2"]),
+    "missing-file": (1, ["validate", "--in", "nonexistent.json"]),
+    "level-cap": (1, ["demo", "--name", "forest", "--level", "257"]),
+    "not-covering": (2, ["validate", "--in", "uncovered.json"]),
+    "invalid-dse": (2, _artifact("decompose", "uncovered.json")),
+    "not-symmetric": (2, _artifact("split", "ce2.json")),
+    "odd-row-mass": (2, _artifact("divide", "flip.json")),
+    "irregular": (2, ["bvn", "--in", "irregular.csv", "--n", "2"]),
+    "multiplicity-mismatch": (2, ["distance", "--a", "one.json",
+                                  "--b", "ce2.json"]),
+}
+
+
+@pytest.mark.parametrize("name", list(GC_RUNS))
+def test_commands_leave_no_cyclic_garbage(name, tmp_path, capsys):
+    """main pauses the cyclic collector because no command, on success or
+    on error, leaves a reference cycle: with the collector off through a
+    run, a collection afterwards finds nothing unreachable."""
+    for file, payload in GC_FILES.items():
+        (tmp_path / file).write_text(
+            payload if type(payload) is str else json.dumps(payload))
+    code, argv = GC_RUNS[name]
+    argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a
+            for a in argv]
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == code
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_main_restores_the_collector_setting(enabled, fails, tmp_path,
+                                             capsys, monkeypatch):
+    """main leaves gc.isenabled() as it found it, also when a handler
+    raises an exception that main does not catch."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("handler failed")
+
+    if fails:
+        monkeypatch.setattr(cli, "validate", broken)
+    f = write_dse(tmp_path / "ce.json", counterexample(2))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with (pytest.raises(RuntimeError, match="handler failed") if fails
+              else contextlib.nullcontext()):
+            assert main(["validate", "--in", f]) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("cell", ["1_0", "١٠"],
